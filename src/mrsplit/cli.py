@@ -14,7 +14,7 @@ from typing import Optional
 
 from .diagnostics import run_full_suite
 from .graph import GraphError, load_edge_list
-from .ordering import order_degree, order_ppr, order_random
+from .ordering import order_by
 from .split import split_edges, split_summary
 from .trainer import ModelConfig, TaskParams, compare_base_vs_split, make_synthetic_task
 from .trajectories import TraceConfig, rod_trace
@@ -46,18 +46,9 @@ def cmd_split(args: argparse.Namespace) -> int:
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.ordering == "degree":
-        scores = order_degree(g)
-    elif args.ordering == "random":
-        scores = order_random(g.n, args.seed)
-    elif args.ordering == "ppr":
-        scores = order_ppr(g, alpha=args.ppr_alpha, iters=args.ppr_iters)
-    elif args.ordering == "features":
-        print("error: features ordering needs a feature matrix; use the API",
-              file=sys.stderr)
-        return EXIT_USAGE
-    else:  # pragma: no cover - argparse restricts choices
-        return EXIT_USAGE
+    scores = order_by(
+        args.ordering, g, args.seed, ppr_alpha=args.ppr_alpha, ppr_iters=args.ppr_iters
+    )
     mrg = split_edges(g, scores)
     payload = split_summary(mrg)
     payload["seed"] = args.seed

@@ -7,7 +7,7 @@ transformation carries a bias term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -53,11 +53,6 @@ class Activation:
 IDENTITY = Activation("identity")
 RELU = Activation("relu")
 LEAKY_RELU = Activation("leaky_relu")
-SIGMOID = Activation("sigmoid")
-
-
-def activation_from_name(name: str, slope: float = 0.01) -> Activation:
-    return Activation(name, slope) if name == "leaky_relu" else Activation(name)
 
 
 @dataclass(frozen=True)
@@ -152,6 +147,25 @@ def _check_dims(X: np.ndarray, ops: Sequence[RelationOperator]) -> None:
             )
 
 
+def relation_sum(
+    X: np.ndarray,
+    mats: Sequence,
+    weights: Sequence[np.ndarray],
+    self_weight: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """sum_k A_k (X W_k), plus X W_self when self_weight is given.
+
+    Relations are added in order and the self term last; every numpy
+    relation sum goes through here, so all callers round alike.
+    """
+    pre = mats[0] @ (X @ weights[0])
+    for mat, w in zip(mats[1:], weights[1:]):
+        pre = pre + mat @ (X @ w)
+    if self_weight is not None:
+        pre = pre + X @ self_weight
+    return pre
+
+
 def mrs_linear_layer(
     X: np.ndarray,
     ops: Sequence[RelationOperator],
@@ -165,12 +179,9 @@ def mrs_linear_layer(
         )
     X = np.asarray(X, dtype=np.float64)
     _check_dims(X, ops)
-    pre = np.zeros((X.shape[0], weights[0].shape[1]))
-    for op, w in zip(ops, weights):
-        if w.shape[0] != X.shape[1]:
-            raise ValueError("transform input dim does not match features")
-        pre += op.matrix @ (X @ w)
-    return act(pre)
+    if any(w.shape[0] != X.shape[1] for w in weights):
+        raise ValueError("transform input dim does not match features")
+    return act(relation_sum(X, [op.matrix for op in ops], weights))
 
 
 def mrs_gcn(
@@ -185,11 +196,8 @@ def mrs_sage(
 ) -> np.ndarray:
     """Self transform plus mean-aggregated per-relation messages."""
     X = np.asarray(X, dtype=np.float64)
-    ops = normalize(mrg, ROW_MEAN)
-    pre = X @ params.self_weight
-    for op, w in zip(ops, params.rel_weights):
-        pre = pre + op.matrix @ (X @ w)
-    return act(pre)
+    mats = [op.matrix for op in normalize(mrg, ROW_MEAN)]
+    return act(relation_sum(X, mats, params.rel_weights, params.self_weight))
 
 
 def _gat_head(
@@ -301,12 +309,9 @@ def mrs_gatedgcn(
     return act(out + num / (den + params.gate_eps))
 
 
-LayerFn = Callable[[np.ndarray], np.ndarray]
-
-
 def iterate(
     X0: np.ndarray,
-    layer_factory: Callable[[int], LayerFn],
+    layer_factory: Callable[[int], Callable[[np.ndarray], np.ndarray]],
     num_layers: int,
     renormalize: bool = False,
 ) -> list[np.ndarray]:

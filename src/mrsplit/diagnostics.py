@@ -10,23 +10,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .convolution import IDENTITY, LEAKY_RELU
+from .convolution import IDENTITY, LEAKY_RELU, relation_sum
 from .ensembles import molecule_like_graph, random_connected_dag
 from .graph import Graph, longest_path_length
 from .ordering import order_random
 from .split import (
     RAW,
     ROW_MEAN,
-    SYM_GCN,
     RelationOperator,
     dar_pair_from_dag,
-    normalize,
     operator_for_graph,
     split_edges,
+    variant_operators,
 )
 
 DEFAULT_RANK_TOL = 1e-8
@@ -185,8 +184,56 @@ class VerificationReport:
 _SIGMAS = (IDENTITY, LEAKY_RELU)
 
 
-def _trial_rng(seed: int, t: int) -> np.random.Generator:
-    return np.random.default_rng([seed, t])
+def _run_suite(
+    theorem: str,
+    trials: int,
+    seed: int,
+    trial: Callable[[np.random.Generator, int], list[tuple[float, Optional[str]]]],
+) -> VerificationReport:
+    """Run trial(rng, t) for t < trials, each with its own seeded generator.
+
+    A trial returns one (margin, note) pair per check; the check failed when
+    note is not None. min_margin is the smallest margin seen, 0.0 when no
+    check ran. The first ten failure notes are kept.
+    """
+    failures = 0
+    min_margin = np.inf
+    notes: list[str] = []
+    for t in range(trials):
+        for margin, note in trial(np.random.default_rng([seed, t]), t):
+            min_margin = min(min_margin, margin)
+            if note is not None:
+                failures += 1
+                notes.append(note)
+    return VerificationReport(
+        theorem=theorem,
+        trials=trials,
+        failures=failures,
+        min_margin=float(min_margin) if np.isfinite(min_margin) else 0.0,
+        seed=seed,
+        notes=notes[:10],
+    )
+
+
+def _rank_checks(
+    rng: np.random.Generator,
+    t: int,
+    ops: Sequence[RelationOperator],
+    rows,
+    target: int,
+    d: int,
+) -> list[tuple[float, Optional[str]]]:
+    """Per activation: rank of the selected output rows of one split
+    convolution of a random rank-one input, minus the target rank."""
+    X = np.outer(rng.uniform(-1, 1, ops[0].n), rng.uniform(-1, 1, d))
+    weights = [rng.uniform(-1, 1, (d, d)) for _ in ops]
+    pre = relation_sum(X, [op.matrix for op in ops], weights)
+    checks = []
+    for sigma in _SIGMAS:
+        rank = numeric_rank(sigma(pre)[rows])
+        note = f"trial {t} ({sigma.kind}): rank {rank} < {target}"
+        checks.append((rank - target, note if rank < target else None))
+    return checks
 
 
 def verify_rank_theorem(
@@ -197,30 +244,12 @@ def verify_rank_theorem(
 ) -> VerificationReport:
     """Output rank of one split convolution is at least rank of the
     weighted in-degree matrix, for rank-one inputs and generic transforms."""
-    E = in_degree_matrix(ops).matrix
-    rank_e = numeric_rank(E)
-    n = ops[0].n
-    failures = 0
-    min_margin = np.inf
-    notes: list[str] = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        X = np.outer(rng.uniform(-1, 1, n), rng.uniform(-1, 1, d))
-        weights = [rng.uniform(-1, 1, (d, d)) for _ in ops]
-        pre = sum(op.matrix @ (X @ w) for op, w in zip(ops, weights))
-        for sigma in _SIGMAS:
-            margin = numeric_rank(sigma(pre)) - rank_e
-            min_margin = min(min_margin, margin)
-            if margin < 0:
-                failures += 1
-                notes.append(f"trial {t} ({sigma.kind}): rank deficit {margin}")
-    return VerificationReport(
-        theorem="rank_lower_bound",
-        trials=trials,
-        failures=failures,
-        min_margin=float(min_margin) if trials else 0.0,
-        seed=seed,
-        notes=notes[:10],
+    rank_e = numeric_rank(in_degree_matrix(ops).matrix)
+    return _run_suite(
+        "rank_lower_bound",
+        trials,
+        seed,
+        lambda rng, t: _rank_checks(rng, t, ops, slice(None), rank_e, d),
     )
 
 
@@ -239,34 +268,15 @@ def verify_independence_theorem(
         raise IndexError(f"pair {pair} out of range for n={n}")
     E = in_degree_matrix(ops)
     independent = structurally_independent(E.row(i), E.row(j))
-    failures = 0
-    min_margin = np.inf
-    notes: list[str] = []
-    if not independent:
-        notes.append("pair is structurally dependent; no assertion made")
-        min_margin = 0.0
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        X = np.outer(rng.uniform(-1, 1, n), rng.uniform(-1, 1, d))
-        weights = [rng.uniform(-1, 1, (d, d)) for _ in ops]
-        pre = sum(op.matrix @ (X @ w) for op, w in zip(ops, weights))
-        for sigma in _SIGMAS:
-            out = sigma(pre)
-            pair_rank = numeric_rank(np.stack([out[i], out[j]]))
-            if independent:
-                margin = pair_rank - 2
-                min_margin = min(min_margin, margin)
-                if margin < 0:
-                    failures += 1
-                    notes.append(f"trial {t} ({sigma.kind}): pair rank {pair_rank}")
-    return VerificationReport(
-        theorem="independent_pair_rows",
-        trials=trials,
-        failures=failures,
-        min_margin=float(min_margin) if np.isfinite(min_margin) else 0.0,
-        seed=seed,
-        notes=notes[:10],
+    report = _run_suite(
+        "independent_pair_rows",
+        trials,
+        seed,
+        lambda rng, t: _rank_checks(rng, t, ops, [i, j], 2, d) if independent else [],
     )
+    if not independent:
+        report.notes.append("pair is structurally dependent; no assertion made")
+    return report
 
 
 def verify_zero_convergence(
@@ -274,30 +284,19 @@ def verify_zero_convergence(
 ) -> VerificationReport:
     """Mean aggregation on a DAG without leaf self-loops drives every state
     to exactly zero after longest-path-length + 1 steps."""
-    failures = 0
-    min_margin = np.inf
-    notes: list[str] = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
+
+    def trial(rng: np.random.Generator, t: int):
         g = random_connected_dag(rng, int(rng.integers(5, 21)))
-        op = operator_for_graph(g, ROW_MEAN)
+        mats = [operator_for_graph(g, ROW_MEAN).matrix]
         depth = longest_path_length(g) + 1
         X = rng.uniform(-1, 1, (g.n, d))
         for _ in range(depth):
-            X = np.maximum(op.matrix @ (X @ rng.uniform(-1, 1, (d, d))), 0.0)
+            X = np.maximum(relation_sum(X, mats, [rng.uniform(-1, 1, (d, d))]), 0.0)
         peak = float(np.abs(X).max())
-        min_margin = min(min_margin, -peak)
-        if peak != 0.0:
-            failures += 1
-            notes.append(f"trial {t}: residual magnitude {peak}")
-    return VerificationReport(
-        theorem="dag_zero_convergence",
-        trials=trials,
-        failures=failures,
-        min_margin=float(min_margin) if trials else 0.0,
-        seed=seed,
-        notes=notes[:10],
-    )
+        note = f"trial {t}: residual magnitude {peak}"
+        return [(-peak, note if peak != 0.0 else None)]
+
+    return _run_suite("dag_zero_convergence", trials, seed, trial)
 
 
 def verify_dag_pair_rank(
@@ -308,41 +307,31 @@ def verify_dag_pair_rank(
 
     States are rescaled to unit Frobenius norm between steps; the layer is
     positively homogeneous, so this only changes scale, never rank or
-    row-wise nonzeroness.
+    row-wise nonzeroness. A state that reaches exact zero stops there and
+    fails both conditions.
     """
-    failures = 0
-    min_margin = np.inf
-    notes: list[str] = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
+
+    def trial(rng: np.random.Generator, t: int):
         g = random_connected_dag(rng, int(rng.integers(6, 25)))
-        fwd, bwd = dar_pair_from_dag(g)
+        mats = [op.matrix for op in dar_pair_from_dag(g)]
+        checks = []
         for sigma in _SIGMAS:
             X = rng.uniform(-1, 1, (g.n, d))
-            ok = True
             for _ in range(depth):
-                w1 = rng.uniform(-1, 1, (d, d))
-                w2 = rng.uniform(-1, 1, (d, d))
-                X = sigma(fwd.matrix @ (X @ w1) + bwd.matrix @ (X @ w2))
-                X = X / np.linalg.norm(X)
+                weights = [rng.uniform(-1, 1, (d, d)) for _ in mats]
+                X = sigma(relation_sum(X, mats, weights))
+                norm = np.linalg.norm(X)
+                if norm == 0.0:
+                    break
+                X = X / norm
             row_min = float(np.linalg.norm(X, axis=1).min())
             rank = numeric_rank(X)
-            min_margin = min(min_margin, rank - 2, row_min - ROW_ZERO_TOL)
-            if row_min <= ROW_ZERO_TOL or rank < 2:
-                ok = False
-            if not ok:
-                failures += 1
-                notes.append(
-                    f"trial {t} ({sigma.kind}): rank {rank}, min row {row_min:.2e}"
-                )
-    return VerificationReport(
-        theorem="dag_pair_rank_preserved",
-        trials=trials,
-        failures=failures,
-        min_margin=float(min_margin) if trials else 0.0,
-        seed=seed,
-        notes=notes[:10],
-    )
+            failed = row_min <= ROW_ZERO_TOL or rank < 2
+            note = f"trial {t} ({sigma.kind}): rank {rank}, min row {row_min:.2e}"
+            checks.append((min(rank - 2, row_min - ROW_ZERO_TOL), note if failed else None))
+        return checks
+
+    return _run_suite("dag_pair_rank_preserved", trials, seed, trial)
 
 
 def _ergodic_instance(idx: int) -> list[RelationOperator]:
@@ -361,24 +350,13 @@ def _ergodic_instance(idx: int) -> list[RelationOperator]:
 def verify_ergodic_rank_one(instances: int = 20, seed: int = 0) -> VerificationReport:
     """Mean-normalized ergodic relation sets give a rank-one in-degree matrix,
     so no node pair is structurally independent."""
-    failures = 0
-    min_margin = np.inf
-    notes: list[str] = []
-    for idx in range(instances):
-        ops = _ergodic_instance(idx)
-        rank_e = numeric_rank(in_degree_matrix(ops).matrix)
-        min_margin = min(min_margin, 1 - rank_e)
-        if rank_e != 1:
-            failures += 1
-            notes.append(f"instance {idx}: rank(E)={rank_e}")
-    return VerificationReport(
-        theorem="ergodic_rank_one",
-        trials=instances,
-        failures=failures,
-        min_margin=float(min_margin) if instances else 0.0,
-        seed=seed,
-        notes=notes[:10],
-    )
+
+    def trial(rng: np.random.Generator, idx: int):
+        rank_e = numeric_rank(in_degree_matrix(_ergodic_instance(idx)).matrix)
+        note = f"instance {idx}: rank(E)={rank_e}"
+        return [(1 - rank_e, note if rank_e != 1 else None)]
+
+    return _run_suite("ergodic_rank_one", instances, seed, trial)
 
 
 def verify_dar_independent_pairs(
@@ -387,11 +365,8 @@ def verify_dar_independent_pairs(
     """Two nonempty acyclic relations with different root sets always
     contain at least one structurally independent node pair (checked by
     exhaustive pair scan)."""
-    failures = 0
-    min_margin = np.inf
-    notes: list[str] = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
+
+    def trial(rng: np.random.Generator, t: int):
         g = molecule_like_graph(rng, 8, 24)
         scores = order_random(g.n, int(rng.integers(0, 2**63)))
         mrg = split_edges(g, scores)
@@ -405,56 +380,24 @@ def verify_dar_independent_pairs(
             for j in range(i + 1, g.n):
                 if structurally_independent(E.row(i), E.row(j)):
                     found += 1
-        min_margin = min(min_margin, found - 1)
-        if found == 0:
-            failures += 1
-            notes.append(f"trial {t}: no structurally independent pair")
-    return VerificationReport(
-        theorem="dar_pair_independent_exists",
-        trials=trials,
-        failures=failures,
-        min_margin=float(min_margin) if trials else 0.0,
-        seed=seed,
-        notes=notes[:10],
-    )
+        note = f"trial {t}: no structurally independent pair"
+        return [(found - 1, note if found == 0 else None)]
 
-
-def _random_split_ops(rng: np.random.Generator) -> list[RelationOperator]:
-    g = molecule_like_graph(rng, 8, 30)
-    scores = order_random(g.n, int(rng.integers(0, 2**63)))
-    mrg = split_edges(g, scores)
-    return normalize(mrg, SYM_GCN)
+    return _run_suite("dar_pair_independent_exists", trials, seed, trial)
 
 
 def verify_rank_theorem_random_splits(
     trials: int = 500, seed: int = 0, d: int = 8
 ) -> VerificationReport:
     """Rank lower bound over freshly sampled split graphs per trial."""
-    failures = 0
-    min_margin = np.inf
-    notes: list[str] = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        ops = _random_split_ops(rng)
-        n = ops[0].n
+
+    def trial(rng: np.random.Generator, t: int):
+        g = molecule_like_graph(rng, 8, 30)
+        ops = variant_operators(g, "mrs_gcn", "random", int(rng.integers(0, 2**63)))
         rank_e = numeric_rank(in_degree_matrix(ops).matrix)
-        X = np.outer(rng.uniform(-1, 1, n), rng.uniform(-1, 1, d))
-        weights = [rng.uniform(-1, 1, (d, d)) for _ in ops]
-        pre = sum(op.matrix @ (X @ w) for op, w in zip(ops, weights))
-        for sigma in _SIGMAS:
-            margin = numeric_rank(sigma(pre)) - rank_e
-            min_margin = min(min_margin, margin)
-            if margin < 0:
-                failures += 1
-                notes.append(f"trial {t} ({sigma.kind}): deficit {margin}")
-    return VerificationReport(
-        theorem="rank_lower_bound_random_splits",
-        trials=trials,
-        failures=failures,
-        min_margin=float(min_margin) if trials else 0.0,
-        seed=seed,
-        notes=notes[:10],
-    )
+        return _rank_checks(rng, t, ops, slice(None), rank_e, d)
+
+    return _run_suite("rank_lower_bound_random_splits", trials, seed, trial)
 
 
 def _independent_pair_instance(
@@ -491,44 +434,25 @@ def verify_independence_on_constructions(
 ) -> VerificationReport:
     """Constructed structurally independent pairs always yield rank-2 output
     row pairs; one freshly built instance per trial."""
-    failures = 0
-    min_margin = np.inf
-    notes: list[str] = []
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
+
+    def trial(rng: np.random.Generator, t: int):
         ops, pair = _independent_pair_instance(rng)
-        i, j = pair
-        n = ops[0].n
-        X = np.outer(rng.uniform(-1, 1, n), rng.uniform(-1, 1, d))
-        weights = [rng.uniform(-1, 1, (d, d)) for _ in ops]
-        pre = sum(op.matrix @ (X @ w) for op, w in zip(ops, weights))
-        for sigma in _SIGMAS:
-            out = sigma(pre)
-            margin = numeric_rank(np.stack([out[i], out[j]])) - 2
-            min_margin = min(min_margin, margin)
-            if margin < 0:
-                failures += 1
-                notes.append(f"trial {t} ({sigma.kind}): deficit {margin}")
-    return VerificationReport(
-        theorem="constructed_independent_pairs",
-        trials=trials,
-        failures=failures,
-        min_margin=float(min_margin) if trials else 0.0,
-        seed=seed,
-        notes=notes[:10],
-    )
+        return _rank_checks(rng, t, ops, list(pair), 2, d)
+
+    return _run_suite("constructed_independent_pairs", trials, seed, trial)
 
 
 def run_full_suite(seed: int = 0, trials: int = 500) -> list[VerificationReport]:
     """All verification suites with a shared seed; trial counts scale with
     the requested budget."""
-    small = max(trials // 5, 0)
-    reports = [
+    if trials < 0:
+        raise ValueError(f"trials must be non-negative, got {trials}")
+    small = trials // 5
+    return [
         verify_rank_theorem_random_splits(trials=trials, seed=seed),
         verify_independence_on_constructions(trials=trials, seed=seed),
         verify_zero_convergence(trials=small, seed=seed),
-        verify_dag_pair_rank(trials=max(small * 2, 0), seed=seed),
+        verify_dag_pair_rank(trials=small * 2, seed=seed),
         verify_ergodic_rank_one(instances=20 if trials else 0, seed=seed),
         verify_dar_independent_pairs(trials=small, seed=seed),
     ]
-    return reports

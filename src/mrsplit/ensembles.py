@@ -40,40 +40,6 @@ def random_connected_graph(
     return graph_from_pairs(n, arcs, undirected=True)
 
 
-def random_er_graph(
-    rng: np.random.Generator, n: int, edge_prob: float
-) -> Graph:
-    """Erdos-Renyi style undirected graph (no connectivity guarantee)."""
-    pairs = [
-        (a, b)
-        for a in range(n)
-        for b in range(a + 1, n)
-        if rng.random() < edge_prob
-    ]
-    arcs = []
-    for a, b in pairs:
-        arcs.append((a, b, 1.0))
-        arcs.append((b, a, 1.0))
-    return graph_from_pairs(n, arcs, undirected=True)
-
-
-def random_dag(rng: np.random.Generator, n: int, edge_prob: float) -> Graph:
-    """Random DAG: sample node pairs and orient every edge along a random
-    permutation of the nodes."""
-    rank = rng.permutation(n)
-    pos = np.empty(n, dtype=np.int64)
-    pos[rank] = np.arange(n)
-    edges = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < edge_prob:
-                if pos[a] < pos[b]:
-                    edges.append((a, b, 1.0))
-                else:
-                    edges.append((b, a, 1.0))
-    return graph_from_pairs(n, edges, undirected=False)
-
-
 def random_connected_dag(rng: np.random.Generator, n: int) -> Graph:
     """DAG whose underlying undirected graph is connected: orient the edges
     of a random connected graph along a random node permutation."""

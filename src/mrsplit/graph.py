@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from typing import IO, Iterable, Optional
 
@@ -173,6 +174,8 @@ def _load_tsv(source: IO, undirected: bool) -> Graph:
             weight = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise GraphError(f"line {lineno}: malformed edge {line!r}") from exc
+        if not math.isfinite(weight):
+            raise GraphError(f"line {lineno}: non-finite weight {parts[2]!r}")
         if src < 0 or dst < 0:
             raise GraphError(f"line {lineno}: negative node index")
         if declared_n is not None and (src >= declared_n or dst >= declared_n):
@@ -182,16 +185,23 @@ def _load_tsv(source: IO, undirected: bool) -> Graph:
         if any(e[0] == src and e[1] == dst for e in edges):
             raise GraphError(f"line {lineno}: duplicate edge ({src}, {dst})")
         edges.append((src, dst, weight))
+    return _loaded_graph(edges, declared_n, undirected)
 
-    if declared_n is not None:
-        n = declared_n
-    elif edges:
-        n = 1 + max(max(s, d) for s, d, _ in edges)
-    else:
-        n = 0
+
+def _loaded_graph(
+    edges: list[tuple[int, int, float]], n: Optional[int], undirected: bool
+) -> Graph:
+    """Graph from parsed arcs; without a declared n, n = 1 + max index.
+    The Graph constructor rejects indices outside the declared range."""
+    if n is None:
+        n = 1 + max((max(s, d) for s, d, _ in edges), default=-1)
     if undirected:
         edges = _expand_undirected(edges)
     return Graph(n=n, edges=tuple(edges), undirected=undirected)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _load_json(source: IO, undirected: bool) -> Graph:
@@ -199,30 +209,34 @@ def _load_json(source: IO, undirected: bool) -> Graph:
         data = json.loads(_decode(source.read()))
     except json.JSONDecodeError as exc:
         raise GraphError(f"malformed JSON graph: {exc}") from exc
-    if not isinstance(data, dict) or "edges" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise GraphError("JSON graph must be an object with an 'edges' list")
-    undirected = bool(data.get("undirected", undirected))
+    file_undirected = data.get("undirected", undirected)
+    if not isinstance(file_undirected, bool):
+        raise GraphError("JSON 'undirected' must be true or false")
+    if undirected and not file_undirected:
+        raise GraphError("JSON graph says undirected=false but undirected was requested")
+    undirected = file_undirected
     edges: list[tuple[int, int, float]] = []
     for k, item in enumerate(data["edges"]):
         if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
             raise GraphError(f"edge #{k}: expected [src, dst] or [src, dst, weight]")
-        src, dst = int(item[0]), int(item[1])
-        weight = float(item[2]) if len(item) == 3 else 1.0
+        src, dst = item[0], item[1]
+        if not (_is_int(src) and _is_int(dst)):
+            raise GraphError(f"edge #{k}: node indices must be integers")
+        try:
+            weight = float(item[2]) if len(item) == 3 else 1.0
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"edge #{k}: malformed weight {item[2]!r}") from exc
+        if not math.isfinite(weight):
+            raise GraphError(f"edge #{k}: non-finite weight {weight!r}")
         if any(e[0] == src and e[1] == dst for e in edges):
             raise GraphError(f"edge #{k}: duplicate edge ({src}, {dst})")
         edges.append((src, dst, weight))
-    if "n" in data:
-        n = int(data["n"])
-        for src, dst, _ in edges:
-            if src >= n or dst >= n:
-                raise GraphError(f"edge ({src}, {dst}) out of declared range n={n}")
-    elif edges:
-        n = 1 + max(max(s, d) for s, d, _ in edges)
-    else:
-        n = 0
-    if undirected:
-        edges = _expand_undirected(edges)
-    return Graph(n=n, edges=tuple(edges), undirected=undirected)
+    n = data.get("n")
+    if "n" in data and not _is_int(n):
+        raise GraphError("JSON 'n' must be an integer")
+    return _loaded_graph(edges, n, undirected)
 
 
 def reverse(g: Graph) -> Graph:

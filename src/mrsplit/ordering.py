@@ -111,6 +111,31 @@ def order_degree(g: Graph) -> OrderingScores:
     return OrderingScores(tuple(float(x) for x in scores), method="degree")
 
 
+def order_by(
+    method: str,
+    g: Graph,
+    seed: int,
+    X: Optional[np.ndarray] = None,
+    ppr_alpha: float = 0.1,
+    ppr_iters: int = 15,
+) -> OrderingScores:
+    """Scores for g from the named ordering method.
+
+    seed drives only the random ordering, X only the feature ordering.
+    """
+    if method == "degree":
+        return order_degree(g)
+    if method == "random":
+        return order_random(g.n, seed)
+    if method == "ppr":
+        return order_ppr(g, alpha=ppr_alpha, iters=ppr_iters)
+    if method == "features":
+        if X is None:
+            raise ValueError("features ordering needs a feature matrix; use the API")
+        return order_feature_sum(X)
+    raise ValueError(f"unknown ordering method: {method!r}")
+
+
 def compare(scores: OrderingScores, i: int, j: int) -> str:
     """Strict comparison under the induced partial order.
 

@@ -13,16 +13,40 @@ aggregates each node over its in-neighbors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
 from .graph import Graph, GraphError, in_degrees, is_dag, reverse
-from .ordering import OrderingScores
+from .ordering import OrderingScores, order_by
 
 RAW = "raw"
 SYM_GCN = "sym_gcn"
 ROW_MEAN = "row_mean"
+
+
+@dataclass(frozen=True)
+class Variant:
+    """How a named model variant aggregates: normalization mode, whether the
+    graph is split into (E1, E2, E3) or kept whole, and whether a layer adds
+    a transform of the previous state (SAGE's self term)."""
+
+    mode: str
+    split: bool
+    self_term: bool
+
+    @property
+    def relations(self) -> int:
+        return 3 if self.split else 1
+
+
+VARIANTS = {
+    "gcn": Variant(SYM_GCN, split=False, self_term=False),
+    "mrs_gcn": Variant(SYM_GCN, split=True, self_term=False),
+    "sage": Variant(ROW_MEAN, split=False, self_term=True),
+    "mrs_sage": Variant(ROW_MEAN, split=True, self_term=True),
+}
 
 
 @dataclass(frozen=True)
@@ -126,6 +150,21 @@ def normalize(mrg: MultiRelGraph, mode: str = SYM_GCN) -> list[RelationOperator]
 def operator_for_graph(g: Graph, mode: str = RAW) -> RelationOperator:
     """Single-relation operator for a whole graph, degrees from g itself."""
     return _operator_from_edges(g.n, g.edges, mode, in_degrees(g))
+
+
+def variant_operators(
+    g: Graph,
+    variant: str,
+    ordering: str,
+    seed: int,
+    X: Optional[np.ndarray] = None,
+) -> list[RelationOperator]:
+    """The relation operators a variant aggregates over on g: one whole-graph
+    operator, or the three split operators under the named ordering."""
+    spec = VARIANTS[variant]
+    if not spec.split:
+        return [operator_for_graph(g, spec.mode)]
+    return normalize(split_edges(g, order_by(ordering, g, seed, X)), spec.mode)
 
 
 def dar_pair_from_dag(g: Graph) -> tuple[RelationOperator, RelationOperator]:

@@ -18,17 +18,7 @@ from . import autodiff as ad
 from .convolution import glorot
 from .ensembles import random_connected_graph
 from .graph import Graph, in_degrees
-from .ordering import (
-    OrderingScores,
-    order_degree,
-    order_feature_sum,
-    order_ppr,
-    order_random,
-)
-from .split import ROW_MEAN, SYM_GCN, operator_for_graph, normalize, split_edges
-
-BASE_VARIANTS = ("gcn", "sage")
-MRS_VARIANTS = ("mrs_gcn", "mrs_sage")
+from .split import VARIANTS, variant_operators
 
 
 @dataclass(frozen=True)
@@ -47,10 +37,12 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.layers < 1 or self.width < 1:
             raise ValueError("layers and width must be at least 1")
-        if self.variant not in BASE_VARIANTS + MRS_VARIANTS:
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant!r}")
         if self.jk not in ("none", "cat", "max"):
             raise ValueError(f"unknown jumping-knowledge mode: {self.jk!r}")
+        if self.epochs < 0:
+            raise ValueError("epochs must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -114,18 +106,6 @@ def make_synthetic_task(params: TaskParams) -> SyntheticTask:
     )
 
 
-def _ordering_for(g: Graph, X: np.ndarray, method: str, seed: int) -> OrderingScores:
-    if method == "degree":
-        return order_degree(g)
-    if method == "random":
-        return order_random(g.n, seed)
-    if method == "features":
-        return order_feature_sum(X)
-    if method == "ppr":
-        return order_ppr(g)
-    raise ValueError(f"unknown ordering method: {method!r}")
-
-
 @dataclass
 class CompiledTask:
     """Dataset fused into block-diagonal relation operators."""
@@ -138,19 +118,14 @@ class CompiledTask:
 
 
 def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
-    is_mrs = config.variant in MRS_VARIANTS
-    mode = SYM_GCN if config.variant.endswith("gcn") else ROW_MEAN
-    num_rel = 3 if is_mrs else 1
-    blocks: list[list[sparse.csr_matrix]] = [[] for _ in range(num_rel)]
-    for idx, (g, X) in enumerate(zip(task.graphs, task.features)):
-        if is_mrs:
-            scores = _ordering_for(g, X, config.ordering, task.params.seed + idx)
-            ops = normalize(split_edges(g, scores), mode)
-            for k in range(3):
-                blocks[k].append(ops[k].matrix)
-        else:
-            blocks[0].append(operator_for_graph(g, mode).matrix)
-    rel_ops = [sparse.block_diag(b, format="csr") for b in blocks]
+    per_graph = [
+        variant_operators(g, config.variant, config.ordering, task.params.seed + idx, X)
+        for idx, (g, X) in enumerate(zip(task.graphs, task.features))
+    ]
+    rel_ops = [
+        sparse.block_diag([op.matrix for op in ops], format="csr")
+        for ops in zip(*per_graph)
+    ]
     sizes = [g.n for g in task.graphs]
     total = sum(sizes)
     rows, cols, vals = [], [], []
@@ -166,7 +141,7 @@ def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
         pool=pool,
         X=np.vstack(task.features),
         targets=task.targets,
-        uses_self=config.variant.endswith("sage"),
+        uses_self=VARIANTS[config.variant].self_term,
     )
 
 
@@ -194,11 +169,11 @@ def init_model(
     transforms of a layer share one matrix, making a split model numerically
     identical to its base counterpart."""
     rng = np.random.default_rng(config.seed)
-    num_rel = 3 if config.variant in MRS_VARIANTS else 1
+    spec = VARIANTS[config.variant]
+    num_rel = spec.relations
     d = config.width
     embed = ad.parameter(glorot(rng, feat_dim, d))
     layer_rel, layer_self = [], []
-    uses_self = config.variant.endswith("sage")
     for _ in range(config.layers):
         if tied and num_rel > 1:
             w = glorot(rng, d, d)
@@ -207,7 +182,7 @@ def init_model(
             layer_rel.append(
                 [ad.parameter(glorot(rng, d, d)) for _ in range(num_rel)]
             )
-        layer_self.append(ad.parameter(glorot(rng, d, d)) if uses_self else None)
+        layer_self.append(ad.parameter(glorot(rng, d, d)) if spec.self_term else None)
     head_dim = d * config.layers if config.jk == "cat" else d
     head = ad.parameter(glorot(rng, head_dim, 1))
     head_bias = ad.parameter(np.zeros((1, 1)))
@@ -297,6 +272,8 @@ def compare_base_vs_split(
 ) -> dict:
     """Train the base variant and its split counterpart on the same task for
     each seed; reports final MAEs and whether the split model won each time."""
+    if not seeds:
+        raise ValueError("need at least one model seed")
     base_variant = config.variant.removeprefix("mrs_")
     mrs_variant = "mrs_" + base_variant
     rows = []

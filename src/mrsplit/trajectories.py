@@ -13,19 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import glorot
+from .convolution import glorot, relation_sum
 from .diagnostics import dirichlet_energy, rod
 from .ensembles import molecule_like_graph
 from .graph import Graph
-from .ordering import order_degree, order_random
-from .split import ROW_MEAN, SYM_GCN, normalize, operator_for_graph, split_edges
-
-TRACE_VARIANTS = ("gcn", "mrs_gcn", "sage", "mrs_sage")
+from .split import VARIANTS, variant_operators
 
 
 @dataclass(frozen=True)
 class TraceConfig:
-    variants: tuple[str, ...] = TRACE_VARIANTS
+    variants: tuple[str, ...] = tuple(VARIANTS)
     num_graphs: int = 50
     layers: int = 128
     dim: int = 16
@@ -34,22 +31,14 @@ class TraceConfig:
     n_max: int = 30
     seed: int = 0
 
-
-def _variant_ops(variant: str, g: Graph, ordering: str, seed: int):
-    """(relation matrices, uses_self) for one graph and variant."""
-    is_mrs = variant.startswith("mrs_")
-    mode = SYM_GCN if variant.endswith("gcn") else ROW_MEAN
-    if is_mrs:
-        if ordering == "degree":
-            scores = order_degree(g)
-        elif ordering == "random":
-            scores = order_random(g.n, seed)
-        else:
-            raise ValueError(f"unsupported trace ordering: {ordering!r}")
-        mats = [op.matrix for op in normalize(split_edges(g, scores), mode)]
-    else:
-        mats = [operator_for_graph(g, mode).matrix]
-    return mats, variant.endswith("sage")
+    def __post_init__(self) -> None:
+        if min(self.num_graphs, self.layers, self.dim) < 1:
+            raise ValueError("num_graphs, layers and dim must be at least 1")
+        for variant in self.variants:
+            if variant not in VARIANTS:
+                raise ValueError(f"unknown variant: {variant!r}")
+        if self.ordering not in ("degree", "random"):
+            raise ValueError(f"unsupported trace ordering: {self.ordering!r}")
 
 
 def _trace_one(
@@ -59,18 +48,16 @@ def _trace_one(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-iteration (rod, dirichlet) for one graph, relu after every layer."""
-    mats, uses_self = _variant_ops(variant, g, config.ordering, config.seed)
+    mats = [op.matrix for op in variant_operators(g, variant, config.ordering, config.seed)]
+    uses_self = VARIANTS[variant].self_term
     d = config.dim
     X = rng.uniform(-1.0, 1.0, (g.n, d))
     rods = np.zeros(config.layers)
     energies = np.zeros(config.layers)
     for it in range(config.layers):
-        pre = np.zeros_like(X)
-        for mat in mats:
-            pre += mat @ (X @ glorot(rng, d, d))
-        if uses_self:
-            pre += X @ glorot(rng, d, d)
-        X = np.maximum(pre, 0.0)
+        weights = [glorot(rng, d, d) for _ in mats]
+        self_weight = glorot(rng, d, d) if uses_self else None
+        X = np.maximum(relation_sum(X, mats, weights, self_weight), 0.0)
         norm = np.linalg.norm(X)
         if norm == 0.0:
             rods[it:] = 0.0

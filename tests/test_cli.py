@@ -1,8 +1,16 @@
 """CLI subcommands: outputs, exit codes, and determinism."""
 
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mrsplit
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrsplit.cli import EXIT_OK, EXIT_USAGE, main
 
@@ -177,3 +185,114 @@ class TestDeterminism:
             tmp_path / "o.csv",
         )
         assert a == b
+
+
+def _run(argv):
+    """(exit code, stdout, stderr) of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+TINY_TRAIN = ["train", "--count", "2", "--layers", "1", "--dim", "2", "--epochs", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rod-trace", "--dim", "0"],
+        ["rod-trace", "--graphs", "0"],
+        ["rod-trace", "--graphs", "-1"],
+        ["rod-trace", "--layers", "0"],
+        ["rod-trace", "--variants", "foo"],
+        ["rod-trace", "--variants", "mrs_gat"],
+        ["rod-trace", "--variants", ""],
+        ["verify", "--trials", "-5"],
+        [*TINY_TRAIN, "--model-seeds", "0"],
+        [*TINY_TRAIN, "--model-seeds", "-1"],
+        [*TINY_TRAIN, "--epochs", "-1"],
+    ],
+)
+def test_bad_counts_and_names_exit_usage(argv):
+    code, out, err = _run(argv)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(mrsplit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mrsplit", "verify", "--trials", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["all_passed"] is True
+
+
+FLAG = st.integers(-2, 3)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-strict JSON constant {name}")
+
+
+def _assert_usage_or_valid(argv):
+    """main never raises: it exits 2 with an error message or 0 with output;
+    returns the CSV rows of a successful run (empty for JSON)."""
+    code, out, err = _run(argv)
+    if code == EXIT_USAGE:
+        assert err.startswith("error:") and out == ""
+        return None
+    assert code == EXIT_OK, err
+    return out
+
+
+def _csv_rows(out, header):
+    lines = out.splitlines()
+    assert lines[0] == header
+    rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+    for row in rows:
+        assert len(row) == 4
+        assert not any("nan" in cell.lower() or "inf" in cell.lower() for cell in row)
+    return lines, rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs=FLAG, layers=FLAG, dim=FLAG, seed=FLAG)
+def test_rod_trace_property(graphs, layers, dim, seed):
+    out = _assert_usage_or_valid(
+        ["rod-trace", "--graphs", str(graphs), "--layers", str(layers),
+         "--dim", str(dim), "--seed", str(seed)]
+    )
+    if out is not None:
+        _, rows = _csv_rows(out, "iter,variant,rod_mean,dirichlet_mean")
+        assert len(rows) == 4 * layers
+
+
+@settings(max_examples=40, deadline=None)
+@given(trials=FLAG, seed=FLAG)
+def test_verify_property(trials, seed):
+    out = _assert_usage_or_valid(["verify", "--trials", str(trials), "--seed", str(seed)])
+    if out is not None:
+        bundle = json.loads(out, parse_constant=_reject_constant)
+        assert bundle["all_passed"] is True
+        assert len(bundle["reports"]) == 6
+
+
+@settings(max_examples=100, deadline=None)
+@given(count=FLAG, layers=FLAG, dim=FLAG, epochs=FLAG, model_seeds=FLAG, seed=FLAG)
+def test_train_property(count, layers, dim, epochs, model_seeds, seed):
+    out = _assert_usage_or_valid(
+        ["train", "--count", str(count), "--layers", str(layers), "--dim", str(dim),
+         "--epochs", str(epochs), "--model-seeds", str(model_seeds), "--seed", str(seed)]
+    )
+    if out is not None:
+        lines, rows = _csv_rows(out, "variant,seed,epoch,train_mae")
+        summary = lines[-1]
+        assert summary.startswith("# summary: winner=")
+        assert "nan" not in summary and "inf" not in summary
+        if not summary.startswith("# summary: winner=mixed"):
+            assert rows and "; seed " in summary

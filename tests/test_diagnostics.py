@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
+from mrsplit import diagnostics
 from mrsplit.diagnostics import (
     dirichlet_energy,
     exact_rank_small,
@@ -12,6 +14,7 @@ from mrsplit.diagnostics import (
     rod,
     rows_nonzero,
     structurally_independent,
+    verify_dag_pair_rank,
     verify_dar_independent_pairs,
     verify_ergodic_rank_one,
     verify_independence_theorem,
@@ -20,7 +23,7 @@ from mrsplit.diagnostics import (
     run_full_suite,
 )
 from mrsplit.graph import Graph, graph_from_pairs
-from mrsplit.split import RAW, ROW_MEAN, operator_for_graph
+from mrsplit.split import RAW, ROW_MEAN, RelationOperator, operator_for_graph
 
 
 def rel_ops(n, edges_per_relation):
@@ -252,6 +255,20 @@ class TestSuites:
 
     def test_dar_independent_pairs(self):
         assert verify_dar_independent_pairs(trials=10, seed=0).passed
+
+    def test_dag_pair_zero_state_reported_not_raised(self, monkeypatch):
+        def zero_pair(g):
+            zero = RelationOperator(sparse.csr_matrix((g.n, g.n)), ROW_MEAN)
+            return zero, zero
+
+        monkeypatch.setattr(diagnostics, "dar_pair_from_dag", zero_pair)
+        report = verify_dag_pair_rank(trials=3, seed=0, depth=4)
+        assert report.failures == 2 * 3
+        assert not report.passed and len(report.notes) == 6
+
+    def test_full_suite_rejects_negative_trials(self):
+        with pytest.raises(ValueError):
+            run_full_suite(seed=0, trials=-1)
 
     def test_full_suite_structure(self):
         reports = run_full_suite(seed=0, trials=10)

@@ -110,6 +110,31 @@ class TestLoadEdgeList:
         with pytest.raises(GraphError):
             load_edge_list(io.StringIO(""), format="csv")
 
+    @pytest.mark.parametrize("text", ["0\t1\tnan\n", "0\t1\tinf\n", "0\t1\t-inf\n"])
+    def test_tsv_rejects_non_finite_weight(self, text):
+        with pytest.raises(GraphError, match="non-finite"):
+            load_edge_list(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "payload, undirected",
+        [
+            ('{"edges": [[0, 1, NaN]]}', False),
+            ('{"edges": [[0, 1, Infinity]]}', False),
+            ('{"edges": [[0, 1, null]]}', False),
+            ('{"edges": [[0, 1.7]]}', False),
+            ('{"edges": [[true, 0]]}', False),
+            ('{"n": 2.5, "edges": [[0, 1]]}', False),
+            ('{"n": true, "edges": [[0, 0]]}', False),
+            ('{"edges": 3}', False),
+            ('{"edges": [[0, 1]], "undirected": "yes"}', False),
+            ('{"edges": [[0, 1]], "undirected": 1}', False),
+            ('{"edges": [[0, 1]], "undirected": false}', True),
+        ],
+    )
+    def test_json_rejects_malformed_values(self, payload, undirected):
+        with pytest.raises(GraphError):
+            load_edge_list(io.StringIO(payload), format="json", undirected=undirected)
+
 
 class TestReverse:
     def test_chain(self):
