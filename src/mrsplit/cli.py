@@ -132,8 +132,24 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Puts "error:" first in a usage error, as in every other exit-2 message."""
+
+    def error(self, message: str):
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n{self.format_usage()}")
+
+
+def _seed(text: str) -> int:
+    """The type of every --seed: numpy accepts only non-negative integer seeds."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}"
+        )
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mrsplit",
         description="Split graphs into acyclic edge relations, run "
         "multi-relational message passing, and verify its rank guarantees.",
@@ -148,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ordering", choices=("random", "features", "ppr", "degree"),
         default="degree",
     )
-    p_split.add_argument("--seed", type=int, default=0)
+    p_split.add_argument("--seed", type=_seed, default=0)
     p_split.add_argument("--ppr-alpha", type=float, default=0.1)
     p_split.add_argument("--ppr-iters", type=int, default=15)
     p_split.add_argument("--output", default="-")
@@ -162,12 +178,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--layers", type=int, default=128)
     p_trace.add_argument("--dim", type=int, default=16)
     p_trace.add_argument("--ordering", choices=("degree", "random"), default="degree")
-    p_trace.add_argument("--seed", type=int, default=0)
+    p_trace.add_argument("--seed", type=_seed, default=0)
     p_trace.add_argument("--output", default="-")
     p_trace.set_defaults(func=cmd_rod_trace)
 
     p_verify = sub.add_parser("verify", help="run the theorem suites")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=_seed, default=0)
     p_verify.add_argument("--trials", type=int, default=500)
     p_verify.add_argument("--output", default="-")
     p_verify.set_defaults(func=cmd_verify)
@@ -187,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--jk", choices=("none", "cat", "max"), default="none")
     p_train.add_argument("--lr", type=float, default=0.3)
     p_train.add_argument("--epochs", type=int, default=300)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=_seed, default=0)
     p_train.add_argument("--model-seeds", type=int, default=3)
     p_train.add_argument("--output", default="-")
     p_train.set_defaults(func=cmd_train)

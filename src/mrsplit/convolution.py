@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .split import (
     ROW_MEAN,
@@ -19,7 +20,6 @@ from .split import (
     MultiRelGraph,
     RelationOperator,
     normalize,
-    operator_for_graph,
 )
 
 # Slope of the attention nonlinearity inside the GAT kernel (the published
@@ -200,38 +200,33 @@ def mrs_sage(
     return act(relation_sum(X, mats, params.rel_weights, params.self_weight))
 
 
+def _arc_ends(op: RelationOperator) -> tuple[np.ndarray, np.ndarray]:
+    """(src, dst) of every arc a raw operator stores, grouped by receiver
+    (row = receiver, column = sender)."""
+    m = op.matrix
+    return m.indices.astype(np.int64), np.repeat(np.arange(op.n), np.diff(m.indptr))
+
+
 def _gat_head(
     X: np.ndarray,
-    mrg: MultiRelGraph,
+    arcs: tuple[np.ndarray, np.ndarray, np.ndarray],
     head_weights: Sequence[np.ndarray],
     att: np.ndarray,
 ) -> np.ndarray:
-    n = mrg.base.n
-    d_out = head_weights[0].shape[1]
-    transformed = [X @ w for w in head_weights]
-    srcs, dsts, logits, msgs = [], [], [], []
-    for k, rel_edges in enumerate(mrg.relations):
-        for src, dst, _w in rel_edges:
-            m_src = transformed[k][src]
-            m_dst = transformed[k][dst]
-            z = float(att[:d_out] @ m_dst + att[d_out:] @ m_src)
-            logits.append(z if z >= 0.0 else _GAT_ATT_SLOPE * z)
-            srcs.append(src)
-            dsts.append(dst)
-            msgs.append(m_src)
-    out = np.zeros((n, d_out))
-    if not srcs:
-        return out
-    dsts_arr = np.array(dsts)
-    logits_arr = np.array(logits)
-    msgs_arr = np.array(msgs)
-    for i in np.unique(dsts_arr):
-        mask = dsts_arr == i
-        z = logits_arr[mask]
-        z = np.exp(z - z.max())
-        alpha = z / z.sum()
-        out[i] = alpha @ msgs_arr[mask]
-    return out
+    src, dst, rel = arcs
+    n, d_out = X.shape[0], head_weights[0].shape[1]
+    transformed = np.stack([X @ w for w in head_weights])  # (relations, n, d_out)
+    z = (transformed @ att[:d_out])[rel, dst] + (transformed @ att[d_out:])[rel, src]
+    z = np.where(z >= 0.0, z, _GAT_ATT_SLOPE * z)
+    # Softmax over each receiver's in-arcs; receivers without any keep a zero row.
+    z_max = np.full(n, -np.inf)
+    np.maximum.at(z_max, dst, z)
+    e = np.exp(z - z_max[dst])
+    alpha = e / np.bincount(dst, weights=e, minlength=n)[dst]
+    attention = sparse.csr_matrix(
+        (alpha, (dst, rel * n + src)), shape=(n, len(head_weights) * n)
+    )
+    return attention @ transformed.reshape(-1, d_out)
 
 
 def mrs_gat(
@@ -248,10 +243,16 @@ def mrs_gat(
     rels = len(mrg.relations)
     if len(params.rel_weights) != heads * rels:
         raise ValueError("expected one relation transform per head and relation")
+    ends = [_arc_ends(op) for op in normalize(mrg, RAW)]
+    arcs = (
+        np.concatenate([src for src, _ in ends]),
+        np.concatenate([dst for _, dst in ends]),
+        np.repeat(np.arange(rels), [len(src) for src, _ in ends]),
+    )
     outs = []
     for h in range(heads):
         head_weights = params.rel_weights[h * rels : (h + 1) * rels]
-        outs.append(_gat_head(X, mrg, head_weights, params.att_vectors[h]))
+        outs.append(_gat_head(X, arcs, head_weights, params.att_vectors[h]))
     return act(np.concatenate(outs, axis=1))
 
 
@@ -264,13 +265,35 @@ def mrs_gin(
     in-neighbor features within relation k), with a two-layer relu MLP.
     """
     X = np.asarray(X, dtype=np.float64)
+    ops = normalize(mrg, RAW)
     total = None
     for k, (eps, w_hidden, w_out) in enumerate(params.gin):
-        op = operator_for_graph(mrg.relation_graph(k), RAW)
-        s = (1.0 + eps) * X + op.matrix @ X
+        s = (1.0 + eps) * X + ops[k].matrix @ X
         h = np.maximum(s @ w_hidden, 0.0) @ w_out
         total = h if total is None else total + h
     return act(total)
+
+
+def _edge_attr_rows(
+    edge_attrs: dict[tuple[int, int], np.ndarray],
+    src: np.ndarray,
+    dst: np.ndarray,
+    n: int,
+) -> np.ndarray:
+    """Row e holds the attribute of arc src[e] -> dst[e], or zeros when it has
+    none; attributes of pairs that are not arcs are ignored."""
+    pairs = np.array(list(edge_attrs), dtype=np.int64).reshape(-1, 2)
+    vecs = np.array(list(edge_attrs.values()), dtype=np.float64)
+    rows = np.zeros((len(src), vecs.shape[1]))
+    if len(src) == 0:
+        return rows
+    keys = src * n + dst
+    order = np.argsort(keys)
+    wanted = pairs[:, 0] * n + pairs[:, 1]
+    at = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)]
+    hit = ((pairs >= 0) & (pairs < n)).all(axis=1) & (keys[at] == wanted)
+    rows[at[hit]] = vecs[hit]
+    return rows
 
 
 def mrs_gatedgcn(
@@ -288,25 +311,23 @@ def mrs_gatedgcn(
     """
     X = np.asarray(X, dtype=np.float64)
     n = mrg.base.n
-    d_in = X.shape[1]
-    d_out = params.gate_self.shape[1]
-    out = X @ params.gate_self
-    num = np.zeros((n, d_out))
-    den = np.zeros((n, d_out))
-    for k, rel_edges in enumerate(mrg.relations):
-        b_k = params.gate_rel[k]
-        for src, dst, _w in rel_edges:
-            e = None if edge_attrs is None else edge_attrs.get((src, dst))
-            e_vec = np.zeros(d_in) if e is None else np.asarray(e, dtype=np.float64)
-            gate_pre = (
-                X[dst] @ params.gate_recv
-                + X[src] @ params.gate_send
-                + e_vec @ params.gate_edge
-            )
-            gate = 1.0 / (1.0 + np.exp(-gate_pre))
-            num[dst] += gate * (X[src] @ b_k)
-            den[dst] += gate
-    return act(out + num / (den + params.gate_eps))
+    recv, send = X @ params.gate_recv, X @ params.gate_send
+    num = den = np.zeros((n, recv.shape[1]))
+    for k, op in enumerate(normalize(mrg, RAW)):
+        src, dst = _arc_ends(op)
+        gate_pre = recv[dst] + send[src]
+        if edge_attrs:
+            gate_pre += _edge_attr_rows(edge_attrs, src, dst, n) @ params.gate_edge
+        gate = 1.0 / (1.0 + np.exp(-gate_pre))
+        # Arcs are stored by receiver, so the operator's row pointers make
+        # row i of this matrix sum the arcs that arrive at node i.
+        segment = sparse.csr_matrix(
+            (np.ones(len(src)), np.arange(len(src)), op.matrix.indptr),
+            shape=(n, len(src)),
+        )
+        num = num + segment @ (gate * (X @ params.gate_rel[k])[src])
+        den = den + segment @ gate
+    return act(X @ params.gate_self + num / (den + params.gate_eps))
 
 
 def iterate(

@@ -23,6 +23,7 @@ from .split import (
     ROW_MEAN,
     RelationOperator,
     dar_pair_from_dag,
+    normalize,
     operator_for_graph,
     split_edges,
     variant_operators,
@@ -370,11 +371,7 @@ def verify_dar_independent_pairs(
         g = molecule_like_graph(rng, 8, 24)
         scores = order_random(g.n, int(rng.integers(0, 2**63)))
         mrg = split_edges(g, scores)
-        ops = [
-            operator_for_graph(mrg.relation_graph(0), RAW),
-            operator_for_graph(mrg.relation_graph(1), RAW),
-        ]
-        E = in_degree_matrix(ops)
+        E = in_degree_matrix(normalize(mrg, RAW)[:2])
         found = 0
         for i in range(g.n):
             for j in range(i + 1, g.n):
@@ -444,10 +441,11 @@ def verify_independence_on_constructions(
 
 def run_full_suite(seed: int = 0, trials: int = 500) -> list[VerificationReport]:
     """All verification suites with a shared seed; trial counts scale with
-    the requested budget."""
+    the requested budget, and any budget of at least one trial runs every
+    suite at least once."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    small = trials // 5
+    small = max(1, trials // 5) if trials else 0
     return [
         verify_rank_theorem_random_splits(trials=trials, seed=seed),
         verify_independence_on_constructions(trials=trials, seed=seed),

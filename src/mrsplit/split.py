@@ -12,7 +12,7 @@ aggregates each node over its in-neighbors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -51,7 +51,11 @@ VARIANTS = {
 
 @dataclass(frozen=True)
 class RelationOperator:
-    """Sparse n x n aggregation matrix for one edge relation."""
+    """Sparse n x n aggregation matrix for one edge relation.
+
+    The CSR arrays are read-only, so an operator can be shared between
+    callers without any of them changing it.
+    """
 
     matrix: sparse.csr_matrix
     mode: str
@@ -69,11 +73,18 @@ class RelationOperator:
 
 @dataclass(frozen=True)
 class MultiRelGraph:
-    """A graph split into (E1, E2, E3) plus the ordering that produced it."""
+    """A graph split into (E1, E2, E3) plus the ordering that produced it.
+
+    normalize() keeps the operators it builds in _operators, one entry per
+    mode; the cache takes no part in equality, hashing or repr.
+    """
 
     base: Graph
     relations: tuple[tuple[tuple[int, int, float], ...], ...]
     ordering: OrderingScores
+    _operators: dict[str, tuple[RelationOperator, ...]] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def relation_graph(self, k: int) -> Graph:
         return Graph(n=self.base.n, edges=self.relations[k], undirected=False)
@@ -130,21 +141,30 @@ def _operator_from_edges(
     else:
         raise ValueError(f"unknown normalization mode: {mode!r}")
     mat = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    for arr in (mat.data, mat.indices, mat.indptr):
+        arr.flags.writeable = False
     return RelationOperator(matrix=mat, mode=mode)
 
 
-def normalize(mrg: MultiRelGraph, mode: str = SYM_GCN) -> list[RelationOperator]:
+def normalize(
+    mrg: MultiRelGraph, mode: str = SYM_GCN
+) -> tuple[RelationOperator, ...]:
     """Normalized operators for E1, E2, E3 using *full base-graph* in-degrees.
 
     With sym_gcn the three operators sum entrywise to the classic symmetric
     GCN operator of the unsplit graph; the split only reweights which
-    transformation each message passes through.
+    transformation each message passes through. Each mode is built on its
+    first request and the same operators are returned on every later one.
     """
-    deg = in_degrees(mrg.base)
-    return [
-        _operator_from_edges(mrg.base.n, rel_edges, mode, deg)
-        for rel_edges in mrg.relations
-    ]
+    ops = mrg._operators.get(mode)
+    if ops is None:
+        deg = in_degrees(mrg.base)
+        ops = tuple(
+            _operator_from_edges(mrg.base.n, rel_edges, mode, deg)
+            for rel_edges in mrg.relations
+        )
+        mrg._operators[mode] = ops
+    return ops
 
 
 def operator_for_graph(g: Graph, mode: str = RAW) -> RelationOperator:
@@ -158,12 +178,12 @@ def variant_operators(
     ordering: str,
     seed: int,
     X: Optional[np.ndarray] = None,
-) -> list[RelationOperator]:
+) -> tuple[RelationOperator, ...]:
     """The relation operators a variant aggregates over on g: one whole-graph
     operator, or the three split operators under the named ordering."""
     spec = VARIANTS[variant]
     if not spec.split:
-        return [operator_for_graph(g, spec.mode)]
+        return (operator_for_graph(g, spec.mode),)
     return normalize(split_edges(g, order_by(ordering, g, seed, X)), spec.mode)
 
 

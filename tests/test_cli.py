@@ -115,6 +115,12 @@ class TestVerifyCommand:
         assert bundle["all_passed"] is True
         assert len(bundle["reports"]) == 6
 
+    @pytest.mark.parametrize("trials", [1, 2, 3, 4])
+    def test_every_suite_runs_for_small_budgets(self, trials):
+        code, out, _ = _run(["verify", "--trials", str(trials)])
+        assert code == EXIT_OK
+        assert all(r["trials"] > 0 for r in json.loads(out)["reports"])
+
     def test_zero_trials_warns(self, tmp_path):
         out = tmp_path / "verify.json"
         code = main(["verify", "--trials", "0", "--output", str(out)])
@@ -219,6 +225,24 @@ def test_bad_counts_and_names_exit_usage(argv):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["split", "--input", "graph.tsv", "--ordering", "random"],
+        ["rod-trace"],
+        ["verify"],
+        ["train"],
+    ],
+)
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_seed_must_be_non_negative_integer(argv, seed):
+    code, out, err = _run([*argv, "--seed", seed])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error:")
+    assert "--seed" in err.splitlines()[0]
 
 
 def test_python_dash_m_runs_the_cli():

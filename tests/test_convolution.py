@@ -26,6 +26,8 @@ from mrsplit.graph import add_leaf_self_loops, graph_from_pairs, longest_path_le
 from mrsplit.ordering import OrderingScores, order_degree
 from mrsplit.split import RAW, ROW_MEAN, operator_for_graph, split_edges
 
+_ATT_SLOPE = 0.2  # the published GAT attention slope the kernel uses
+
 
 def undirected_path():
     return graph_from_pairs(
@@ -56,6 +58,115 @@ def random_undirected(rng, n, extra):
 def permute_graph(g, perm):
     edges = [(perm[s], perm[d], w) for s, d, w in g.edges]
     return graph_from_pairs(g.n, edges, undirected=g.undirected)
+
+
+def gat_per_edge(X, mrg, params):
+    """Reference GAT: one Python step per arc, softmax per receiver."""
+    n, rels = mrg.base.n, len(mrg.relations)
+    outs = []
+    for h, att in enumerate(params.att_vectors):
+        head_weights = params.rel_weights[h * rels : (h + 1) * rels]
+        d_out = head_weights[0].shape[1]
+        transformed = [X @ w for w in head_weights]
+        dsts, logits, msgs = [], [], []
+        for k, rel_edges in enumerate(mrg.relations):
+            for src, dst, _w in rel_edges:
+                m_src, m_dst = transformed[k][src], transformed[k][dst]
+                z = float(att[:d_out] @ m_dst + att[d_out:] @ m_src)
+                logits.append(z if z >= 0.0 else _ATT_SLOPE * z)
+                dsts.append(dst)
+                msgs.append(m_src)
+        out = np.zeros((n, d_out))
+        dsts, logits, msgs = np.array(dsts), np.array(logits), np.array(msgs)
+        for i in np.unique(dsts):
+            mask = dsts == i
+            z = np.exp(logits[mask] - logits[mask].max())
+            out[i] = (z / z.sum()) @ msgs[mask]
+        outs.append(out)
+    return np.concatenate(outs, axis=1)
+
+
+def gatedgcn_per_edge(X, edge_attrs, mrg, params):
+    """Reference GatedGCN: one Python step per arc."""
+    n, d_in = X.shape
+    d_out = params.gate_self.shape[1]
+    num, den = np.zeros((n, d_out)), np.zeros((n, d_out))
+    for k, rel_edges in enumerate(mrg.relations):
+        for src, dst, _w in rel_edges:
+            e = None if edge_attrs is None else edge_attrs.get((src, dst))
+            e_vec = np.zeros(d_in) if e is None else np.asarray(e, dtype=np.float64)
+            gate_pre = (
+                X[dst] @ params.gate_recv
+                + X[src] @ params.gate_send
+                + e_vec @ params.gate_edge
+            )
+            gate = 1.0 / (1.0 + np.exp(-gate_pre))
+            num[dst] += gate * (X[src] @ params.gate_rel[k])
+            den[dst] += gate
+    return X @ params.gate_self + num / (den + params.gate_eps)
+
+
+def random_directed_split(seed, scores_kind):
+    """A seeded directed graph with self-loops, zero-weight arcs and a node
+    (0) that receives no arc, split by integer scores with ties."""
+    rng = np.random.default_rng(seed)
+    n = 12
+    pairs = {(int(a), int(b)) for a, b in rng.integers(0, n, size=(40, 2)) if b != 0}
+    pairs |= {(3, 3), (5, 5)}
+    arcs = [(a, b, 0.0 if i % 7 == 0 else float(rng.uniform(0.5, 2.0)))
+            for i, (a, b) in enumerate(sorted(pairs))]
+    g = graph_from_pairs(n, arcs)
+    if scores_kind == "ties":
+        values = rng.integers(0, 4, size=n)
+    elif scores_kind == "all_equal":  # E1 and E2 empty
+        values = np.zeros(n)
+    else:  # strictly increasing: only the self-loops land in E3
+        values = np.arange(n)
+    mrg = split_edges(g, OrderingScores(tuple(float(v) for v in values), method="features"))
+    return rng, g, mrg
+
+
+SPLIT_CASES = [(seed, kind) for seed in (40, 41, 42) for kind in ("ties", "all_equal", "increasing")]
+
+
+class TestVectorizedAgainstPerEdge:
+    """GAT and GatedGCN equal the per-arc loops they replaced."""
+
+    @pytest.mark.parametrize("seed,kind", SPLIT_CASES)
+    def test_gat(self, seed, kind):
+        rng, g, mrg = random_directed_split(seed, kind)
+        X = rng.uniform(-1, 1, (g.n, 4))
+        params = gat_params(rng, 4, 3)
+        out = mrs_gat(X, mrg, params)
+        assert np.all(out[0] == 0.0)  # node 0 receives no arc
+        assert np.abs(out - gat_per_edge(X, mrg, params)).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed,kind", SPLIT_CASES)
+    def test_gatedgcn(self, seed, kind):
+        rng, g, mrg = random_directed_split(seed, kind)
+        X = rng.uniform(-1, 1, (g.n, 4))
+        params = gatedgcn_params(rng, 4, 3)
+        arcs = [(s, d) for s, d, _ in g.edges]
+        attrs = {arcs[i]: rng.uniform(-1, 1, 4) for i in range(0, len(arcs), 3)}
+        attrs[(0, 0)] = rng.uniform(-1, 1, 4)  # not an arc: ignored
+        s, d = next((s, d) for s, d in arcs if s >= 1)
+        attrs[(s - 1, d + g.n)] = rng.uniform(-1, 1, 4)  # not a node pair: ignored
+        for edge_attrs in (None, {}, attrs):
+            out = mrs_gatedgcn(X, edge_attrs, mrg, params)
+            ref = gatedgcn_per_edge(X, edge_attrs, mrg, params)
+            assert np.abs(out - ref).max() <= 1e-12
+
+    def test_edgeless(self):
+        g = graph_from_pairs(3, [])
+        mrg = all_ties_split(g)
+        rng = np.random.default_rng(43)
+        X = rng.uniform(-1, 1, (3, 2))
+        assert np.all(mrs_gat(X, mrg, gat_params(rng, 2, 2)) == 0.0)
+        params = gatedgcn_params(rng, 2, 2)
+        assert np.array_equal(
+            mrs_gatedgcn(X, {(0, 1): np.ones(2)}, mrg, params),
+            gatedgcn_per_edge(X, None, mrg, params),
+        )
 
 
 class TestActivation:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrsplit import convolution, split
 from mrsplit.graph import GraphError, graph_from_pairs, in_degrees, is_dag
 from mrsplit.ordering import OrderingScores, order_degree, order_random
 from mrsplit.split import (
@@ -161,6 +162,68 @@ class TestNormalize:
         g = undirected_path()
         with pytest.raises(ValueError, match="normalization"):
             normalize(split_edges(g, order_degree(g)), "bogus")
+
+
+class TestOperatorCache:
+    def _split(self):
+        g = graph_from_pairs(
+            4, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0), (3, 3), (0, 3)]
+        )
+        return split_edges(g, scores_of([0, 1, 1, 2]))
+
+    def test_second_call_returns_same_operators(self):
+        mrg = self._split()
+        for mode in (RAW, ROW_MEAN, SYM_GCN):
+            first = normalize(mrg, mode)
+            second = normalize(mrg, mode)
+            assert all(a is b for a, b in zip(first, second))
+
+    def test_cached_operators_are_read_only(self):
+        mrg = self._split()
+        for op in normalize(mrg, SYM_GCN):
+            for arr in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0] = 0
+
+    def test_equality_hash_and_repr_ignore_the_cache(self):
+        mrg, fresh = self._split(), self._split()
+        before = hash(mrg)
+        for mode in (RAW, ROW_MEAN, SYM_GCN):
+            normalize(mrg, mode)
+        assert hash(mrg) == before == hash(fresh)
+        assert mrg == fresh
+        assert repr(mrg) == repr(fresh)
+        assert "_operators" not in repr(mrg)
+
+    @settings(max_examples=40)
+    @given(graph_and_scores())
+    def test_raw_equals_relation_graph_operator(self, gs):
+        mrg = split_edges(*gs)
+        for k, op in enumerate(normalize(mrg, RAW)):
+            ref = operator_for_graph(mrg.relation_graph(k), RAW).matrix
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(op.matrix, name), getattr(ref, name))
+
+    def test_each_mode_built_once_across_kernels(self, monkeypatch):
+        built = []
+
+        def counting(n, edges, mode, degrees):
+            built.append(mode)
+            return real(n, edges, mode, degrees)
+
+        real = split._operator_from_edges
+        monkeypatch.setattr(split, "_operator_from_edges", counting)
+        mrg = self._split()
+        assert built == []  # split_edges builds no operator
+        rng = np.random.default_rng(0)
+        X = rng.uniform(-1, 1, (4, 2))
+        for _ in range(2):
+            convolution.mrs_gcn(X, mrg, convolution.linear_params(rng, 2, 2))
+            convolution.mrs_sage(X, mrg, convolution.sage_params(rng, 2, 2))
+            convolution.mrs_gin(X, mrg, convolution.gin_params(rng, 2, 2))
+            convolution.mrs_gat(X, mrg, convolution.gat_params(rng, 2, 2))
+            convolution.mrs_gatedgcn(X, None, mrg, convolution.gatedgcn_params(rng, 2, 2))
+        assert sorted(built) == sorted([SYM_GCN, ROW_MEAN, RAW] * 3)
 
 
 class TestDarPair:
