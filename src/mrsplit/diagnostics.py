@@ -16,7 +16,7 @@ import numpy as np
 
 from .convolution import IDENTITY, LEAKY_RELU, relation_sum
 from .ensembles import molecule_like_graph, random_connected_dag
-from .graph import Graph, longest_path_length
+from .graph import Graph, graph_from_pairs, longest_path_length
 from .ordering import order_random
 from .split import (
     RAW,
@@ -144,15 +144,16 @@ def rod(X: np.ndarray) -> float:
 
 
 def dirichlet_energy(X: np.ndarray, g: Graph) -> float:
-    """Sum over arcs (i, j) of ||x_i - x_j||^2."""
+    """Sum over arcs (i, j) of ||x_i - x_j||^2, added in arc order."""
     X = np.asarray(X, dtype=np.float64)
     if X.shape[0] != g.n:
         raise ValueError("feature rows must match graph node count")
-    total = 0.0
-    for src, dst, _w in g.edges:
-        diff = X[src] - X[dst]
-        total += float(diff @ diff)
-    return total
+    if not g.num_edges:
+        return 0.0
+    diff = X[g.src] - X[g.dst]
+    # A sequential running sum, not np.sum's pairwise one, keeps every result
+    # bit-identical to adding the arcs one at a time.
+    return float(np.add.accumulate(np.vecdot(diff, diff))[-1])
 
 
 @dataclass
@@ -339,12 +340,8 @@ def _ergodic_instance(idx: int) -> list[RelationOperator]:
     """Two cycle relations over n nodes, each mean-normalized row-wise."""
     n = 4 + idx
     step = 2 + (idx % max(1, n - 3))
-    rel1 = Graph(
-        n=n, edges=tuple(((i, (i + 1) % n, 1.0) for i in range(n)))
-    )
-    rel2 = Graph(
-        n=n, edges=tuple(((i, (i + step) % n, 1.0) for i in range(n)))
-    )
+    rel1 = graph_from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
+    rel2 = graph_from_pairs(n, [(i, (i + step) % n) for i in range(n)])
     return [operator_for_graph(rel1, ROW_MEAN), operator_for_graph(rel2, ROW_MEAN)]
 
 
@@ -420,8 +417,8 @@ def _independent_pair_instance(
             nxt += 1
     n = nxt
     ops = [
-        operator_for_graph(Graph(n=n, edges=tuple(edges1)), RAW),
-        operator_for_graph(Graph(n=n, edges=tuple(edges2)), RAW),
+        operator_for_graph(graph_from_pairs(n, edges1), RAW),
+        operator_for_graph(graph_from_pairs(n, edges2), RAW),
     ]
     return ops, (0, 1)
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, graph_from_pairs
+from .graph import Graph
 
 
 def random_connected_graph(
@@ -33,11 +33,10 @@ def random_connected_graph(
         if a != b:
             pairs.add((min(a, b), max(a, b)))
         attempts += 1
-    arcs = []
-    for a, b in sorted(pairs):
-        arcs.append((a, b, 1.0))
-        arcs.append((b, a, 1.0))
-    return graph_from_pairs(n, arcs, undirected=True)
+    # Edge a < b becomes arc (a, b) followed by (b, a), edges in sorted order.
+    a, b = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+    src, dst = np.stack([a, b], axis=1).ravel(), np.stack([b, a], axis=1).ravel()
+    return Graph(n=n, src=src, dst=dst, w=np.ones(len(src)), undirected=True)
 
 
 def random_connected_dag(rng: np.random.Generator, n: int) -> Graph:
@@ -47,10 +46,8 @@ def random_connected_dag(rng: np.random.Generator, n: int) -> Graph:
     rank = rng.permutation(n)
     pos = np.empty(n, dtype=np.int64)
     pos[rank] = np.arange(n)
-    edges = [
-        (a, b, w) for a, b, w in base.edges if pos[a] < pos[b]
-    ]
-    return graph_from_pairs(n, edges, undirected=False)
+    keep = pos[base.src] < pos[base.dst]
+    return Graph(n=n, src=base.src[keep], dst=base.dst[keep], w=base.w[keep])
 
 
 def molecule_like_graph(rng: np.random.Generator, n_lo: int, n_hi: int) -> Graph:

@@ -20,40 +20,77 @@ class GraphError(ValueError):
     """Malformed graph input or a violated structural precondition."""
 
 
-@dataclass(frozen=True)
-class Graph:
-    """Immutable directed graph with weighted arcs.
+# Above this node count the arc keys src * n + dst would overflow int64.
+_MAX_NODES = 2**31
 
-    Node indices are dense 0-based integers. Duplicate (src, dst) pairs are
-    rejected at construction; self-loops are permitted.
+
+@dataclass(frozen=True, eq=False)
+class Graph:
+    """Immutable directed graph with weighted arcs, stored as parallel arrays.
+
+    Arc e runs from src[e] to dst[e] with weight w[e]; the arrays are
+    read-only copies of the inputs. Node indices are dense 0-based integers.
+    Duplicate (src, dst) pairs are rejected at construction; self-loops are
+    permitted. Two graphs are equal when n, undirected and every arc, in
+    order, are equal.
     """
 
     n: int
-    edges: tuple[tuple[int, int, float], ...]
+    src: np.ndarray
+    dst: np.ndarray
+    w: np.ndarray
     undirected: bool = False
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError(f"node count must be non-negative, got {self.n}")
-        seen: set[tuple[int, int]] = set()
-        for src, dst, _w in self.edges:
-            if not (0 <= src < self.n) or not (0 <= dst < self.n):
-                raise GraphError(
-                    f"edge ({src}, {dst}) out of range for n={self.n}"
-                )
-            if (src, dst) in seen:
-                raise GraphError(f"duplicate edge ({src}, {dst})")
-            seen.add((src, dst))
+        n = self.n
+        if not 0 <= n < _MAX_NODES:
+            raise GraphError(f"node count must be in [0, 2**31), got {n}")
+        try:
+            src = np.array(self.src, dtype=np.int64)
+            dst = np.array(self.dst, dtype=np.int64)
+            w = np.array(self.w, dtype=np.float64)
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise GraphError(f"arcs do not fit int64/float64 arrays: {exc}") from exc
+        if not (src.ndim == dst.ndim == w.ndim == 1 and len(src) == len(dst) == len(w)):
+            raise GraphError("src, dst and w must be vectors of the same length")
+        for name, arr in (("src", src), ("dst", dst), ("w", w)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        # Viewed as unsigned, a negative index is at least 2**63 >= n.
+        if len(src) and (
+            np.concatenate((src, dst)).view(np.uint64).max() >= n
+            or len(set((src * n + dst).tolist())) < len(src)
+        ):
+            raise GraphError(_first_bad_arc(src, dst, n))
+
+    def _key(self) -> tuple:
+        arrays = (self.src, self.dst, self.w)
+        return (self.n, self.undirected) + tuple(a.tobytes() for a in arrays)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Graph) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.src)
 
-    def edge_pairs(self) -> set[tuple[int, int]]:
-        return {(s, d) for s, d, _ in self.edges}
 
-    def has_self_loops(self) -> bool:
-        return any(s == d for s, d, _ in self.edges)
+def _first_bad_arc(src: np.ndarray, dst: np.ndarray, n: int) -> str:
+    """Message naming the first arc, in arc order, that is out of range or
+    repeats an earlier (src, dst) pair."""
+    outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    head = int(outside.argmax()) if outside.any() else len(src)
+    keys = src[:head] * n + dst[:head]
+    # A stable sort puts each repeat of a pair after its first arc.
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if len(repeats):
+        e = repeats.min()
+        return f"duplicate edge ({src[e]}, {dst[e]})"
+    return f"edge ({src[head]}, {dst[head]}) out of range for n={n}"
 
 
 @dataclass(frozen=True)
@@ -67,36 +104,21 @@ class DegreeVector:
 
 
 def degree_vector(g: Graph) -> DegreeVector:
-    ins = np.zeros(g.n, dtype=np.int64)
-    outs = np.zeros(g.n, dtype=np.int64)
-    w_in = np.zeros(g.n)
-    w_out = np.zeros(g.n)
-    for src, dst, w in g.edges:
-        outs[src] += 1
-        ins[dst] += 1
-        w_out[src] += w
-        w_in[dst] += w
     return DegreeVector(
-        tuple(int(x) for x in ins),
-        tuple(int(x) for x in outs),
-        tuple(float(x) for x in w_in),
-        tuple(float(x) for x in w_out),
+        tuple(in_degrees(g).tolist()),
+        tuple(out_degrees(g).tolist()),
+        tuple(np.bincount(g.dst, weights=g.w, minlength=g.n).tolist()),
+        tuple(np.bincount(g.src, weights=g.w, minlength=g.n).tolist()),
     )
 
 
 def in_degrees(g: Graph) -> np.ndarray:
     """Unweighted in-degree counts as an int array."""
-    d = np.zeros(g.n, dtype=np.int64)
-    for _, dst, _w in g.edges:
-        d[dst] += 1
-    return d
+    return np.bincount(g.dst, minlength=g.n)
 
 
 def out_degrees(g: Graph) -> np.ndarray:
-    d = np.zeros(g.n, dtype=np.int64)
-    for src, _, _w in g.edges:
-        d[src] += 1
-    return d
+    return np.bincount(g.src, minlength=g.n)
 
 
 def graph_from_pairs(
@@ -105,26 +127,9 @@ def graph_from_pairs(
     undirected: bool = False,
 ) -> Graph:
     """Convenience constructor accepting (src, dst) or (src, dst, weight)."""
-    edges = []
-    for p in pairs:
-        if len(p) == 2:
-            edges.append((p[0], p[1], 1.0))
-        else:
-            edges.append((p[0], p[1], float(p[2])))
-    return Graph(n=n, edges=tuple(edges), undirected=undirected)
-
-
-def _expand_undirected(
-    edges: list[tuple[int, int, float]],
-) -> list[tuple[int, int, float]]:
-    # Self-loops expand to themselves; an explicitly listed reverse arc will
-    # surface as a duplicate-edge error in the Graph constructor.
-    out: list[tuple[int, int, float]] = []
-    for src, dst, w in edges:
-        out.append((src, dst, w))
-        if src != dst:
-            out.append((dst, src, w))
-    return out
+    arcs = [(p[0], p[1], p[2] if len(p) == 3 else 1.0) for p in pairs]
+    src, dst, w = zip(*arcs) if arcs else ((), (), ())
+    return Graph(n=n, src=src, dst=dst, w=w, undirected=undirected)
 
 
 def load_edge_list(
@@ -137,7 +142,8 @@ def load_edge_list(
     TSV lines are "src<TAB>dst[<TAB>weight]" with an optional first line
     "#n=<count>". JSON is {"n": int, "edges": [[src, dst, weight?], ...],
     "undirected": bool}. Without an explicit node count, n = 1 + max index.
-    Duplicate edges are errors, not merged.
+    Duplicate edges are errors, not merged; in an undirected list an edge
+    given in both directions is a duplicate.
     """
     if format == "tsv":
         return _load_tsv(source, undirected)
@@ -150,8 +156,26 @@ def _decode(line) -> str:
     return line.decode("utf-8") if isinstance(line, bytes) else line
 
 
+def _add_arc(
+    arcs: dict[tuple[int, int], float],
+    where: str,
+    src: int,
+    dst: int,
+    weight: float,
+    undirected: bool,
+) -> None:
+    """Record one parsed arc, and its reverse for an undirected list unless
+    it is a self-loop; where names the input position in the error. arcs
+    maps (src, dst) to the weight, in input order."""
+    if (src, dst) in arcs:
+        raise GraphError(f"{where}: duplicate edge ({src}, {dst})")
+    arcs[(src, dst)] = weight
+    if undirected and src != dst:
+        arcs[(dst, src)] = weight
+
+
 def _load_tsv(source: IO, undirected: bool) -> Graph:
-    edges: list[tuple[int, int, float]] = []
+    arcs: dict[tuple[int, int], float] = {}
     declared_n: Optional[int] = None
     for lineno, raw in enumerate(source, start=1):
         line = _decode(raw).strip()
@@ -182,22 +206,19 @@ def _load_tsv(source: IO, undirected: bool) -> Graph:
             raise GraphError(
                 f"line {lineno}: index out of declared range n={declared_n}"
             )
-        if any(e[0] == src and e[1] == dst for e in edges):
-            raise GraphError(f"line {lineno}: duplicate edge ({src}, {dst})")
-        edges.append((src, dst, weight))
-    return _loaded_graph(edges, declared_n, undirected)
+        _add_arc(arcs, f"line {lineno}", src, dst, weight, undirected)
+    return _loaded_graph(arcs, declared_n, undirected)
 
 
 def _loaded_graph(
-    edges: list[tuple[int, int, float]], n: Optional[int], undirected: bool
+    arcs: dict[tuple[int, int], float], n: Optional[int], undirected: bool
 ) -> Graph:
     """Graph from parsed arcs; without a declared n, n = 1 + max index.
     The Graph constructor rejects indices outside the declared range."""
+    src, dst = zip(*arcs) if arcs else ((), ())
     if n is None:
-        n = 1 + max((max(s, d) for s, d, _ in edges), default=-1)
-    if undirected:
-        edges = _expand_undirected(edges)
-    return Graph(n=n, edges=tuple(edges), undirected=undirected)
+        n = 1 + max(src + dst, default=-1)
+    return Graph(n=n, src=src, dst=dst, w=list(arcs.values()), undirected=undirected)
 
 
 def _is_int(x) -> bool:
@@ -217,7 +238,7 @@ def _load_json(source: IO, undirected: bool) -> Graph:
     if undirected and not file_undirected:
         raise GraphError("JSON graph says undirected=false but undirected was requested")
     undirected = file_undirected
-    edges: list[tuple[int, int, float]] = []
+    arcs: dict[tuple[int, int], float] = {}
     for k, item in enumerate(data["edges"]):
         if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
             raise GraphError(f"edge #{k}: expected [src, dst] or [src, dst, weight]")
@@ -230,22 +251,24 @@ def _load_json(source: IO, undirected: bool) -> Graph:
             raise GraphError(f"edge #{k}: malformed weight {item[2]!r}") from exc
         if not math.isfinite(weight):
             raise GraphError(f"edge #{k}: non-finite weight {weight!r}")
-        if any(e[0] == src and e[1] == dst for e in edges):
-            raise GraphError(f"edge #{k}: duplicate edge ({src}, {dst})")
-        edges.append((src, dst, weight))
+        _add_arc(arcs, f"edge #{k}", src, dst, weight, undirected)
     n = data.get("n")
     if "n" in data and not _is_int(n):
         raise GraphError("JSON 'n' must be an integer")
-    return _loaded_graph(edges, n, undirected)
+    return _loaded_graph(arcs, n, undirected)
 
 
 def reverse(g: Graph) -> Graph:
     """Flip every arc: (i, j, w) becomes (j, i, w)."""
-    return Graph(
-        n=g.n,
-        edges=tuple((d, s, w) for s, d, w in g.edges),
-        undirected=g.undirected,
-    )
+    return Graph(n=g.n, src=g.dst, dst=g.src, w=g.w, undirected=g.undirected)
+
+
+def _successors(g: Graph) -> list[list[int]]:
+    """Adjacency lists: entry i holds the heads of i's out-arcs in arc order."""
+    succ: list[list[int]] = [[] for _ in range(g.n)]
+    for src, dst in zip(g.src.tolist(), g.dst.tolist()):
+        succ[src].append(dst)
+    return succ
 
 
 def is_dag(g: Graph) -> tuple[bool, Optional[list[int]]]:
@@ -254,11 +277,8 @@ def is_dag(g: Graph) -> tuple[bool, Optional[list[int]]]:
     Returns (True, topological order) for acyclic graphs, (False, None)
     otherwise. A self-loop counts as a cycle.
     """
-    indeg = [0] * g.n
-    succ: list[list[int]] = [[] for _ in range(g.n)]
-    for src, dst, _ in g.edges:
-        indeg[dst] += 1
-        succ[src].append(dst)
+    indeg = in_degrees(g).tolist()
+    succ = _successors(g)
     ready = [i for i in range(g.n) if indeg[i] == 0]
     heapq.heapify(ready)
     order: list[int] = []
@@ -283,9 +303,14 @@ def add_leaf_self_loops(g: Graph) -> Graph:
     acyclic, _ = is_dag(g)
     if not acyclic:
         raise GraphError("add_leaf_self_loops requires a DAG")
-    outs = out_degrees(g)
-    extra = tuple((i, i, 1.0) for i in range(g.n) if outs[i] == 0)
-    return Graph(n=g.n, edges=g.edges + extra, undirected=g.undirected)
+    sinks = np.flatnonzero(out_degrees(g) == 0)
+    return Graph(
+        n=g.n,
+        src=np.concatenate([g.src, sinks]),
+        dst=np.concatenate([g.dst, sinks]),
+        w=np.concatenate([g.w, np.ones(len(sinks))]),
+        undirected=g.undirected,
+    )
 
 
 def longest_path_length(g: Graph) -> int:
@@ -294,9 +319,7 @@ def longest_path_length(g: Graph) -> int:
     if not acyclic:
         raise GraphError("longest_path_length requires a DAG")
     dist = [0] * g.n
-    succ: list[list[int]] = [[] for _ in range(g.n)]
-    for src, dst, _ in g.edges:
-        succ[src].append(dst)
+    succ = _successors(g)
     for node in order:  # type: ignore[union-attr]
         for nxt in succ[node]:
             if dist[node] + 1 > dist[nxt]:

@@ -87,13 +87,11 @@ def order_ppr(g: Graph, alpha: float = 0.1, iters: int = 15) -> OrderingScores:
     u = np.full(n, 1.0 / n)
     outs = out_degrees(g).astype(np.float64)
     p = u.copy()
-    srcs = np.array([e[0] for e in g.edges], dtype=np.int64)
-    dsts = np.array([e[1] for e in g.edges], dtype=np.int64)
     dangling = outs == 0
     for _ in range(iters):
         nxt = np.zeros(n)
-        if len(srcs):
-            np.add.at(nxt, dsts, p[srcs] / outs[srcs])
+        if g.num_edges:
+            np.add.at(nxt, g.dst, p[g.src] / outs[g.src])
         nxt += p[dangling].sum() / n
         p = alpha * u + (1.0 - alpha) * nxt
     return OrderingScores(tuple(float(x) for x in p), method="ppr")

@@ -75,61 +75,48 @@ class RelationOperator:
 class MultiRelGraph:
     """A graph split into (E1, E2, E3) plus the ordering that produced it.
 
-    normalize() keeps the operators it builds in _operators, one entry per
-    mode; the cache takes no part in equality, hashing or repr.
+    relations[k] holds the indices of relation k's arcs in base, in base arc
+    order, as a read-only array. The split is a function of base and
+    ordering, so relations takes no part in equality or hashing. normalize()
+    keeps the operators it builds in _operators, one entry per mode; the
+    cache takes no part in equality, hashing or repr.
     """
 
     base: Graph
-    relations: tuple[tuple[tuple[int, int, float], ...], ...]
+    relations: tuple[np.ndarray, ...] = field(compare=False)
     ordering: OrderingScores
     _operators: dict[str, tuple[RelationOperator, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
     def relation_graph(self, k: int) -> Graph:
-        return Graph(n=self.base.n, edges=self.relations[k], undirected=False)
+        arcs, b = self.relations[k], self.base
+        return Graph(n=b.n, src=b.src[arcs], dst=b.dst[arcs], w=b.w[arcs])
 
 
 def split_edges(g: Graph, scores: OrderingScores) -> MultiRelGraph:
     """Assign each edge (i, j) to E1 if r_i < r_j, E2 if r_j < r_i, else E3.
 
-    E1 and E2 are acyclic by construction (edges follow a strict scalar
-    order); this is re-checked as an assertion. Self-loops always land in E3.
+    E1 and E2 are acyclic by construction: their arcs follow a strict
+    scalar order. Self-loops and arcs between tied scores land in E3.
     """
     if len(scores) != g.n:
         raise ValueError(
             f"scores length {len(scores)} does not match node count {g.n}"
         )
-    r = scores.scores
-    e1, e2, e3 = [], [], []
-    for src, dst, w in g.edges:
-        if r[src] < r[dst]:
-            e1.append((src, dst, w))
-        elif r[src] > r[dst]:
-            e2.append((src, dst, w))
-        else:
-            e3.append((src, dst, w))
-    mrg = MultiRelGraph(
-        base=g,
-        relations=(tuple(e1), tuple(e2), tuple(e3)),
-        ordering=scores,
-    )
-    for k in (0, 1):
-        acyclic, _ = is_dag(mrg.relation_graph(k))
-        assert acyclic, "score-filtered relation must be acyclic"
-    return mrg
+    r = scores.as_array()
+    up, down = r[g.src] < r[g.dst], r[g.src] > r[g.dst]
+    relations = tuple(np.flatnonzero(m) for m in (up, down, ~(up | down)))
+    for arcs in relations:
+        arcs.flags.writeable = False
+    return MultiRelGraph(base=g, relations=relations, ordering=scores)
 
 
 def _operator_from_edges(
-    n: int,
-    edges: tuple[tuple[int, int, float], ...],
-    mode: str,
-    degrees: np.ndarray,
+    g: Graph, mode: str, degrees: np.ndarray
 ) -> RelationOperator:
     """Build the receiver-row operator with the 0-convention for degree-0 rows."""
-    rows = np.array([dst for _, dst, _ in edges], dtype=np.int64)
-    cols = np.array([src for src, _, _ in edges], dtype=np.int64)
-    weights = np.array([w for _, _, w in edges], dtype=np.float64)
+    rows, cols, weights = g.dst, g.src, g.w
     deg = degrees.astype(np.float64)
     if mode == RAW:
         vals = weights
@@ -140,7 +127,7 @@ def _operator_from_edges(
         vals = weights * inv_sqrt[rows] * inv_sqrt[cols]
     else:
         raise ValueError(f"unknown normalization mode: {mode!r}")
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.flags.writeable = False
     return RelationOperator(matrix=mat, mode=mode)
@@ -160,8 +147,8 @@ def normalize(
     if ops is None:
         deg = in_degrees(mrg.base)
         ops = tuple(
-            _operator_from_edges(mrg.base.n, rel_edges, mode, deg)
-            for rel_edges in mrg.relations
+            _operator_from_edges(mrg.relation_graph(k), mode, deg)
+            for k in range(len(mrg.relations))
         )
         mrg._operators[mode] = ops
     return ops
@@ -169,7 +156,7 @@ def normalize(
 
 def operator_for_graph(g: Graph, mode: str = RAW) -> RelationOperator:
     """Single-relation operator for a whole graph, degrees from g itself."""
-    return _operator_from_edges(g.n, g.edges, mode, in_degrees(g))
+    return _operator_from_edges(g, mode, in_degrees(g))
 
 
 def variant_operators(
@@ -209,10 +196,11 @@ def dar_pair_from_dag(g: Graph) -> tuple[RelationOperator, RelationOperator]:
 
 def split_summary(mrg: MultiRelGraph) -> dict:
     """JSON-ready view of a split: arc lists per relation plus the scores."""
+    arcs = np.stack([mrg.base.src, mrg.base.dst], axis=1)
     return {
-        "E1": [[s, d] for s, d, _ in mrg.relations[0]],
-        "E2": [[s, d] for s, d, _ in mrg.relations[1]],
-        "E3": [[s, d] for s, d, _ in mrg.relations[2]],
+        "E1": arcs[mrg.relations[0]].tolist(),
+        "E2": arcs[mrg.relations[1]].tolist(),
+        "E3": arcs[mrg.relations[2]].tolist(),
         "scores": list(mrg.ordering.scores),
         "ordering": mrg.ordering.method,
     }

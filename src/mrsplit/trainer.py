@@ -126,16 +126,12 @@ def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
         sparse.block_diag([op.matrix for op in ops], format="csr")
         for ops in zip(*per_graph)
     ]
-    sizes = [g.n for g in task.graphs]
-    total = sum(sizes)
-    rows, cols, vals = [], [], []
-    offset = 0
-    for gi, n in enumerate(sizes):
-        rows.extend([gi] * n)
-        cols.extend(range(offset, offset + n))
-        vals.extend([1.0 / n] * n)
-        offset += n
-    pool = sparse.csr_matrix((vals, (rows, cols)), shape=(len(sizes), total))
+    sizes = np.array([g.n for g in task.graphs])
+    rows = np.repeat(np.arange(len(sizes)), sizes)
+    pool = sparse.csr_matrix(
+        (np.repeat(1.0 / sizes, sizes), (rows, np.arange(len(rows)))),
+        shape=(len(sizes), len(rows)),
+    )
     return CompiledTask(
         rel_ops=rel_ops,
         pool=pool,
@@ -250,16 +246,16 @@ def train(task: SyntheticTask, config: ModelConfig, tied: bool = False) -> Train
     loss = ad.mae_loss(forward(params, compiled, config), compiled.targets)
     result.trace.append(float(loss.value))
     for _ in range(config.epochs):
+        # loss was computed at the current parameters, so it is this epoch's
+        # forward pass; its graph is backpropagated instead of a recomputation.
         for t in tensors:
             t.grad = None
-        loss = ad.mae_loss(forward(params, compiled, config), compiled.targets)
         ad.backward(loss)
         for t in tensors:
             if t.grad is not None:
                 t.value = t.value - config.lr * t.grad
-        loss_val = float(
-            ad.mae_loss(forward(params, compiled, config), compiled.targets).value
-        )
+        loss = ad.mae_loss(forward(params, compiled, config), compiled.targets)
+        loss_val = float(loss.value)
         result.trace.append(loss_val)
         if not np.isfinite(loss_val):
             result.diverged = True

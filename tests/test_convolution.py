@@ -22,7 +22,7 @@ from mrsplit.convolution import (
     mrs_sage,
     sage_params,
 )
-from mrsplit.graph import add_leaf_self_loops, graph_from_pairs, longest_path_length
+from mrsplit.graph import Graph, add_leaf_self_loops, graph_from_pairs, longest_path_length
 from mrsplit.ordering import OrderingScores, order_degree
 from mrsplit.split import RAW, ROW_MEAN, operator_for_graph, split_edges
 
@@ -56,8 +56,13 @@ def random_undirected(rng, n, extra):
 
 
 def permute_graph(g, perm):
-    edges = [(perm[s], perm[d], w) for s, d, w in g.edges]
-    return graph_from_pairs(g.n, edges, undirected=g.undirected)
+    return Graph(n=g.n, src=perm[g.src], dst=perm[g.dst], w=g.w, undirected=g.undirected)
+
+
+def relation_arcs(mrg, k):
+    """(src, dst) of relation k's arcs, one Python pair per arc."""
+    rel = mrg.relation_graph(k)
+    return zip(rel.src.tolist(), rel.dst.tolist())
 
 
 def gat_per_edge(X, mrg, params):
@@ -69,8 +74,8 @@ def gat_per_edge(X, mrg, params):
         d_out = head_weights[0].shape[1]
         transformed = [X @ w for w in head_weights]
         dsts, logits, msgs = [], [], []
-        for k, rel_edges in enumerate(mrg.relations):
-            for src, dst, _w in rel_edges:
+        for k in range(rels):
+            for src, dst in relation_arcs(mrg, k):
                 m_src, m_dst = transformed[k][src], transformed[k][dst]
                 z = float(att[:d_out] @ m_dst + att[d_out:] @ m_src)
                 logits.append(z if z >= 0.0 else _ATT_SLOPE * z)
@@ -91,8 +96,8 @@ def gatedgcn_per_edge(X, edge_attrs, mrg, params):
     n, d_in = X.shape
     d_out = params.gate_self.shape[1]
     num, den = np.zeros((n, d_out)), np.zeros((n, d_out))
-    for k, rel_edges in enumerate(mrg.relations):
-        for src, dst, _w in rel_edges:
+    for k in range(len(mrg.relations)):
+        for src, dst in relation_arcs(mrg, k):
             e = None if edge_attrs is None else edge_attrs.get((src, dst))
             e_vec = np.zeros(d_in) if e is None else np.asarray(e, dtype=np.float64)
             gate_pre = (
@@ -146,7 +151,7 @@ class TestVectorizedAgainstPerEdge:
         rng, g, mrg = random_directed_split(seed, kind)
         X = rng.uniform(-1, 1, (g.n, 4))
         params = gatedgcn_params(rng, 4, 3)
-        arcs = [(s, d) for s, d, _ in g.edges]
+        arcs = list(zip(g.src.tolist(), g.dst.tolist()))
         attrs = {arcs[i]: rng.uniform(-1, 1, 4) for i in range(0, len(arcs), 3)}
         attrs[(0, 0)] = rng.uniform(-1, 1, 4)  # not an arc: ignored
         s, d = next((s, d) for s, d in arcs if s >= 1)

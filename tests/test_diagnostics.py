@@ -22,7 +22,8 @@ from mrsplit.diagnostics import (
     verify_zero_convergence,
     run_full_suite,
 )
-from mrsplit.graph import Graph, graph_from_pairs
+from mrsplit.ensembles import molecule_like_graph
+from mrsplit.graph import graph_from_pairs
 from mrsplit.split import RAW, ROW_MEAN, RelationOperator, operator_for_graph
 
 
@@ -177,11 +178,23 @@ class TestDirichletEnergy:
         assert dirichlet_energy(np.array([[0.0], [1.0], [0.0]]), g) == 4.0
 
     def test_edgeless(self):
-        assert dirichlet_energy(np.ones((4, 2)), Graph(n=4, edges=())) == 0.0
+        assert dirichlet_energy(np.ones((4, 2)), graph_from_pairs(4, [])) == 0.0
+
+    @pytest.mark.parametrize("d", [1, 4, 16, 32])
+    def test_equals_per_arc_running_sum_bitwise(self, d):
+        rng = np.random.default_rng(100 + d)
+        for _ in range(40):
+            g = molecule_like_graph(rng, 5, 30)
+            X = rng.standard_normal((g.n, d)) * 10.0 ** rng.uniform(-3, 3)
+            total = 0.0
+            for src, dst in zip(g.src.tolist(), g.dst.tolist()):
+                diff = X[src] - X[dst]
+                total += float(diff @ diff)
+            assert dirichlet_energy(X, g) == total
 
     def test_row_count_validated(self):
         with pytest.raises(ValueError):
-            dirichlet_energy(np.ones((2, 2)), Graph(n=3, edges=()))
+            dirichlet_energy(np.ones((2, 2)), graph_from_pairs(3, []))
 
 
 class TestRowsNonzero:

@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from mrsplit.graph import (
@@ -23,42 +24,125 @@ def chain(n):
     return graph_from_pairs(n, [(i, i + 1) for i in range(n - 1)])
 
 
+def arcs(g):
+    """The arcs of g as (src, dst, weight) tuples, in arc order."""
+    return list(zip(g.src.tolist(), g.dst.tolist(), g.w.tolist()))
+
+
+def pairs(g):
+    return {(s, d) for s, d, _ in arcs(g)}
+
+
 class TestGraphInvariants:
     def test_rejects_negative_node_count(self):
         with pytest.raises(GraphError):
-            Graph(n=-1, edges=())
+            graph_from_pairs(-1, [])
 
     def test_rejects_out_of_range_index(self):
         with pytest.raises(GraphError, match="out of range"):
-            Graph(n=2, edges=((0, 2, 1.0),))
+            graph_from_pairs(2, [(0, 2, 1.0)])
 
     def test_rejects_duplicate_edge(self):
         with pytest.raises(GraphError, match="duplicate"):
-            Graph(n=2, edges=((0, 1, 1.0), (0, 1, 2.0)))
+            graph_from_pairs(2, [(0, 1, 1.0), (0, 1, 2.0)])
 
     def test_self_loops_permitted(self):
-        g = Graph(n=1, edges=((0, 0, 1.0),))
-        assert g.has_self_loops()
+        g = graph_from_pairs(1, [(0, 0, 1.0)])
+        assert arcs(g) == [(0, 0, 1.0)]
 
     def test_empty_graph(self):
-        g = Graph(n=0, edges=())
+        g = graph_from_pairs(0, [])
         assert g.num_edges == 0
+
+    def test_list_and_array_construction_agree(self):
+        listed = Graph(n=3, src=[0, 1, 2], dst=[1, 2, 0], w=[1.0, 0.5, 2.0])
+        arrays = Graph(
+            n=3,
+            src=np.array([0, 1, 2]),
+            dst=np.array([1, 2, 0], dtype=np.int32),
+            w=np.array([1.0, 0.5, 2.0]),
+        )
+        paired = graph_from_pairs(3, [(0, 1), (1, 2, 0.5), (2, 0, 2.0)])
+        assert listed == arrays == paired
+        assert hash(listed) == hash(arrays) == hash(paired)
+        assert listed != graph_from_pairs(3, [(0, 1), (1, 2, 0.5), (2, 0, 3.0)])
+        assert listed != graph_from_pairs(3, [(1, 2, 0.5), (0, 1), (2, 0, 2.0)])
+        assert listed != Graph(n=4, src=[0, 1, 2], dst=[1, 2, 0], w=[1.0, 0.5, 2.0])
+        assert listed != Graph(
+            n=3, src=[0, 1, 2], dst=[1, 2, 0], w=[1.0, 0.5, 2.0], undirected=True
+        )
+
+    def test_arrays_are_read_only_copies(self):
+        src = np.array([0, 1])
+        g = Graph(n=2, src=src, dst=[1, 0], w=[1.0, 1.0])
+        src[0] = 1
+        assert g.src.tolist() == [0, 1]
+        assert (g.src.dtype, g.dst.dtype, g.w.dtype) == (np.int64, np.int64, np.float64)
+        for arr in (g.src, g.dst, g.w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    def test_rejects_mismatched_lengths(self):
+        with pytest.raises(GraphError, match="same length"):
+            Graph(n=2, src=[0, 1], dst=[1], w=[1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "n, arc_list, message",
+        [
+            (2, [(0, 1), (0, 5), (0, 1)], r"edge \(0, 5\) out of range"),
+            (2, [(0, 1), (0, 1), (0, 5)], r"duplicate edge \(0, 1\)"),
+            (3, [(0, 7), (9, 0)], r"edge \(0, 7\) out of range"),
+            (3, [(-1, 0), (0, 7)], r"edge \(-1, 0\) out of range"),
+            (3, [(1, 0), (0, 1), (0, 1), (1, 0)], r"duplicate edge \(0, 1\)"),
+            (3, [(1, 0), (0, 1), (1, 0), (0, 1)], r"duplicate edge \(1, 0\)"),
+            # (0, 2) and (1, 0) share the key src * n + dst at n = 2.
+            (2, [(0, 2), (1, 0)], r"edge \(0, 2\) out of range"),
+        ],
+    )
+    def test_error_names_first_offending_arc(self, n, arc_list, message):
+        with pytest.raises(GraphError, match=message):
+            graph_from_pairs(n, arc_list)
 
 
 class TestLoadEdgeList:
     def test_tsv_basic(self):
         g = load_edge_list(io.StringIO("0\t1\n1\t2\n"))
         assert g.n == 3
-        assert g.edge_pairs() == {(0, 1), (1, 2)}
+        assert pairs(g) == {(0, 1), (1, 2)}
 
     def test_tsv_empty_with_header(self):
         g = load_edge_list(io.StringIO("#n=4\n"))
         assert g.n == 4
-        assert g.edges == ()
+        assert arcs(g) == []
 
     def test_tsv_duplicate_reports_line(self):
         with pytest.raises(GraphError, match="line 2"):
             load_edge_list(io.StringIO("0\t1\n0\t1\n"))
+
+    def test_undirected_reverse_arc_reports_position(self):
+        with pytest.raises(GraphError, match=r"line 3: duplicate edge \(1, 0\)"):
+            load_edge_list(io.StringIO("0\t1\n1\t2\n1\t0\n"), undirected=True)
+        with pytest.raises(GraphError, match=r"edge #2: duplicate edge \(1, 0\)"):
+            load_edge_list(
+                io.StringIO('{"edges": [[0, 1], [1, 2], [1, 0]], "undirected": true}'),
+                format="json",
+            )
+
+    def test_undirected_expansion_order(self):
+        g = load_edge_list(io.StringIO("0\t1\t2.0\n2\t2\n1\t2\n"), undirected=True)
+        assert arcs(g) == [(0, 1, 2.0), (1, 0, 2.0), (2, 2, 1.0), (1, 2, 1.0), (2, 1, 1.0)]
+
+    @pytest.mark.parametrize(
+        "text, format",
+        [
+            ('{"n": 2147483648, "edges": []}', "json"),
+            ('{"n": 1180591620717411303424, "edges": [[0, 1]]}', "json"),
+            ("0\t99999999999999999999999\n", "tsv"),
+        ],
+    )
+    def test_rejects_node_count_too_large_for_arc_keys(self, text, format):
+        with pytest.raises(GraphError, match="node count"):
+            load_edge_list(io.StringIO(text), format=format)
 
     def test_tsv_malformed_reports_line(self):
         with pytest.raises(GraphError, match="line 2"):
@@ -66,7 +150,7 @@ class TestLoadEdgeList:
 
     def test_tsv_weight_column(self):
         g = load_edge_list(io.StringIO("0\t1\t2.5\n"))
-        assert g.edges == ((0, 1, 2.5),)
+        assert arcs(g) == [(0, 1, 2.5)]
 
     def test_tsv_out_of_declared_range(self):
         with pytest.raises(GraphError, match="declared range"):
@@ -78,7 +162,7 @@ class TestLoadEdgeList:
 
     def test_tsv_undirected_expands(self):
         g = load_edge_list(io.StringIO("0\t1\n"), undirected=True)
-        assert g.edge_pairs() == {(0, 1), (1, 0)}
+        assert pairs(g) == {(0, 1), (1, 0)}
         assert g.undirected
 
     def test_json_basic(self):
@@ -87,14 +171,14 @@ class TestLoadEdgeList:
             format="json",
         )
         assert g.n == 3
-        assert g.edges == ((0, 1, 1.0), (1, 2, 0.5))
+        assert arcs(g) == [(0, 1, 1.0), (1, 2, 0.5)]
 
     def test_json_undirected_flag_in_payload(self):
         g = load_edge_list(
             io.StringIO('{"edges": [[0, 1]], "undirected": true}'),
             format="json",
         )
-        assert g.edge_pairs() == {(0, 1), (1, 0)}
+        assert pairs(g) == {(0, 1), (1, 0)}
 
     def test_json_malformed(self):
         with pytest.raises(GraphError, match="malformed JSON"):
@@ -139,10 +223,10 @@ class TestLoadEdgeList:
 class TestReverse:
     def test_chain(self):
         g = reverse(chain(3))
-        assert g.edge_pairs() == {(1, 0), (2, 1)}
+        assert pairs(g) == {(1, 0), (2, 1)}
 
     def test_empty(self):
-        assert reverse(Graph(n=0, edges=())).n == 0
+        assert reverse(graph_from_pairs(0, [])).n == 0
 
     def test_involution(self):
         g = graph_from_pairs(4, [(0, 1), (2, 1), (3, 0)], undirected=False)
@@ -170,7 +254,7 @@ class TestIsDag:
         acyclic, order = is_dag(g)
         assert acyclic
         pos = {node: k for k, node in enumerate(order)}
-        for src, dst, _ in g.edges:
+        for src, dst, _ in arcs(g):
             assert pos[src] < pos[dst]
 
     def test_reverse_preserves_acyclicity(self):
@@ -181,11 +265,11 @@ class TestIsDag:
 class TestAddLeafSelfLoops:
     def test_chain_gains_sink_loop(self):
         g = add_leaf_self_loops(chain(3))
-        assert g.edge_pairs() == {(0, 1), (1, 2), (2, 2)}
+        assert pairs(g) == {(0, 1), (1, 2), (2, 2)}
 
     def test_isolated_node(self):
-        g = add_leaf_self_loops(Graph(n=1, edges=()))
-        assert g.edge_pairs() == {(0, 0)}
+        g = add_leaf_self_loops(graph_from_pairs(1, []))
+        assert pairs(g) == {(0, 0)}
 
     def test_requires_dag(self):
         with pytest.raises(GraphError):
@@ -194,7 +278,7 @@ class TestAddLeafSelfLoops:
     def test_changes_exactly_the_sinks(self):
         g = graph_from_pairs(5, [(0, 1), (0, 2), (1, 3), (2, 3)])
         sinks = {i for i in range(g.n) if out_degrees(g)[i] == 0}
-        added = add_leaf_self_loops(g).edge_pairs() - g.edge_pairs()
+        added = pairs(add_leaf_self_loops(g)) - pairs(g)
         assert added == {(i, i) for i in sinks}
         assert sinks == {3, 4}
 
@@ -204,7 +288,7 @@ class TestLongestPath:
         assert longest_path_length(chain(3)) == 2
 
     def test_edgeless(self):
-        assert longest_path_length(Graph(n=4, edges=())) == 0
+        assert longest_path_length(graph_from_pairs(4, [])) == 0
 
     def test_diamond(self):
         g = graph_from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])

@@ -35,6 +35,15 @@ def scores_of(values):
     return OrderingScores(tuple(float(v) for v in values), method="features")
 
 
+def arcs(g):
+    """The arcs of g as (src, dst, weight) tuples, in arc order."""
+    return list(zip(g.src.tolist(), g.dst.tolist(), g.w.tolist()))
+
+
+def relation_arcs(mrg, k):
+    return arcs(mrg.relation_graph(k))
+
+
 @st.composite
 def graph_and_scores(draw):
     n = draw(st.integers(2, 10))
@@ -51,25 +60,25 @@ def graph_and_scores(draw):
 class TestSplitEdges:
     def test_path_degree_split(self):
         mrg = split_edges(undirected_path(), order_degree(undirected_path()))
-        assert {(s, d) for s, d, _ in mrg.relations[0]} == {(0, 1), (2, 1)}
-        assert {(s, d) for s, d, _ in mrg.relations[1]} == {(1, 0), (1, 2)}
-        assert mrg.relations[2] == ()
+        assert {(s, d) for s, d, _ in relation_arcs(mrg, 0)} == {(0, 1), (2, 1)}
+        assert {(s, d) for s, d, _ in relation_arcs(mrg, 1)} == {(1, 0), (1, 2)}
+        assert relation_arcs(mrg, 2) == []
 
     def test_triangle_all_ties(self):
         g = bidirected_triangle()
         mrg = split_edges(g, order_degree(g))
-        assert mrg.relations[0] == mrg.relations[1] == ()
-        assert len(mrg.relations[2]) == 6
+        assert relation_arcs(mrg, 0) == relation_arcs(mrg, 1) == []
+        assert len(relation_arcs(mrg, 2)) == 6
 
     def test_monotone_scores_empty_remainder(self):
         g = graph_from_pairs(4, [(0, 1), (1, 2), (3, 2), (0, 3)])
         mrg = split_edges(g, scores_of([0, 1, 5, 2]))
-        assert mrg.relations[2] == ()
+        assert relation_arcs(mrg, 2) == []
 
     def test_self_loop_lands_in_remainder(self):
         g = graph_from_pairs(2, [(0, 0), (0, 1)])
         mrg = split_edges(g, scores_of([1, 2]))
-        assert mrg.relations[2] == ((0, 0, 1.0),)
+        assert relation_arcs(mrg, 2) == [(0, 0, 1.0)]
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
@@ -84,9 +93,34 @@ class TestSplitEdges:
     def test_partition_property(self, gs):
         g, scores = gs
         mrg = split_edges(g, scores)
-        merged = [e for rel in mrg.relations for e in rel]
-        assert sorted(merged) == sorted(g.edges)
+        merged = [e for k in range(3) for e in relation_arcs(mrg, k)]
+        assert sorted(merged) == sorted(arcs(g))
         assert len(merged) == len(set((s, d) for s, d, _ in merged))
+
+    @settings(max_examples=60)
+    @given(graph_and_scores())
+    def test_relations_partition_arc_indices_in_order(self, gs):
+        g, scores = gs
+        mrg = split_edges(g, scores)
+        r = scores.scores
+        assert len(mrg.relations) == 3
+        for k, arcs_k in enumerate(mrg.relations):
+            assert arcs_k.dtype.kind == "i"
+            assert np.all(np.diff(arcs_k) > 0)
+            with pytest.raises(ValueError, match="read-only"):
+                arcs_k[...] = 0
+            for e in arcs_k.tolist():
+                s, d = int(g.src[e]), int(g.dst[e])
+                assert k == (0 if r[s] < r[d] else 1 if r[s] > r[d] else 2)
+        merged = np.sort(np.concatenate(mrg.relations))
+        assert np.array_equal(merged, np.arange(g.num_edges))
+
+    def test_equality_follows_base_and_ordering(self):
+        g = undirected_path()
+        mrg = split_edges(g, order_degree(g))
+        again = split_edges(undirected_path(), order_degree(undirected_path()))
+        assert mrg == again and hash(mrg) == hash(again)
+        assert mrg != split_edges(g, scores_of([0, 1, 2]))
 
     @settings(max_examples=60)
     @given(graph_and_scores())
@@ -103,9 +137,9 @@ class TestSplitEdges:
         neg = scores_of([-s for s in scores.scores])
         mrg = split_edges(g, scores)
         flipped = split_edges(g, neg)
-        assert mrg.relations[0] == flipped.relations[1]
-        assert mrg.relations[1] == flipped.relations[0]
-        assert mrg.relations[2] == flipped.relations[2]
+        assert relation_arcs(mrg, 0) == relation_arcs(flipped, 1)
+        assert relation_arcs(mrg, 1) == relation_arcs(flipped, 0)
+        assert relation_arcs(mrg, 2) == relation_arcs(flipped, 2)
 
 
 class TestNormalize:
@@ -124,7 +158,7 @@ class TestNormalize:
         deg = in_degrees(g).astype(float)
         inv_sqrt = 1.0 / np.sqrt(deg)
         expected = np.zeros((g.n, g.n))
-        for src, dst, w in g.edges:
+        for src, dst, w in arcs(g):
             expected[dst, src] = w * inv_sqrt[dst] * inv_sqrt[src]
         assert np.abs(total - expected).max() < 1e-12
 
@@ -207,9 +241,9 @@ class TestOperatorCache:
     def test_each_mode_built_once_across_kernels(self, monkeypatch):
         built = []
 
-        def counting(n, edges, mode, degrees):
+        def counting(g, mode, degrees):
             built.append(mode)
-            return real(n, edges, mode, degrees)
+            return real(g, mode, degrees)
 
         real = split._operator_from_edges
         monkeypatch.setattr(split, "_operator_from_edges", counting)
