@@ -27,7 +27,6 @@ from .ordering import (
 )
 from .split import (
     MultiRelGraph,
-    RelationOperator,
     dar_pair_from_dag,
     normalize,
     operator_for_graph,
@@ -45,7 +44,6 @@ from .convolution import (
     mrs_sage,
 )
 from .diagnostics import (
-    WeightedInDegreeMatrix,
     dirichlet_energy,
     exact_rank_small,
     in_degree_matrix,

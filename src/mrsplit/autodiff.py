@@ -79,11 +79,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def spmm(op: sparse.spmatrix, x: Tensor) -> Tensor:
-    """Fixed sparse operator times a dense tensor; only x gets a gradient."""
-    mat = op.tocsr()
-    out = Tensor(mat @ x.value, parents=(x,))
-    out._backward = lambda g: _accumulate(x, mat.T @ g)
+def spmm(op: sparse.csr_matrix, x: Tensor) -> Tensor:
+    """Fixed CSR operator times a dense tensor; only x gets a gradient."""
+    out = Tensor(op @ x.value, parents=(x,))
+    out._backward = lambda g: _accumulate(x, op.T @ g)
     return out
 
 

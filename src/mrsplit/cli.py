@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -139,13 +140,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n{self.format_usage()}")
 
 
-def _seed(text: str) -> int:
-    """The type of every --seed: numpy accepts only non-negative integer seeds."""
+def _non_negative_int(text: str) -> int:
+    """The type of every --seed (numpy accepts only non-negative integer
+    seeds) and of --ppr-iters."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}"
         )
     return int(text)
+
+
+def _checked(parse, ok, rule: str):
+    """An argparse type: text that parse() accepts and whose value passes
+    ok(), else a usage error naming the rule. NaN fails every comparison."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {rule}, got {text!r}")
+
+    return convert
+
+
+_ppr_alpha = _checked(float, lambda a: 0.0 <= a <= 1.0, "a finite number in [0, 1]")
+_lr = _checked(float, lambda lr: 0.0 < lr < math.inf, "a finite number > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -164,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--ordering", choices=("random", "features", "ppr", "degree"),
         default="degree",
     )
-    p_split.add_argument("--seed", type=_seed, default=0)
-    p_split.add_argument("--ppr-alpha", type=float, default=0.1)
-    p_split.add_argument("--ppr-iters", type=int, default=15)
+    p_split.add_argument("--seed", type=_non_negative_int, default=0)
+    p_split.add_argument("--ppr-alpha", type=_ppr_alpha, default=0.1)
+    p_split.add_argument("--ppr-iters", type=_non_negative_int, default=15)
     p_split.add_argument("--output", default="-")
     p_split.set_defaults(func=cmd_split)
 
@@ -178,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--layers", type=int, default=128)
     p_trace.add_argument("--dim", type=int, default=16)
     p_trace.add_argument("--ordering", choices=("degree", "random"), default="degree")
-    p_trace.add_argument("--seed", type=_seed, default=0)
+    p_trace.add_argument("--seed", type=_non_negative_int, default=0)
     p_trace.add_argument("--output", default="-")
     p_trace.set_defaults(func=cmd_rod_trace)
 
     p_verify = sub.add_parser("verify", help="run the theorem suites")
-    p_verify.add_argument("--seed", type=_seed, default=0)
+    p_verify.add_argument("--seed", type=_non_negative_int, default=0)
     p_verify.add_argument("--trials", type=int, default=500)
     p_verify.add_argument("--output", default="-")
     p_verify.set_defaults(func=cmd_verify)
@@ -201,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_train.add_argument("--residual", action="store_true")
     p_train.add_argument("--jk", choices=("none", "cat", "max"), default="none")
-    p_train.add_argument("--lr", type=float, default=0.3)
+    p_train.add_argument("--lr", type=_lr, default=0.3)
     p_train.add_argument("--epochs", type=int, default=300)
-    p_train.add_argument("--seed", type=_seed, default=0)
+    p_train.add_argument("--seed", type=_non_negative_int, default=0)
     p_train.add_argument("--model-seeds", type=int, default=3)
     p_train.add_argument("--output", default="-")
     p_train.set_defaults(func=cmd_train)

@@ -18,7 +18,6 @@ from .split import (
     RAW,
     SYM_GCN,
     MultiRelGraph,
-    RelationOperator,
     normalize,
 )
 
@@ -139,17 +138,18 @@ def gatedgcn_params(
     )
 
 
-def _check_dims(X: np.ndarray, ops: Sequence[RelationOperator]) -> None:
+def _check_dims(X: np.ndarray, ops: Sequence[sparse.csr_matrix]) -> None:
+    n = X.shape[0]
     for op in ops:
-        if op.n != X.shape[0]:
+        if op.shape[0] != n:
             raise ValueError(
-                f"operator size {op.n} does not match feature rows {X.shape[0]}"
+                f"operator size {op.shape[0]} does not match feature rows {n}"
             )
 
 
 def relation_sum(
     X: np.ndarray,
-    mats: Sequence,
+    mats: Sequence[sparse.csr_matrix],
     weights: Sequence[np.ndarray],
     self_weight: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -168,7 +168,7 @@ def relation_sum(
 
 def mrs_linear_layer(
     X: np.ndarray,
-    ops: Sequence[RelationOperator],
+    ops: Sequence[sparse.csr_matrix],
     weights: Sequence[np.ndarray],
     act: Activation = IDENTITY,
 ) -> np.ndarray:
@@ -181,7 +181,7 @@ def mrs_linear_layer(
     _check_dims(X, ops)
     if any(w.shape[0] != X.shape[1] for w in weights):
         raise ValueError("transform input dim does not match features")
-    return act(relation_sum(X, [op.matrix for op in ops], weights))
+    return act(relation_sum(X, ops, weights))
 
 
 def mrs_gcn(
@@ -196,15 +196,15 @@ def mrs_sage(
 ) -> np.ndarray:
     """Self transform plus mean-aggregated per-relation messages."""
     X = np.asarray(X, dtype=np.float64)
-    mats = [op.matrix for op in normalize(mrg, ROW_MEAN)]
-    return act(relation_sum(X, mats, params.rel_weights, params.self_weight))
+    ops = normalize(mrg, ROW_MEAN)
+    return act(relation_sum(X, ops, params.rel_weights, params.self_weight))
 
 
-def _arc_ends(op: RelationOperator) -> tuple[np.ndarray, np.ndarray]:
+def _arc_ends(op: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """(src, dst) of every arc a raw operator stores, grouped by receiver
     (row = receiver, column = sender)."""
-    m = op.matrix
-    return m.indices.astype(np.int64), np.repeat(np.arange(op.n), np.diff(m.indptr))
+    receivers = np.arange(op.shape[0])
+    return op.indices.astype(np.int64), np.repeat(receivers, np.diff(op.indptr))
 
 
 def _gat_head(
@@ -268,7 +268,7 @@ def mrs_gin(
     ops = normalize(mrg, RAW)
     total = None
     for k, (eps, w_hidden, w_out) in enumerate(params.gin):
-        s = (1.0 + eps) * X + ops[k].matrix @ X
+        s = (1.0 + eps) * X + ops[k] @ X
         h = np.maximum(s @ w_hidden, 0.0) @ w_out
         total = h if total is None else total + h
     return act(total)
@@ -322,7 +322,7 @@ def mrs_gatedgcn(
         # Arcs are stored by receiver, so the operator's row pointers make
         # row i of this matrix sum the arcs that arrive at node i.
         segment = sparse.csr_matrix(
-            (np.ones(len(src)), np.arange(len(src)), op.matrix.indptr),
+            (np.ones(len(src)), np.arange(len(src)), op.indptr),
             shape=(n, len(src)),
         )
         num = num + segment @ (gate * (X @ params.gate_rel[k])[src])

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 
 from .convolution import IDENTITY, LEAKY_RELU, relation_sum
 from .ensembles import molecule_like_graph, random_connected_dag
@@ -21,7 +22,6 @@ from .ordering import order_random
 from .split import (
     RAW,
     ROW_MEAN,
-    RelationOperator,
     dar_pair_from_dag,
     normalize,
     operator_for_graph,
@@ -33,27 +33,19 @@ DEFAULT_RANK_TOL = 1e-8
 ROW_ZERO_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class WeightedInDegreeMatrix:
-    """n x l matrix whose row i stacks node i's weighted in-degrees."""
-
-    matrix: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.matrix[i]
-
-
-def in_degree_matrix(ops: Sequence[RelationOperator]) -> WeightedInDegreeMatrix:
-    """Exact per-relation row sums of the given operators."""
-    sizes = {op.n for op in ops}
-    if len(sizes) > 1:
+def in_degree_matrix(ops: Sequence[sparse.csr_matrix]) -> np.ndarray:
+    """n x l matrix whose row i stacks node i's weighted in-degrees: the
+    exact per-relation row sums of the given operators."""
+    if len({op.shape for op in ops}) > 1:
         raise ValueError("operators must share the same node count")
-    cols = [op.row_sums() for op in ops]
-    return WeightedInDegreeMatrix(np.stack(cols, axis=1))
+    return np.stack([np.asarray(op.sum(axis=1)).ravel() for op in ops], axis=1)
+
+
+def _ranks(M: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Rank of each nonempty finite matrix in the stack M (..., r, c): the
+    count of singular values above rel_tol * sigma_max, 0 for a zero matrix."""
+    svals = np.linalg.svd(M, compute_uv=False)
+    return np.sum(svals > rel_tol * svals[..., :1], axis=-1)
 
 
 def numeric_rank(M: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
@@ -63,10 +55,7 @@ def numeric_rank(M: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
         return 0
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix must have finite entries")
-    svals = np.linalg.svd(M, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
-    return int(np.sum(svals > rel_tol * svals[0]))
+    return int(_ranks(M, rel_tol))
 
 
 def exact_rank_small(M) -> int:
@@ -114,6 +103,14 @@ def structurally_independent(d_i, d_j, rel_tol: float = DEFAULT_RANK_TOL) -> boo
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise ValueError("expected two equal-length vectors")
     return numeric_rank(np.stack([a, b]), rel_tol) == 2
+
+
+def _independent_pair_count(E: np.ndarray) -> int:
+    """Number of node pairs i < j whose finite rows E[i], E[j] are
+    structurally independent, from one batched rank over all pairs."""
+    i, j = np.triu_indices(len(E), k=1)
+    pairs = np.stack([E[i], E[j]], axis=1)  # (pairs, 2, l)
+    return int(np.count_nonzero(_ranks(pairs, DEFAULT_RANK_TOL) == 2))
 
 
 def rows_nonzero(X: np.ndarray, tol: float = ROW_ZERO_TOL) -> bool:
@@ -220,16 +217,16 @@ def _run_suite(
 def _rank_checks(
     rng: np.random.Generator,
     t: int,
-    ops: Sequence[RelationOperator],
+    ops: Sequence[sparse.csr_matrix],
     rows,
     target: int,
     d: int,
 ) -> list[tuple[float, Optional[str]]]:
     """Per activation: rank of the selected output rows of one split
     convolution of a random rank-one input, minus the target rank."""
-    X = np.outer(rng.uniform(-1, 1, ops[0].n), rng.uniform(-1, 1, d))
+    X = np.outer(rng.uniform(-1, 1, ops[0].shape[0]), rng.uniform(-1, 1, d))
     weights = [rng.uniform(-1, 1, (d, d)) for _ in ops]
-    pre = relation_sum(X, [op.matrix for op in ops], weights)
+    pre = relation_sum(X, ops, weights)
     checks = []
     for sigma in _SIGMAS:
         rank = numeric_rank(sigma(pre)[rows])
@@ -239,14 +236,14 @@ def _rank_checks(
 
 
 def verify_rank_theorem(
-    ops: Sequence[RelationOperator],
+    ops: Sequence[sparse.csr_matrix],
     trials: int = 500,
     seed: int = 0,
     d: int = 8,
 ) -> VerificationReport:
     """Output rank of one split convolution is at least rank of the
     weighted in-degree matrix, for rank-one inputs and generic transforms."""
-    rank_e = numeric_rank(in_degree_matrix(ops).matrix)
+    rank_e = numeric_rank(in_degree_matrix(ops))
     return _run_suite(
         "rank_lower_bound",
         trials,
@@ -256,7 +253,7 @@ def verify_rank_theorem(
 
 
 def verify_independence_theorem(
-    ops: Sequence[RelationOperator],
+    ops: Sequence[sparse.csr_matrix],
     pair: tuple[int, int],
     trials: int = 500,
     seed: int = 0,
@@ -265,11 +262,11 @@ def verify_independence_theorem(
     """Structurally independent node pairs yield linearly independent output
     rows in every trial. Nothing is asserted for dependent pairs."""
     i, j = pair
-    n = ops[0].n
+    n = ops[0].shape[0]
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"pair {pair} out of range for n={n}")
     E = in_degree_matrix(ops)
-    independent = structurally_independent(E.row(i), E.row(j))
+    independent = structurally_independent(E[i], E[j])
     report = _run_suite(
         "independent_pair_rows",
         trials,
@@ -289,7 +286,7 @@ def verify_zero_convergence(
 
     def trial(rng: np.random.Generator, t: int):
         g = random_connected_dag(rng, int(rng.integers(5, 21)))
-        mats = [operator_for_graph(g, ROW_MEAN).matrix]
+        mats = [operator_for_graph(g, ROW_MEAN)]
         depth = longest_path_length(g) + 1
         X = rng.uniform(-1, 1, (g.n, d))
         for _ in range(depth):
@@ -315,7 +312,7 @@ def verify_dag_pair_rank(
 
     def trial(rng: np.random.Generator, t: int):
         g = random_connected_dag(rng, int(rng.integers(6, 25)))
-        mats = [op.matrix for op in dar_pair_from_dag(g)]
+        mats = dar_pair_from_dag(g)
         checks = []
         for sigma in _SIGMAS:
             X = rng.uniform(-1, 1, (g.n, d))
@@ -336,7 +333,7 @@ def verify_dag_pair_rank(
     return _run_suite("dag_pair_rank_preserved", trials, seed, trial)
 
 
-def _ergodic_instance(idx: int) -> list[RelationOperator]:
+def _ergodic_instance(idx: int) -> list[sparse.csr_matrix]:
     """Two cycle relations over n nodes, each mean-normalized row-wise."""
     n = 4 + idx
     step = 2 + (idx % max(1, n - 3))
@@ -350,7 +347,7 @@ def verify_ergodic_rank_one(instances: int = 20, seed: int = 0) -> VerificationR
     so no node pair is structurally independent."""
 
     def trial(rng: np.random.Generator, idx: int):
-        rank_e = numeric_rank(in_degree_matrix(_ergodic_instance(idx)).matrix)
+        rank_e = numeric_rank(in_degree_matrix(_ergodic_instance(idx)))
         note = f"instance {idx}: rank(E)={rank_e}"
         return [(1 - rank_e, note if rank_e != 1 else None)]
 
@@ -368,12 +365,7 @@ def verify_dar_independent_pairs(
         g = molecule_like_graph(rng, 8, 24)
         scores = order_random(g.n, int(rng.integers(0, 2**63)))
         mrg = split_edges(g, scores)
-        E = in_degree_matrix(normalize(mrg, RAW)[:2])
-        found = 0
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                if structurally_independent(E.row(i), E.row(j)):
-                    found += 1
+        found = _independent_pair_count(in_degree_matrix(normalize(mrg, RAW)[:2]))
         note = f"trial {t}: no structurally independent pair"
         return [(found - 1, note if found == 0 else None)]
 
@@ -388,7 +380,7 @@ def verify_rank_theorem_random_splits(
     def trial(rng: np.random.Generator, t: int):
         g = molecule_like_graph(rng, 8, 30)
         ops = variant_operators(g, "mrs_gcn", "random", int(rng.integers(0, 2**63)))
-        rank_e = numeric_rank(in_degree_matrix(ops).matrix)
+        rank_e = numeric_rank(in_degree_matrix(ops))
         return _rank_checks(rng, t, ops, slice(None), rank_e, d)
 
     return _run_suite("rank_lower_bound_random_splits", trials, seed, trial)
@@ -396,7 +388,7 @@ def verify_rank_theorem_random_splits(
 
 def _independent_pair_instance(
     rng: np.random.Generator,
-) -> tuple[list[RelationOperator], tuple[int, int]]:
+) -> tuple[list[sparse.csr_matrix], tuple[int, int]]:
     """Two-relation graph where nodes 0 and 1 have linearly independent
     integer in-degree vectors fed by disjoint source nodes."""
     while True:

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .graph import Graph, GraphError, in_degrees, is_dag, reverse
+from .graph import Graph, GraphError, in_degrees, is_dag, out_degrees
 from .ordering import OrderingScores, order_by
 
 RAW = "raw"
@@ -50,28 +50,6 @@ VARIANTS = {
 
 
 @dataclass(frozen=True)
-class RelationOperator:
-    """Sparse n x n aggregation matrix for one edge relation.
-
-    The CSR arrays are read-only, so an operator can be shared between
-    callers without any of them changing it.
-    """
-
-    matrix: sparse.csr_matrix
-    mode: str
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def dense(self) -> np.ndarray:
-        return self.matrix.toarray()
-
-    def row_sums(self) -> np.ndarray:
-        return np.asarray(self.matrix.sum(axis=1)).ravel()
-
-
-@dataclass(frozen=True)
 class MultiRelGraph:
     """A graph split into (E1, E2, E3) plus the ordering that produced it.
 
@@ -85,7 +63,7 @@ class MultiRelGraph:
     base: Graph
     relations: tuple[np.ndarray, ...] = field(compare=False)
     ordering: OrderingScores
-    _operators: dict[str, tuple[RelationOperator, ...]] = field(
+    _operators: dict[str, tuple[sparse.csr_matrix, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
@@ -112,30 +90,35 @@ def split_edges(g: Graph, scores: OrderingScores) -> MultiRelGraph:
     return MultiRelGraph(base=g, relations=relations, ordering=scores)
 
 
-def _operator_from_edges(
-    g: Graph, mode: str, degrees: np.ndarray
-) -> RelationOperator:
-    """Build the receiver-row operator with the 0-convention for degree-0 rows."""
-    rows, cols, weights = g.dst, g.src, g.w
+def _operator(
+    n: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    w: np.ndarray,
+    mode: str,
+    degrees: np.ndarray,
+) -> sparse.csr_matrix:
+    """Read-only receiver-row CSR operator of the arcs src -> dst, with the
+    0-convention for degree-0 rows."""
     deg = degrees.astype(np.float64)
     if mode == RAW:
-        vals = weights
+        vals = w
     elif mode == ROW_MEAN:
-        vals = np.where(deg[rows] > 0, weights / np.maximum(deg[rows], 1.0), 0.0)
+        vals = np.where(deg[dst] > 0, w / np.maximum(deg[dst], 1.0), 0.0)
     elif mode == SYM_GCN:
         inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
-        vals = weights * inv_sqrt[rows] * inv_sqrt[cols]
+        vals = w * inv_sqrt[dst] * inv_sqrt[src]
     else:
         raise ValueError(f"unknown normalization mode: {mode!r}")
-    mat = sparse.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+    mat = sparse.csr_matrix((vals, (dst, src)), shape=(n, n))
     for arr in (mat.data, mat.indices, mat.indptr):
         arr.flags.writeable = False
-    return RelationOperator(matrix=mat, mode=mode)
+    return mat
 
 
 def normalize(
     mrg: MultiRelGraph, mode: str = SYM_GCN
-) -> tuple[RelationOperator, ...]:
+) -> tuple[sparse.csr_matrix, ...]:
     """Normalized operators for E1, E2, E3 using *full base-graph* in-degrees.
 
     With sym_gcn the three operators sum entrywise to the classic symmetric
@@ -145,18 +128,19 @@ def normalize(
     """
     ops = mrg._operators.get(mode)
     if ops is None:
-        deg = in_degrees(mrg.base)
+        b = mrg.base
+        deg = in_degrees(b)
         ops = tuple(
-            _operator_from_edges(mrg.relation_graph(k), mode, deg)
-            for k in range(len(mrg.relations))
+            _operator(b.n, b.src[arcs], b.dst[arcs], b.w[arcs], mode, deg)
+            for arcs in mrg.relations
         )
         mrg._operators[mode] = ops
     return ops
 
 
-def operator_for_graph(g: Graph, mode: str = RAW) -> RelationOperator:
+def operator_for_graph(g: Graph, mode: str = RAW) -> sparse.csr_matrix:
     """Single-relation operator for a whole graph, degrees from g itself."""
-    return _operator_from_edges(g, mode, in_degrees(g))
+    return _operator(g.n, g.src, g.dst, g.w, mode, in_degrees(g))
 
 
 def variant_operators(
@@ -165,7 +149,7 @@ def variant_operators(
     ordering: str,
     seed: int,
     X: Optional[np.ndarray] = None,
-) -> tuple[RelationOperator, ...]:
+) -> tuple[sparse.csr_matrix, ...]:
     """The relation operators a variant aggregates over on g: one whole-graph
     operator, or the three split operators under the named ordering."""
     spec = VARIANTS[variant]
@@ -174,7 +158,7 @@ def variant_operators(
     return normalize(split_edges(g, order_by(ordering, g, seed, X)), spec.mode)
 
 
-def dar_pair_from_dag(g: Graph) -> tuple[RelationOperator, RelationOperator]:
+def dar_pair_from_dag(g: Graph) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     """Mean-normalized operators of a DAG and its reverse.
 
     Errors when some node has no incoming edge in either direction (an
@@ -184,14 +168,16 @@ def dar_pair_from_dag(g: Graph) -> tuple[RelationOperator, RelationOperator]:
     acyclic, _ = is_dag(g)
     if not acyclic:
         raise GraphError("dar_pair_from_dag requires a DAG")
-    rev = reverse(g)
-    covered = in_degrees(g) + in_degrees(rev)
+    out_deg = out_degrees(g)
+    covered = in_degrees(g) + out_deg
     if g.n and covered.min() == 0:
         lonely = int(np.argmin(covered))
         raise GraphError(
             f"node {lonely} has no incoming edge in either direction"
         )
-    return operator_for_graph(g, ROW_MEAN), operator_for_graph(rev, ROW_MEAN)
+    # The reverse graph's arcs are (dst, src) and its in-degrees g's out-degrees.
+    rev = _operator(g.n, g.dst, g.src, g.w, ROW_MEAN, out_deg)
+    return operator_for_graph(g, ROW_MEAN), rev
 
 
 def split_summary(mrg: MultiRelGraph) -> dict:

@@ -123,7 +123,7 @@ def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
         for idx, (g, X) in enumerate(zip(task.graphs, task.features))
     ]
     rel_ops = [
-        sparse.block_diag([op.matrix for op in ops], format="csr")
+        sparse.block_diag(ops, format="csr")
         for ops in zip(*per_graph)
     ]
     sizes = np.array([g.n for g in task.graphs])

@@ -48,7 +48,7 @@ def _trace_one(
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-iteration (rod, dirichlet) for one graph, relu after every layer."""
-    mats = [op.matrix for op in variant_operators(g, variant, config.ordering, config.seed)]
+    mats = variant_operators(g, variant, config.ordering, config.seed)
     uses_self = VARIANTS[variant].self_term
     d = config.dim
     X = rng.uniform(-1.0, 1.0, (g.n, d))

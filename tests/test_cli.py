@@ -202,6 +202,11 @@ def _run(argv):
 
 
 TINY_TRAIN = ["train", "--count", "2", "--layers", "1", "--dim", "2", "--epochs", "1"]
+# An existing input, so a bad PPR flag is the only reason to exit 2.
+PPR_SPLIT = [
+    "split", "--input", str(Path(__file__).with_name("golden") / "graph.tsv"),
+    "--ordering", "ppr",
+]
 
 
 @pytest.mark.parametrize(
@@ -218,6 +223,15 @@ TINY_TRAIN = ["train", "--count", "2", "--layers", "1", "--dim", "2", "--epochs"
         [*TINY_TRAIN, "--model-seeds", "0"],
         [*TINY_TRAIN, "--model-seeds", "-1"],
         [*TINY_TRAIN, "--epochs", "-1"],
+        [*TINY_TRAIN, "--lr", "nan"],
+        [*TINY_TRAIN, "--lr", "inf"],
+        [*TINY_TRAIN, "--lr", "0"],
+        [*TINY_TRAIN, "--lr", "-0.1"],
+        [*PPR_SPLIT, "--ppr-alpha", "nan"],
+        [*PPR_SPLIT, "--ppr-alpha", "inf"],
+        [*PPR_SPLIT, "--ppr-alpha=-0.1"],
+        [*PPR_SPLIT, "--ppr-alpha", "1.5"],
+        [*PPR_SPLIT, "--ppr-iters", "-3"],
     ],
 )
 def test_bad_counts_and_names_exit_usage(argv):
@@ -320,3 +334,23 @@ def test_train_property(count, layers, dim, epochs, model_seeds, seed):
         assert "nan" not in summary and "inf" not in summary
         if not summary.startswith("# summary: winner=mixed"):
             assert rows and "; seed " in summary
+
+
+@pytest.fixture(scope="module")
+def module_path_graph_file(tmp_path_factory):
+    p = tmp_path_factory.mktemp("ppr") / "path.tsv"
+    p.write_text(PATH_TSV)
+    return str(p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.floats())
+def test_split_ppr_alpha_property(module_path_graph_file, alpha):
+    out = _assert_usage_or_valid(
+        ["split", "--input", module_path_graph_file, "--ordering", "ppr",
+         f"--ppr-alpha={alpha!r}"]
+    )
+    if out is not None:
+        assert 0.0 <= alpha <= 1.0
+        payload = json.loads(out, parse_constant=_reject_constant)
+        assert len(payload["scores"]) == 3

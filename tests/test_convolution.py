@@ -208,7 +208,7 @@ class TestLinearLayer:
         # A_1 = [[0,0],[1,0]], A_2 = A_1^T, X = [[1],[2]], W_1=2, W_2=3
         a1 = operator_for_graph(graph_from_pairs(2, [(0, 1)]), RAW)
         a2 = operator_for_graph(graph_from_pairs(2, [(1, 0)]), RAW)
-        assert np.array_equal(a1.dense(), [[0.0, 0.0], [1.0, 0.0]])
+        assert np.array_equal(a1.toarray(), [[0.0, 0.0], [1.0, 0.0]])
         out = mrs_linear_layer(
             np.array([[1.0], [2.0]]),
             [a1, a2],
@@ -358,7 +358,7 @@ class TestMrsGin:
             gin=((0.5, w_h, w_o), (0.0, zero, zero), (0.0, zero, zero))
         )
         X = rng.uniform(-1, 1, (3, 2))
-        adj = operator_for_graph(mrg.relation_graph(0), RAW).dense()
+        adj = operator_for_graph(mrg.relation_graph(0), RAW).toarray()
         expected = np.maximum((1.5 * X + adj @ X) @ w_h, 0.0) @ w_o
         assert np.allclose(mrs_gin(X, mrg, params), expected)
 
@@ -508,7 +508,7 @@ class TestIterate:
 
         def layer(_k):
             w = rng.uniform(-1, 1, (3, 3))
-            return lambda X: np.maximum(op.matrix @ (X @ w), 0.0)
+            return lambda X: np.maximum(op @ (X @ w), 0.0)
 
         states = iterate(rng.uniform(-1, 1, (4, 3)), layer, depth)
         assert np.abs(states[depth]).max() == 0.0
@@ -519,7 +519,7 @@ class TestIterate:
         X0 = np.abs(np.random.default_rng(32).uniform(0.1, 1, (3, 2)))
         states = iterate(
             X0,
-            lambda k: (lambda X: np.maximum(op.matrix @ (X @ np.eye(2)), 0.0)),
+            lambda k: (lambda X: np.maximum(op @ (X @ np.eye(2)), 0.0)),
             6,
         )
         assert np.linalg.norm(states[-1][2]) > 0.0

@@ -24,7 +24,8 @@ from mrsplit.diagnostics import (
 )
 from mrsplit.ensembles import molecule_like_graph
 from mrsplit.graph import graph_from_pairs
-from mrsplit.split import RAW, ROW_MEAN, RelationOperator, operator_for_graph
+from mrsplit.ordering import order_random
+from mrsplit.split import RAW, ROW_MEAN, normalize, operator_for_graph, split_edges
 
 
 def rel_ops(n, edges_per_relation):
@@ -58,20 +59,28 @@ class TestInDegreeMatrix:
             ],
         )
         E = in_degree_matrix(ops)
-        assert tuple(E.row(0)) == (4.0, 2.0)
+        assert tuple(E[0]) == (4.0, 2.0)
 
     def test_unit_count_rows(self):
         ops = star_ops([(3, 2)])
-        assert tuple(in_degree_matrix(ops).row(0)) == (3.0, 2.0)
+        assert tuple(in_degree_matrix(ops)[0]) == (3.0, 2.0)
 
     def test_row_mean_rows_sum_to_one(self):
         g = graph_from_pairs(3, [(0, 2), (1, 2)])
         E = in_degree_matrix([operator_for_graph(g, ROW_MEAN)])
-        assert E.row(2)[0] == pytest.approx(1.0)
+        assert E[2][0] == pytest.approx(1.0)
 
     def test_size_mismatch(self):
         with pytest.raises(ValueError):
             in_degree_matrix(rel_ops(2, [[(0, 1)]]) + rel_ops(3, [[(0, 1)]]))
+
+    def test_returns_array_of_operator_row_sums(self):
+        ops = star_ops([(3, 2), (2, 1), (0, 4)])
+        E = in_degree_matrix(ops)
+        assert type(E) is np.ndarray
+        expected = np.stack([np.asarray(op.sum(axis=1)).ravel() for op in ops], axis=1)
+        assert E.shape == (ops[0].shape[0], 2)
+        assert np.array_equal(E, expected)
 
 
 class TestStructuralIndependence:
@@ -112,6 +121,12 @@ class TestNumericRank:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             numeric_rank(np.array([[np.nan]]))
+
+    def test_tolerance_is_relative_to_largest_singular_value(self):
+        assert numeric_rank(1e-12 * np.eye(3)) == 3
+        assert numeric_rank(np.diag([1.0, 1e-10])) == 1
+        assert numeric_rank(np.diag([1.0, 1e-10]), rel_tol=1e-11) == 2
+        assert numeric_rank(np.zeros((2, 2)), rel_tol=-1.0) == 0
 
 
 class TestExactRankSmall:
@@ -214,13 +229,13 @@ class TestVerifyRankTheorem:
             operator_for_graph(graph_from_pairs(3, tri), ROW_MEAN),
             operator_for_graph(graph_from_pairs(3, [(a, b) for b, a in tri]), ROW_MEAN),
         ]
-        assert numeric_rank(in_degree_matrix(ops).matrix) == 1
+        assert numeric_rank(in_degree_matrix(ops)) == 1
         report = verify_rank_theorem(ops, trials=50, seed=0)
         assert report.passed
 
     def test_independent_star_pair_rank_two(self):
         ops = star_ops([(3, 2), (2, 1)])
-        assert numeric_rank(in_degree_matrix(ops).matrix) == 2
+        assert numeric_rank(in_degree_matrix(ops)) == 2
         report = verify_rank_theorem(ops, trials=50, seed=0)
         assert report.passed
         assert report.min_margin >= 0
@@ -252,11 +267,43 @@ class TestVerifyIndependenceTheorem:
         E = in_degree_matrix(ops)
         for i in range(3):
             for j in range(i + 1, 3):
-                assert not structurally_independent(E.row(i), E.row(j))
+                assert not structurally_independent(E[i], E[j])
 
     def test_pair_out_of_range(self):
         with pytest.raises(IndexError):
             verify_independence_theorem(star_ops([(1, 1)]), pair=(0, 99), trials=1)
+
+
+def independent_pairs_by_loop(E):
+    """Pair scan oracle: one structurally_independent call per pair i < j."""
+    return sum(
+        structurally_independent(E[i], E[j])
+        for i in range(len(E))
+        for j in range(i + 1, len(E))
+    )
+
+
+class TestIndependentPairScan:
+    def test_matches_pair_loop_on_random_matrices(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            n, cols = int(rng.integers(0, 12)), int(rng.integers(1, 4))
+            E = rng.integers(-2, 3, (n, cols)).astype(np.float64)
+            E[rng.random(n) < 0.2] = 0.0  # zero rows
+            E[rng.random(n) < 0.2] *= 1e-9  # tiny rows
+            if n > 1:
+                E[1] = 3.0 * E[0]  # a dependent pair
+            assert diagnostics._independent_pair_count(E) == independent_pairs_by_loop(E)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_suite_trial_count_matches_pair_loop(self, seed):
+        # Trial 0 of a one-trial run draws from the generator [seed, 0].
+        rng = np.random.default_rng([seed, 0])
+        g = molecule_like_graph(rng, 8, 24)
+        mrg = split_edges(g, order_random(g.n, int(rng.integers(0, 2**63))))
+        expected = independent_pairs_by_loop(in_degree_matrix(normalize(mrg, RAW)[:2]))
+        report = verify_dar_independent_pairs(trials=1, seed=seed)
+        assert report.min_margin == expected - 1
 
 
 class TestSuites:
@@ -271,7 +318,7 @@ class TestSuites:
 
     def test_dag_pair_zero_state_reported_not_raised(self, monkeypatch):
         def zero_pair(g):
-            zero = RelationOperator(sparse.csr_matrix((g.n, g.n)), ROW_MEAN)
+            zero = sparse.csr_matrix((g.n, g.n))
             return zero, zero
 
         monkeypatch.setattr(diagnostics, "dar_pair_from_dag", zero_pair)

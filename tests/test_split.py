@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
 from mrsplit import convolution, split
-from mrsplit.graph import GraphError, graph_from_pairs, in_degrees, is_dag
+from mrsplit.ensembles import random_connected_dag
+from mrsplit.graph import (
+    Graph,
+    GraphError,
+    graph_from_pairs,
+    in_degrees,
+    is_dag,
+    reverse,
+)
 from mrsplit.ordering import OrderingScores, order_degree, order_random
 from mrsplit.split import (
     RAW,
@@ -42,6 +51,10 @@ def arcs(g):
 
 def relation_arcs(mrg, k):
     return arcs(mrg.relation_graph(k))
+
+
+def row_sums(op):
+    return np.asarray(op.sum(axis=1)).ravel()
 
 
 @st.composite
@@ -146,7 +159,7 @@ class TestNormalize:
     def test_path_sym_gcn_entries(self):
         g = undirected_path()
         ops = normalize(split_edges(g, order_degree(g)), SYM_GCN)
-        a1 = ops[0].dense()
+        a1 = ops[0].toarray()
         # d_0 = 1, d_1 = 2, d_2 = 1 so both arcs into node 1 carry 1/sqrt(2)
         assert a1[1, 0] == pytest.approx(1.0 / np.sqrt(2.0))
         assert a1[1, 2] == pytest.approx(1.0 / np.sqrt(2.0))
@@ -154,7 +167,7 @@ class TestNormalize:
     def test_sym_gcn_sum_identity(self):
         g = bidirected_triangle()
         mrg = split_edges(g, order_random(g.n, 5))
-        total = sum(op.dense() for op in normalize(mrg, SYM_GCN))
+        total = sum(op.toarray() for op in normalize(mrg, SYM_GCN))
         deg = in_degrees(g).astype(float)
         inv_sqrt = 1.0 / np.sqrt(deg)
         expected = np.zeros((g.n, g.n))
@@ -167,30 +180,30 @@ class TestNormalize:
     def test_sum_identity_property(self, gs):
         g, scores = gs
         mrg = split_edges(g, scores)
-        total = sum(op.dense() for op in normalize(mrg, SYM_GCN))
-        full = operator_for_graph(g, SYM_GCN).dense()
+        total = sum(op.toarray() for op in normalize(mrg, SYM_GCN))
+        full = operator_for_graph(g, SYM_GCN).toarray()
         assert np.abs(total - full).max() < 1e-12
 
     def test_raw_mode_partitions_adjacency(self):
         g = bidirected_triangle()
         mrg = split_edges(g, order_random(g.n, 1))
         ops = normalize(mrg, RAW)
-        total = sum(op.dense() for op in ops)
+        total = sum(op.toarray() for op in ops)
         for op in ops:
-            assert set(np.unique(op.dense())) <= {0.0, 1.0}
-        assert np.array_equal(total, operator_for_graph(g, RAW).dense())
+            assert set(np.unique(op.toarray())) <= {0.0, 1.0}
+        assert np.array_equal(total, operator_for_graph(g, RAW).toarray())
 
     def test_row_mean_uses_full_graph_degree(self):
         g = undirected_path()
         ops = normalize(split_edges(g, order_degree(g)), ROW_MEAN)
         # both in-arcs of node 1 live in E1; 1/d_1 = 1/2 each
-        assert ops[0].row_sums()[1] == pytest.approx(1.0)
-        assert ops[0].dense()[1, 0] == pytest.approx(0.5)
+        assert row_sums(ops[0])[1] == pytest.approx(1.0)
+        assert ops[0].toarray()[1, 0] == pytest.approx(0.5)
 
     def test_degree_zero_row_is_zero(self):
         g = graph_from_pairs(3, [(0, 1), (1, 2)])
         op = operator_for_graph(g, ROW_MEAN)
-        assert np.all(op.dense()[0] == 0.0)
+        assert np.all(op.toarray()[0] == 0.0)
 
     def test_unknown_mode(self):
         g = undirected_path()
@@ -215,7 +228,7 @@ class TestOperatorCache:
     def test_cached_operators_are_read_only(self):
         mrg = self._split()
         for op in normalize(mrg, SYM_GCN):
-            for arr in (op.matrix.data, op.matrix.indices, op.matrix.indptr):
+            for arr in (op.data, op.indices, op.indptr):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[0] = 0
 
@@ -234,19 +247,19 @@ class TestOperatorCache:
     def test_raw_equals_relation_graph_operator(self, gs):
         mrg = split_edges(*gs)
         for k, op in enumerate(normalize(mrg, RAW)):
-            ref = operator_for_graph(mrg.relation_graph(k), RAW).matrix
+            ref = operator_for_graph(mrg.relation_graph(k), RAW)
             for name in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(op.matrix, name), getattr(ref, name))
+                assert np.array_equal(getattr(op, name), getattr(ref, name))
 
     def test_each_mode_built_once_across_kernels(self, monkeypatch):
         built = []
 
-        def counting(g, mode, degrees):
+        def counting(n, src, dst, w, mode, degrees):
             built.append(mode)
-            return real(g, mode, degrees)
+            return real(n, src, dst, w, mode, degrees)
 
-        real = split._operator_from_edges
-        monkeypatch.setattr(split, "_operator_from_edges", counting)
+        real = split._operator
+        monkeypatch.setattr(split, "_operator", counting)
         mrg = self._split()
         assert built == []  # split_edges builds no operator
         rng = np.random.default_rng(0)
@@ -264,8 +277,8 @@ class TestDarPair:
     def test_chain_row_coverage(self):
         g = graph_from_pairs(3, [(0, 1), (1, 2)])
         fwd, bwd = dar_pair_from_dag(g)
-        assert list(fwd.row_sums()) == [0.0, 1.0, 1.0]
-        assert list(bwd.row_sums()) == [1.0, 1.0, 0.0]
+        assert list(row_sums(fwd)) == [0.0, 1.0, 1.0]
+        assert list(row_sums(bwd)) == [1.0, 1.0, 0.0]
 
     def test_isolated_node_rejected(self):
         with pytest.raises(GraphError, match="incoming"):
@@ -278,8 +291,60 @@ class TestDarPair:
     def test_diamond_union_covers_all_nodes(self):
         g = graph_from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         fwd, bwd = dar_pair_from_dag(g)
-        covered = fwd.row_sums() + bwd.row_sums()
+        covered = row_sums(fwd) + row_sums(bwd)
         assert (covered > 0).all()
+
+
+def _dags():
+    rng = np.random.default_rng(7)
+    weighted = graph_from_pairs(
+        4, [(0, 1, 2.0), (0, 2, -0.5), (1, 3, 3.0), (2, 3, 0.25), (0, 3, 1.0)]
+    )
+    return [weighted] + [random_connected_dag(rng, n) for n in (2, 5, 9, 17)]
+
+
+class TestOperatorsAreCsr:
+    def test_normalize_and_dar_pair_construct_no_graph(self, monkeypatch):
+        built = []
+        real = Graph.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        g = _dags()[0]
+        mrg = split_edges(g, order_degree(g))
+        monkeypatch.setattr(Graph, "__post_init__", counting)
+        for mode in (RAW, ROW_MEAN, SYM_GCN):
+            normalize(mrg, mode)
+        dar_pair_from_dag(g)
+        assert built == []
+        graph_from_pairs(2, [(0, 1)])  # the stub does see a construction
+        assert len(built) == 1
+
+    def test_every_operator_is_read_only_csr(self):
+        g = _dags()[0]
+        mrg = split_edges(g, order_degree(g))
+        ops = [op for mode in (RAW, ROW_MEAN, SYM_GCN) for op in normalize(mrg, mode)]
+        ops += [operator_for_graph(g, mode) for mode in (RAW, ROW_MEAN, SYM_GCN)]
+        ops += list(dar_pair_from_dag(g))
+        for op in ops:
+            assert type(op) is sparse.csr_matrix
+            assert op.shape == (g.n, g.n)
+            for arr in (op.data, op.indices, op.indptr):
+                assert not arr.flags.writeable
+
+    @pytest.mark.parametrize("idx", range(5))
+    def test_dar_reverse_equals_reverse_graph_operator(self, idx):
+        g = _dags()[idx]
+        fwd, bwd = dar_pair_from_dag(g)
+        for op, ref in (
+            (fwd, operator_for_graph(g, ROW_MEAN)),
+            (bwd, operator_for_graph(reverse(g), ROW_MEAN)),
+        ):
+            assert op.shape == ref.shape
+            for name in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(op, name), getattr(ref, name))
 
 
 class TestSplitSummary:
