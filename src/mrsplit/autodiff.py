@@ -1,9 +1,9 @@
 """Minimal reverse-mode differentiation on numpy arrays.
 
 Just enough machinery for the desk-scale trainer: dense and sparse matrix
-products, the activations used by the convolutions, pooling, concatenation,
-element-wise maximum, and the MAE loss. Gradients accumulate on Tensor
-leaves after backward().
+products, the fused multi-relational layer sum, the activations used by the
+convolutions, concatenation, element-wise maximum, and the MAE loss.
+Gradients accumulate on Tensor leaves after backward().
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
+
+from . import convolution
 
 
 class Tensor:
@@ -46,9 +48,12 @@ def parameter(value) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # The first gradient is copied: g may be another node's grad (add passes
+    # its own through), which later += calls would otherwise alias.
     if t.grad is None:
-        t.grad = np.zeros_like(t.value)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float64)
+    else:
+        t.grad += g
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -59,12 +64,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, g)
 
     out._backward = back
-    return out
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.value * c, parents=(a,))
-    out._backward = lambda g: _accumulate(a, g * c)
     return out
 
 
@@ -86,6 +85,38 @@ def spmm(op: sparse.csr_matrix, x: Tensor) -> Tensor:
     return out
 
 
+def relation_sum(
+    h: Tensor,
+    ops: Sequence[sparse.csr_matrix],
+    ops_t: Sequence[sparse.csr_matrix],
+    ws: Sequence[Tensor],
+    self_w: Optional[Tensor] = None,
+) -> Tensor:
+    """sum_k A_k (h W_k), plus h W_self when self_w is given, as one node.
+
+    The forward is convolution.relation_sum. ops_t holds each operator's
+    transpose in CSR form for the backward pass. The backward feeds h its
+    relation terms in order and the self term last, the order in which a
+    chain of matmul, spmm and add nodes would, so gradients round alike.
+    """
+    value = convolution.relation_sum(
+        h.value, ops, [w.value for w in ws], None if self_w is None else self_w.value
+    )
+    out = Tensor(value, parents=(h, *ws) + (() if self_w is None else (self_w,)))
+
+    def back(g):
+        for op_t, w in zip(ops_t, ws):
+            t = op_t @ g
+            _accumulate(w, h.value.T @ t)
+            _accumulate(h, t @ w.value.T)
+        if self_w is not None:
+            _accumulate(self_w, h.value.T @ g)
+            _accumulate(h, g @ self_w.value.T)
+
+    out._backward = back
+    return out
+
+
 def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     """Add a (1, d) row vector to every row of x."""
     out = Tensor(x.value + b.value, parents=(x, b))
@@ -99,9 +130,13 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    mask = x.value > 0
-    out = Tensor(np.where(mask, x.value, 0.0), parents=(x,))
-    out._backward = lambda g: _accumulate(x, g * mask)
+    # Equals np.where(x > 0, x, 0.0) bit for bit, much faster: fmax maps NaN
+    # to 0, and adding +0.0 turns the -0.0 that fmax can pass through into
+    # +0.0 while leaving every other value unchanged.
+    value = np.fmax(x.value, 0.0)
+    value += 0.0
+    out = Tensor(value, parents=(x,))
+    out._backward = lambda g: _accumulate(x, g * (x.value > 0))
     return out
 
 
@@ -121,6 +156,11 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def identity(x: Tensor) -> Tensor:
     return x
+
+
+# Names of the activation nodes a config may name. A config's activation is
+# looked up on this module by name, so a wrapper bound over one is honored.
+ACTIVATIONS = ("identity", "relu", "leaky_relu", "sigmoid")
 
 
 def concat_cols(xs: Sequence[Tensor]) -> Tensor:
@@ -151,13 +191,6 @@ def elem_max(xs: Sequence[Tensor]) -> Tensor:
             _accumulate(x, g * (winner == k))
 
     out._backward = back
-    return out
-
-
-def mean_rows(x: Tensor) -> Tensor:
-    n = x.value.shape[0]
-    out = Tensor(x.value.mean(axis=0, keepdims=True), parents=(x,))
-    out._backward = lambda g: _accumulate(x, np.broadcast_to(g / n, x.value.shape).copy())
     return out
 
 

@@ -116,6 +116,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     seeds = tuple(range(args.model_seeds))
     outcome = compare_base_vs_split(task, config, seeds=seeds)
+    for run in outcome["runs"]:
+        for variant in run["diverged"]:
+            print(
+                f"error: {variant} diverged at model seed {run['seed']}: the "
+                f"training loss became non-finite; try a smaller --lr than {args.lr!r}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     lines = ["variant,seed,epoch,train_mae"]
     for run in outcome["runs"]:
         for epoch, mae in enumerate(run["base_trace"]):

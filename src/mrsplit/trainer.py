@@ -39,6 +39,8 @@ class ModelConfig:
             raise ValueError("layers and width must be at least 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant!r}")
+        if self.activation not in ad.ACTIVATIONS:
+            raise ValueError(f"unknown activation: {self.activation!r}")
         if self.jk not in ("none", "cat", "max"):
             raise ValueError(f"unknown jumping-knowledge mode: {self.jk!r}")
         if self.epochs < 0:
@@ -111,6 +113,7 @@ class CompiledTask:
     """Dataset fused into block-diagonal relation operators."""
 
     rel_ops: list[sparse.csr_matrix]  # one entry per relation (1 or 3)
+    rel_ops_t: list[sparse.csr_matrix]  # their transposes, for backward
     pool: sparse.csr_matrix  # num_graphs x total_nodes mean pooling
     X: np.ndarray  # stacked features
     targets: np.ndarray
@@ -134,6 +137,7 @@ def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
     )
     return CompiledTask(
         rel_ops=rel_ops,
+        rel_ops_t=[op.T.tocsr() for op in rel_ops],
         pool=pool,
         X=np.vstack(task.features),
         targets=task.targets,
@@ -185,34 +189,16 @@ def init_model(
     return ModelParams(embed, layer_rel, layer_self, head, head_bias)
 
 
-def _activation_fn(name: str):
-    if name == "relu":
-        return ad.relu
-    if name == "leaky_relu":
-        return ad.leaky_relu
-    if name == "sigmoid":
-        return ad.sigmoid
-    if name == "identity":
-        return ad.identity
-    raise ValueError(f"unknown activation: {name!r}")
-
-
 def forward(
     params: ModelParams, compiled: CompiledTask, config: ModelConfig
 ) -> ad.Tensor:
     """Prediction tensor for every graph; the returned tensor's graph holds
     all cached intermediates needed by backward()."""
-    act = _activation_fn(config.activation)
+    act = getattr(ad, config.activation)  # checked against ad.ACTIVATIONS
     h = ad.matmul(ad.Tensor(compiled.X), params.embed)
     states: list[ad.Tensor] = []
     for rel_ws, self_w in zip(params.layer_rel, params.layer_self):
-        pre = None
-        for op, w in zip(compiled.rel_ops, rel_ws):
-            term = ad.spmm(op, ad.matmul(h, w))
-            pre = term if pre is None else ad.add(pre, term)
-        if self_w is not None:
-            pre = ad.add(pre, ad.matmul(h, self_w))
-        out = act(pre)
+        out = act(ad.relation_sum(h, compiled.rel_ops, compiled.rel_ops_t, rel_ws, self_w))
         h = ad.add(out, h) if config.residual else out
         states.append(h)
     if config.jk == "cat":
@@ -236,9 +222,11 @@ class TrainResult:
         return self.trace[-1]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(task: SyntheticTask, config: ModelConfig, tied: bool = False) -> TrainResult:
     """Full-batch gradient descent; the trace holds the initial loss plus
-    one train MAE per epoch. A NaN loss marks the run as diverged."""
+    one train MAE per epoch. A non-finite loss ends the run and marks it
+    diverged, so the overflow that leads there raises no numpy warning."""
     compiled = compile_task(task, config)
     params = init_model(config, task.params.buckets, tied=tied)
     tensors = params.all_tensors()
@@ -284,6 +272,7 @@ def compare_base_vs_split(
                 "base_trace": base.trace,
                 "mrs_trace": mrs.trace,
                 "mrs_wins": mrs.final_mae < base.final_mae,
+                "diverged": [r.config.variant for r in (base, mrs) if r.diverged],
             }
         )
     return {

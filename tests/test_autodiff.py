@@ -2,6 +2,7 @@
 finite differences, plus the documented subgradient conventions."""
 
 import numpy as np
+import pytest
 from scipy import sparse
 
 from mrsplit import autodiff as ad
@@ -45,17 +46,29 @@ class TestOpGradients:
         b = ad.parameter(rng.uniform(0.1, 1, (4, 2)))
         fd_check(lambda: scalar_sum(ad.matmul(a, b)), [a, b])
 
-    def test_add_and_scale(self):
+    def test_add(self):
         rng = np.random.default_rng(1)
         a = ad.parameter(rng.uniform(0.1, 1, (3, 3)))
         b = ad.parameter(rng.uniform(0.1, 1, (3, 3)))
-        fd_check(lambda: scalar_sum(ad.scale(ad.add(a, b), 1.7)), [a, b])
+        fd_check(lambda: scalar_sum(ad.add(a, b)), [a, b])
 
     def test_spmm(self):
         rng = np.random.default_rng(2)
         op = sparse.random(4, 4, density=0.5, random_state=3, format="csr")
         x = ad.parameter(rng.uniform(0.1, 1, (4, 3)))
         fd_check(lambda: scalar_sum(ad.spmm(op, x)), [x])
+
+    def test_relation_sum(self):
+        rng = np.random.default_rng(3)
+        ops = [sparse.random(4, 4, density=0.5, random_state=k, format="csr") for k in range(3)]
+        ops_t = [op.T.tocsr() for op in ops]
+        h = ad.parameter(rng.uniform(0.1, 1, (4, 3)))
+        ws = [ad.parameter(rng.uniform(0.1, 1, (3, 2))) for _ in ops]
+        self_w = ad.parameter(rng.uniform(0.1, 1, (3, 2)))
+        fd_check(
+            lambda: scalar_sum(ad.relation_sum(h, ops, ops_t, ws, self_w)),
+            [h, *ws, self_w],
+        )
 
     def test_add_rowvec(self):
         rng = np.random.default_rng(4)
@@ -93,11 +106,6 @@ class TestOpGradients:
         a = ad.parameter(rng.uniform(0.0, 1, (3, 3)))
         b = ad.parameter(a.value + rng.uniform(0.1, 0.5, (3, 3)) * rng.choice([-1, 1], (3, 3)))
         fd_check(lambda: scalar_sum(ad.elem_max([a, b])), [a, b])
-
-    def test_mean_rows(self):
-        rng = np.random.default_rng(10)
-        x = ad.parameter(rng.uniform(0.1, 1, (6, 2)))
-        fd_check(lambda: scalar_sum(ad.mean_rows(x)), [x])
 
     def test_mae_loss(self):
         rng = np.random.default_rng(11)
@@ -154,3 +162,85 @@ class TestConventions:
         out = ad.relu(x)
         ad.backward(out)
         assert np.array_equal(x.grad, [[0.0, 1.0]])
+
+    def test_first_gradient_is_not_aliased(self):
+        # The inner add receives the root's gradient array and passes it on
+        # to a; an uncopied first gradient would make a.grad that same array,
+        # and the inner add's += would then leak into b.
+        a = ad.parameter(np.array([[1.0]]))
+        b = ad.parameter(np.array([[1.0]]))
+        ad.backward(ad.add(ad.add(a, b), a))
+        assert a.grad[0, 0] == 2.0
+        assert b.grad[0, 0] == 1.0
+
+    def test_relu_forward_bitwise_equals_where(self):
+        specials = np.array(
+            [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,
+             5e-324, -5e-324, 1e-310, -1e-310, 2.0, -2.0]
+        )
+        # Every length up to 40 puts each special both in vectorized blocks
+        # and in the tail; the strided view takes a non-contiguous path.
+        cases = [np.resize(np.roll(specials, k), n) for n in range(1, 41) for k in range(3)]
+        cases.append(np.resize(specials, (12, 12))[:, ::5])
+        for x in cases:
+            expected = np.where(x > 0, x, 0.0)
+            got = ad.relu(ad.Tensor(x)).value
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), x
+
+
+def chained_relation_sum(h, ops, ws, self_w):
+    """The per-relation matmul -> spmm -> add chain that ad.relation_sum
+    replaced in the trainer, kept as its oracle."""
+    pre = None
+    for op, w in zip(ops, ws):
+        term = ad.spmm(op, ad.matmul(h, w))
+        pre = term if pre is None else ad.add(pre, term)
+    if self_w is not None:
+        pre = ad.add(pre, ad.matmul(h, self_w))
+    return pre
+
+
+class TestRelationSumMatchesChain:
+    """The fused node rounds exactly as the chain it replaced: same forward
+    value and bitwise-equal gradients, also when h has a second consumer
+    whose gradient reaches h first (residual add, JK concat or max)."""
+
+    N, D_IN, D = 11, 3, 5
+
+    def _run(self, fused, relations, self_term, consumer):
+        rng = np.random.default_rng(100 + 10 * relations + self_term)
+        ops = [
+            sparse.random(self.N, self.N, density=0.35, random_state=rng, format="csr")
+            for _ in range(relations)
+        ]
+        X = rng.uniform(-1, 1, (self.N, self.D_IN))
+        embed = ad.parameter(rng.uniform(-1, 1, (self.D_IN, self.D)))
+        ws = [ad.parameter(rng.uniform(-1, 1, (self.D, self.D))) for _ in ops]
+        self_w = ad.parameter(rng.uniform(-1, 1, (self.D, self.D))) if self_term else None
+        target = rng.uniform(-1, 1, (self.N, 2 * self.D if consumer == "cat" else self.D))
+        h = ad.matmul(ad.Tensor(X), embed)
+        if fused:
+            pre = ad.relation_sum(h, ops, [op.T.tocsr() for op in ops], ws, self_w)
+        else:
+            pre = chained_relation_sum(h, ops, ws, self_w)
+        out = ad.relu(pre)
+        if consumer == "add":
+            out = ad.add(out, h)
+        elif consumer == "cat":
+            out = ad.concat_cols([h, out])
+        elif consumer == "max":
+            out = ad.elem_max([h, out])
+        loss = ad.mae_loss(out, target)
+        ad.backward(loss)
+        leaves = [embed, *ws] + ([self_w] if self_term else [])
+        return [loss.value, pre.value, h.grad] + [t.grad for t in leaves]
+
+    @pytest.mark.parametrize("consumer", [None, "add", "cat", "max"])
+    @pytest.mark.parametrize("self_term", [False, True])
+    @pytest.mark.parametrize("relations", [1, 3])
+    def test_value_and_gradients_equal_chain(self, relations, self_term, consumer):
+        fused = self._run(True, relations, self_term, consumer)
+        chained = self._run(False, relations, self_term, consumer)
+        assert len(fused) == len(chained)
+        for got, expected in zip(fused, chained):
+            assert np.array_equal(got, expected)

@@ -143,6 +143,16 @@ class TestTrainCommand:
         assert len(data) == 2  # one initial loss per variant
         assert lines[-1].startswith("# summary:")
 
+    def test_diverged_run_exits_usage_without_output(self):
+        code, out, err = _run(
+            ["train", "--count", "4", "--layers", "2", "--dim", "4", "--epochs", "6",
+             "--model-seeds", "1", "--lr", "1e200"]
+        )
+        assert code == EXIT_USAGE
+        assert out == ""  # no non-finite cell and no winner
+        assert err.startswith("error: gcn diverged at model seed 0")
+        assert len(err.splitlines()) == 1  # and no numpy overflow warnings
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

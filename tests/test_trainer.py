@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mrsplit import autodiff as ad
 from mrsplit.graph import graph_from_pairs
@@ -17,6 +18,7 @@ from mrsplit.trainer import (
     make_synthetic_task,
     train,
 )
+from test_autodiff import chained_relation_sum
 
 TINY_TASK = TaskParams(count=6, n_min=5, n_max=9, seed=0)
 
@@ -35,6 +37,10 @@ class TestConfigs:
     def test_rejects_bad_jk(self):
         with pytest.raises(ValueError):
             ModelConfig(jk="sum")
+
+    def test_rejects_unknown_activation(self):
+        with pytest.raises(ValueError, match="activation"):
+            ModelConfig(activation="foo")
 
     def test_rejects_zero_layers(self):
         with pytest.raises(ValueError):
@@ -88,6 +94,14 @@ class TestCompileAndForward:
         assert len(compiled.rel_ops) == 3
         assert compiled.pool.shape == (6, total)
         assert compiled.X.shape[0] == total
+
+    @pytest.mark.parametrize("variant", ["gcn", "mrs_gcn", "mrs_sage"])
+    def test_cached_transposes_are_csr(self, variant):
+        compiled = compile_task(make_synthetic_task(TINY_TASK), tiny_config(variant=variant))
+        assert len(compiled.rel_ops_t) == len(compiled.rel_ops)
+        for op, op_t in zip(compiled.rel_ops, compiled.rel_ops_t):
+            assert sparse.isspmatrix_csr(op_t)
+            assert np.array_equal(op_t.toarray(), op.T.toarray())
 
     def test_base_variant_single_operator(self):
         task = make_synthetic_task(TINY_TASK)
@@ -181,6 +195,40 @@ class TestTrain:
         task = make_synthetic_task(TINY_TASK)
         result = train(task, tiny_config(epochs=40, lr=0.1))
         assert result.final_mae < result.trace[0]
+
+
+class TestFusedTrainingMatchesChain:
+    """Training through ad.relation_sum gives the same trace, bit for bit,
+    as training with each layer built from the chain it replaced."""
+
+    # The four training configurations pinned in tests/golden/ (two layers), as
+    # (variant, ordering, residual, jk, task seed).
+    GOLDEN_CONFIGS = [
+        ("gcn", "degree", True, "none", 0),
+        ("sage", "random", False, "cat", 1),
+        ("gcn", "ppr", False, "max", 0),
+        ("sage", "features", True, "max", 0),
+    ]
+
+    @pytest.mark.parametrize("variant,ordering,residual,jk,task_seed", GOLDEN_CONFIGS)
+    def test_trace_equals_chained_forward(
+        self, monkeypatch, variant, ordering, residual, jk, task_seed
+    ):
+        task = make_synthetic_task(TaskParams(count=16, seed=task_seed))
+        for v in (variant, "mrs_" + variant):
+            config = ModelConfig(
+                variant=v, layers=2, width=32, ordering=ordering, residual=residual,
+                jk=jk, epochs=20,
+            )
+            fused = train(task, config).trace
+            with monkeypatch.context() as m:
+                m.setattr(
+                    ad, "relation_sum",
+                    lambda h, ops, ops_t, ws, self_w: chained_relation_sum(h, ops, ws, self_w),
+                )
+                chained = train(task, config).trace
+            assert len(fused) == 21
+            assert fused == chained
 
 
 class TestCompare:
