@@ -33,9 +33,7 @@ from .split import (
     split_edges,
 )
 from .convolution import (
-    Activation,
     LayerParams,
-    iterate,
     mrs_gat,
     mrs_gatedgcn,
     mrs_gcn,

@@ -130,25 +130,22 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
 
 
 def relu(x: Tensor) -> Tensor:
-    # Equals np.where(x > 0, x, 0.0) bit for bit, much faster: fmax maps NaN
-    # to 0, and adding +0.0 turns the -0.0 that fmax can pass through into
-    # +0.0 while leaving every other value unchanged.
-    value = np.fmax(x.value, 0.0)
-    value += 0.0
-    out = Tensor(value, parents=(x,))
+    out = Tensor(convolution.relu(x.value), parents=(x,))
     out._backward = lambda g: _accumulate(x, g * (x.value > 0))
     return out
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    mask = x.value >= 0
-    out = Tensor(np.where(mask, x.value, slope * x.value), parents=(x,))
-    out._backward = lambda g: _accumulate(x, g * np.where(mask, 1.0, slope))
+def leaky_relu(x: Tensor) -> Tensor:
+    out = Tensor(convolution.leaky_relu(x.value), parents=(x,))
+    # Scales g by 1 where x >= 0 and by the slope elsewhere (NaN included).
+    out._backward = lambda g: _accumulate(
+        x, g * np.maximum(x.value >= 0, convolution.LEAKY_SLOPE)
+    )
     return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.value))
+    s = convolution.sigmoid(x.value)
     out = Tensor(s, parents=(x,))
     out._backward = lambda g: _accumulate(x, g * s * (1.0 - s))
     return out
@@ -156,11 +153,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def identity(x: Tensor) -> Tensor:
     return x
-
-
-# Names of the activation nodes a config may name. A config's activation is
-# looked up on this module by name, so a wrapper bound over one is honored.
-ACTIVATIONS = ("identity", "relu", "leaky_relu", "sigmoid")
 
 
 def concat_cols(xs: Sequence[Tensor]) -> Tensor:

@@ -25,12 +25,19 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: Optional[str], text: str) -> int:
+    """Write text to path, or to stdout for "-"; EXIT_USAGE with an error
+    line when path cannot be written, else EXIT_OK."""
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return EXIT_OK
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return EXIT_OK
 
 
 def _json_dumps(obj) -> str:
@@ -53,8 +60,7 @@ def cmd_split(args: argparse.Namespace) -> int:
     mrg = split_edges(g, scores)
     payload = split_summary(mrg)
     payload["seed"] = args.seed
-    _write_text(args.output, _json_dumps(payload))
-    return EXIT_OK
+    return _write_text(args.output, _json_dumps(payload))
 
 
 def cmd_rod_trace(args: argparse.Namespace) -> int:
@@ -73,8 +79,7 @@ def cmd_rod_trace(args: argparse.Namespace) -> int:
             r = traces[variant]["rod_mean"][it]
             e = traces[variant]["dirichlet_mean"][it]
             lines.append(f"{it + 1},{variant},{r!r},{e!r}")
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _write_text(args.output, "\n".join(lines) + "\n")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -87,7 +92,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     }
     if args.trials == 0:
         bundle["warning"] = "trials=0: vacuous pass"
-    _write_text(args.output, _json_dumps(bundle))
+    if _write_text(args.output, _json_dumps(bundle)) != EXIT_OK:
+        return EXIT_USAGE
     if not bundle["all_passed"]:
         for r in reports:
             if not r.passed:
@@ -137,8 +143,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         for r in outcome["runs"]
     ]
     lines.append(f"# summary: winner={winner}; " + "; ".join(finals))
-    _write_text(args.output, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return _write_text(args.output, "\n".join(lines) + "\n")
 
 
 class _Parser(argparse.ArgumentParser):

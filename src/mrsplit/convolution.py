@@ -1,5 +1,5 @@
-"""Message-passing kernels: the generic linear multi-relational layer and
-the five named convolution variants, plus layer iteration for trajectories.
+"""Message-passing kernels: the component-wise activations, the generic
+linear multi-relational layer and the five named convolution variants.
 
 All kernels are pure functions of (features, relations, parameters). No
 transformation carries a bias term.
@@ -22,36 +22,36 @@ from .split import (
 )
 
 # Slope of the attention nonlinearity inside the GAT kernel (the published
-# constant, distinct from the configurable leaky_relu activation below).
+# constant, distinct from the leaky_relu activation below).
 _GAT_ATT_SLOPE = 0.2
 
-
-@dataclass(frozen=True)
-class Activation:
-    """Component-wise activation tag: identity, relu, leaky_relu, sigmoid."""
-
-    kind: str
-    slope: float = 0.01
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("identity", "relu", "leaky_relu", "sigmoid"):
-            raise ValueError(f"unknown activation: {self.kind!r}")
-        if self.kind == "leaky_relu" and not (0.0 < self.slope < 1.0):
-            raise ValueError("leaky_relu slope must lie in (0, 1)")
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "identity":
-            return x
-        if self.kind == "relu":
-            return np.maximum(x, 0.0)
-        if self.kind == "leaky_relu":
-            return np.where(x >= 0.0, x, self.slope * x)
-        return 1.0 / (1.0 + np.exp(-x))
+LEAKY_SLOPE = 0.01
 
 
-IDENTITY = Activation("identity")
-RELU = Activation("relu")
-LEAKY_RELU = Activation("leaky_relu")
+def identity(x: np.ndarray) -> np.ndarray:
+    return x
+
+
+def relu(x: np.ndarray) -> np.ndarray:
+    # Equals np.where(x > 0, x, 0.0) bit for bit, much faster: fmax maps NaN
+    # to 0, and adding +0.0 turns the -0.0 that fmax can pass through into
+    # +0.0 while leaving every other value unchanged.
+    out = np.fmax(x, 0.0)
+    out += 0.0
+    return out
+
+
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    return np.fmax(x, LEAKY_SLOPE * x)
+
+
+def sigmoid(x: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+# The component-wise activations a layer or a model config may name.
+ACTIVATIONS = {f.__name__: f for f in (identity, relu, leaky_relu, sigmoid)}
+ArrayFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def mrs_linear_layer(
     X: np.ndarray,
     ops: Sequence[sparse.csr_matrix],
     weights: Sequence[np.ndarray],
-    act: Activation = IDENTITY,
+    act: ArrayFn = identity,
 ) -> np.ndarray:
     """act(sum_k A_k X W_k); with one relation this is a plain convolution."""
     if len(ops) != len(weights):
@@ -185,14 +185,14 @@ def mrs_linear_layer(
 
 
 def mrs_gcn(
-    X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: Activation = IDENTITY
+    X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: ArrayFn = identity
 ) -> np.ndarray:
     ops = normalize(mrg, SYM_GCN)
     return mrs_linear_layer(X, ops, params.rel_weights, act)
 
 
 def mrs_sage(
-    X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: Activation = IDENTITY
+    X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: ArrayFn = identity
 ) -> np.ndarray:
     """Self transform plus mean-aggregated per-relation messages."""
     X = np.asarray(X, dtype=np.float64)
@@ -230,7 +230,7 @@ def _gat_head(
 
 
 def mrs_gat(
-    X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: Activation = IDENTITY
+    X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: ArrayFn = identity
 ) -> np.ndarray:
     """Two-head attention over per-relation transforms, heads concatenated.
 
@@ -257,7 +257,7 @@ def mrs_gat(
 
 
 def mrs_gin(
-    X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: Activation = IDENTITY
+    X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: ArrayFn = identity
 ) -> np.ndarray:
     """Sum of one GIN instantiation per edge relation.
 
@@ -269,7 +269,7 @@ def mrs_gin(
     total = None
     for k, (eps, w_hidden, w_out) in enumerate(params.gin):
         s = (1.0 + eps) * X + ops[k] @ X
-        h = np.maximum(s @ w_hidden, 0.0) @ w_out
+        h = relu(s @ w_hidden) @ w_out
         total = h if total is None else total + h
     return act(total)
 
@@ -301,7 +301,7 @@ def mrs_gatedgcn(
     edge_attrs: Optional[dict[tuple[int, int], np.ndarray]],
     mrg: MultiRelGraph,
     params: LayerParams,
-    act: Activation = IDENTITY,
+    act: ArrayFn = identity,
 ) -> np.ndarray:
     """Gated aggregation with per-relation message transforms.
 
@@ -329,29 +329,3 @@ def mrs_gatedgcn(
         den = den + segment @ gate
     return act(X @ params.gate_self + num / (den + params.gate_eps))
 
-
-def iterate(
-    X0: np.ndarray,
-    layer_factory: Callable[[int], Callable[[np.ndarray], np.ndarray]],
-    num_layers: int,
-    renormalize: bool = False,
-) -> list[np.ndarray]:
-    """Apply num_layers independently parameterized layers.
-
-    layer_factory(k) must return the k-th layer function with freshly
-    sampled parameters. Returns [X0, X1, ..., X_L] so index equals step.
-    With renormalize=True each state is rescaled to unit Frobenius norm,
-    which is exact up to scale for positively homogeneous layers and keeps
-    deep trajectories inside floating-point range.
-    """
-    if num_layers < 1:
-        raise ValueError("need at least one layer")
-    states = [np.asarray(X0, dtype=np.float64)]
-    for k in range(num_layers):
-        nxt = layer_factory(k)(states[-1])
-        if renormalize:
-            norm = np.linalg.norm(nxt)
-            if norm > 0:
-                nxt = nxt / norm
-        states.append(nxt)
-    return states

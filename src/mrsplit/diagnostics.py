@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy import sparse
 
-from .convolution import IDENTITY, LEAKY_RELU, relation_sum
+from .convolution import identity, leaky_relu, relation_sum, relu
 from .ensembles import molecule_like_graph, random_connected_dag
 from .graph import Graph, graph_from_pairs, longest_path_length
 from .ordering import order_random
@@ -180,7 +180,7 @@ class VerificationReport:
         }
 
 
-_SIGMAS = (IDENTITY, LEAKY_RELU)
+_SIGMAS = (identity, leaky_relu)
 
 
 def _run_suite(
@@ -230,7 +230,7 @@ def _rank_checks(
     checks = []
     for sigma in _SIGMAS:
         rank = numeric_rank(sigma(pre)[rows])
-        note = f"trial {t} ({sigma.kind}): rank {rank} < {target}"
+        note = f"trial {t} ({sigma.__name__}): rank {rank} < {target}"
         checks.append((rank - target, note if rank < target else None))
     return checks
 
@@ -290,7 +290,7 @@ def verify_zero_convergence(
         depth = longest_path_length(g) + 1
         X = rng.uniform(-1, 1, (g.n, d))
         for _ in range(depth):
-            X = np.maximum(relation_sum(X, mats, [rng.uniform(-1, 1, (d, d))]), 0.0)
+            X = relu(relation_sum(X, mats, [rng.uniform(-1, 1, (d, d))]))
         peak = float(np.abs(X).max())
         note = f"trial {t}: residual magnitude {peak}"
         return [(-peak, note if peak != 0.0 else None)]
@@ -326,7 +326,7 @@ def verify_dag_pair_rank(
             row_min = float(np.linalg.norm(X, axis=1).min())
             rank = numeric_rank(X)
             failed = row_min <= ROW_ZERO_TOL or rank < 2
-            note = f"trial {t} ({sigma.kind}): rank {rank}, min row {row_min:.2e}"
+            note = f"trial {t} ({sigma.__name__}): rank {rank}, min row {row_min:.2e}"
             checks.append((min(rank - 2, row_min - ROW_ZERO_TOL), note if failed else None))
         return checks
 

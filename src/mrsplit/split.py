@@ -51,10 +51,11 @@ VARIANTS = {
 
 @dataclass(frozen=True)
 class MultiRelGraph:
-    """A graph split into (E1, E2, E3) plus the ordering that produced it.
+    """A graph's arcs in relations: (E1, E2, E3) plus the ordering that
+    produced them, or one relation of every arc with no ordering.
 
     relations[k] holds the indices of relation k's arcs in base, in base arc
-    order, as a read-only array. The split is a function of base and
+    order, as a read-only array. The relations are a function of base and
     ordering, so relations takes no part in equality or hashing. normalize()
     keeps the operators it builds in _operators, one entry per mode; the
     cache takes no part in equality, hashing or repr.
@@ -62,7 +63,7 @@ class MultiRelGraph:
 
     base: Graph
     relations: tuple[np.ndarray, ...] = field(compare=False)
-    ordering: OrderingScores
+    ordering: Optional[OrderingScores]
     _operators: dict[str, tuple[sparse.csr_matrix, ...]] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
@@ -70,6 +71,17 @@ class MultiRelGraph:
     def relation_graph(self, k: int) -> Graph:
         arcs, b = self.relations[k], self.base
         return Graph(n=b.n, src=b.src[arcs], dst=b.dst[arcs], w=b.w[arcs])
+
+
+def _read_only(arcs: np.ndarray) -> np.ndarray:
+    arcs.flags.writeable = False
+    return arcs
+
+
+def whole_graph(g: Graph) -> MultiRelGraph:
+    """g unsplit: one relation that holds every arc (a base convolution)."""
+    every_arc = _read_only(np.arange(g.num_edges))
+    return MultiRelGraph(base=g, relations=(every_arc,), ordering=None)
 
 
 def split_edges(g: Graph, scores: OrderingScores) -> MultiRelGraph:
@@ -84,9 +96,7 @@ def split_edges(g: Graph, scores: OrderingScores) -> MultiRelGraph:
         )
     r = scores.as_array()
     up, down = r[g.src] < r[g.dst], r[g.src] > r[g.dst]
-    relations = tuple(np.flatnonzero(m) for m in (up, down, ~(up | down)))
-    for arcs in relations:
-        arcs.flags.writeable = False
+    relations = tuple(_read_only(np.flatnonzero(m)) for m in (up, down, ~(up | down)))
     return MultiRelGraph(base=g, relations=relations, ordering=scores)
 
 
@@ -140,7 +150,7 @@ def normalize(
 
 def operator_for_graph(g: Graph, mode: str = RAW) -> sparse.csr_matrix:
     """Single-relation operator for a whole graph, degrees from g itself."""
-    return _operator(g.n, g.src, g.dst, g.w, mode, in_degrees(g))
+    return normalize(whole_graph(g), mode)[0]
 
 
 def variant_operators(
@@ -153,9 +163,11 @@ def variant_operators(
     """The relation operators a variant aggregates over on g: one whole-graph
     operator, or the three split operators under the named ordering."""
     spec = VARIANTS[variant]
-    if not spec.split:
-        return (operator_for_graph(g, spec.mode),)
-    return normalize(split_edges(g, order_by(ordering, g, seed, X)), spec.mode)
+    if spec.split:
+        mrg = split_edges(g, order_by(ordering, g, seed, X))
+    else:
+        mrg = whole_graph(g)
+    return normalize(mrg, spec.mode)
 
 
 def dar_pair_from_dag(g: Graph) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:

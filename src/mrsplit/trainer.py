@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from . import autodiff as ad
-from .convolution import glorot
+from .convolution import ACTIVATIONS, glorot
 from .ensembles import random_connected_graph
 from .graph import Graph, in_degrees
 from .split import VARIANTS, variant_operators
@@ -39,7 +39,7 @@ class ModelConfig:
             raise ValueError("layers and width must be at least 1")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant!r}")
-        if self.activation not in ad.ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation: {self.activation!r}")
         if self.jk not in ("none", "cat", "max"):
             raise ValueError(f"unknown jumping-knowledge mode: {self.jk!r}")
@@ -194,7 +194,9 @@ def forward(
 ) -> ad.Tensor:
     """Prediction tensor for every graph; the returned tensor's graph holds
     all cached intermediates needed by backward()."""
-    act = getattr(ad, config.activation)  # checked against ad.ACTIVATIONS
+    # By name (checked against ACTIVATIONS), so a wrapper bound over one of
+    # the autodiff nodes is honored.
+    act = getattr(ad, config.activation)
     h = ad.matmul(ad.Tensor(compiled.X), params.embed)
     states: list[ad.Tensor] = []
     for rel_ws, self_w in zip(params.layer_rel, params.layer_self):

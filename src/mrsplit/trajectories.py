@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import glorot, relation_sum
+from .convolution import glorot, relation_sum, relu
 from .diagnostics import dirichlet_energy, rod
 from .ensembles import molecule_like_graph
 from .graph import Graph
@@ -57,7 +57,7 @@ def _trace_one(
     for it in range(config.layers):
         weights = [glorot(rng, d, d) for _ in mats]
         self_weight = glorot(rng, d, d) if uses_self else None
-        X = np.maximum(relation_sum(X, mats, weights, self_weight), 0.0)
+        X = relu(relation_sum(X, mats, weights, self_weight))
         norm = np.linalg.norm(X)
         if norm == 0.0:
             rods[it:] = 0.0

@@ -6,6 +6,7 @@ import pytest
 from scipy import sparse
 
 from mrsplit import autodiff as ad
+from mrsplit.convolution import ACTIVATIONS
 
 FD_STEP = 1e-5
 FD_RTOL = 1e-5
@@ -162,6 +163,18 @@ class TestConventions:
         out = ad.relu(x)
         ad.backward(out)
         assert np.array_equal(x.grad, [[0.0, 1.0]])
+
+    def test_leaky_relu_gradient_scales_negatives(self):
+        x = ad.parameter(np.array([[-1.0, -0.0, 0.0, 2.0, np.nan]]))
+        ad.backward(ad.leaky_relu(x))
+        assert np.array_equal(x.grad, [[0.01, 1.0, 1.0, 1.0, 0.01]])
+
+    @pytest.mark.parametrize("name", sorted(ACTIVATIONS))
+    def test_node_forward_is_the_table_function(self, name):
+        x = np.array([-0.0, 0.0, np.nan, -np.inf, 5e-324, -5e-324, 3.0, -3.0] * 3)
+        got = getattr(ad, name)(ad.Tensor(x)).value
+        expected = ACTIVATIONS[name](x)
+        assert got.tobytes() == expected.tobytes()
 
     def test_first_gradient_is_not_aliased(self):
         # The inner add receives the root's gradient array and passes it on

@@ -254,6 +254,26 @@ def test_bad_counts_and_names_exit_usage(argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        PPR_SPLIT,
+        ["rod-trace", "--graphs", "1", "--layers", "1", "--dim", "2"],
+        ["verify", "--trials", "1"],
+        TINY_TRAIN,
+    ],
+    ids=["split", "rod-trace", "verify", "train"],
+)
+@pytest.mark.parametrize("kind", ["missing_dir", "directory"])
+def test_unwritable_output_exits_usage(argv, kind, tmp_path):
+    path = str(tmp_path / "missing" / "out" if kind == "missing_dir" else tmp_path)
+    code, out, err = _run([*argv, "--output", path])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["split", "--input", "graph.tsv", "--ordering", "random"],
         ["rod-trace"],
         ["verify"],

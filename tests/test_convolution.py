@@ -1,18 +1,16 @@
-"""Message-passing kernels: the linear layer, the five variants, iterate."""
+"""Message-passing kernels: the activations, the linear layer, the five variants."""
 
 import numpy as np
 import pytest
 
 from mrsplit.convolution import (
-    Activation,
-    IDENTITY,
-    LEAKY_RELU,
+    ACTIVATIONS,
     LayerParams,
-    RELU,
     gat_params,
     gatedgcn_params,
     gin_params,
-    iterate,
+    identity,
+    leaky_relu,
     linear_params,
     mrs_gat,
     mrs_gatedgcn,
@@ -20,11 +18,13 @@ from mrsplit.convolution import (
     mrs_gin,
     mrs_linear_layer,
     mrs_sage,
+    relu,
     sage_params,
+    sigmoid,
 )
 from mrsplit.graph import Graph, add_leaf_self_loops, graph_from_pairs, longest_path_length
 from mrsplit.ordering import OrderingScores, order_degree
-from mrsplit.split import RAW, ROW_MEAN, operator_for_graph, split_edges
+from mrsplit.split import RAW, ROW_MEAN, operator_for_graph, split_edges, whole_graph
 
 _ATT_SLOPE = 0.2  # the published GAT attention slope the kernel uses
 
@@ -174,27 +174,48 @@ class TestVectorizedAgainstPerEdge:
         )
 
 
+# Every special value both in numpy's vectorized blocks and in an array's
+# tail (lengths 1 to 40), plus a strided view, which takes another path.
+_SPECIALS = np.array(
+    [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,
+     5e-324, -5e-324, 1e-310, -1e-310, 2.0, -2.0]
+)
+SPECIAL_CASES = [np.resize(np.roll(_SPECIALS, k), n) for n in range(1, 41) for k in range(3)]
+SPECIAL_CASES.append(np.resize(_SPECIALS, (12, 12))[:, ::5])
+
+
 class TestActivation:
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            Activation("softsign")
-
-    def test_leaky_slope_bounds(self):
-        with pytest.raises(ValueError):
-            Activation("leaky_relu", slope=1.5)
-
     def test_values(self):
         x = np.array([-2.0, 0.0, 3.0])
-        assert np.array_equal(RELU(x), [0.0, 0.0, 3.0])
-        assert np.allclose(LEAKY_RELU(x), [-0.02, 0.0, 3.0])
-        assert np.allclose(Activation("sigmoid")(np.zeros(2)), 0.5)
+        assert np.array_equal(relu(x), [0.0, 0.0, 3.0])
+        assert np.allclose(leaky_relu(x), [-0.02, 0.0, 3.0])
+        assert np.allclose(sigmoid(np.zeros(2)), 0.5)
+
+    def test_table_names_each_function(self):
+        assert ACTIVATIONS == {
+            "identity": identity, "relu": relu,
+            "leaky_relu": leaky_relu, "sigmoid": sigmoid,
+        }
+
+    @pytest.mark.parametrize(
+        "act,where",
+        [
+            (relu, lambda x: np.where(x > 0, x, 0.0)),
+            (leaky_relu, lambda x: np.where(x >= 0, x, 0.01 * x)),
+        ],
+        ids=["relu", "leaky_relu"],
+    )
+    def test_bitwise_equals_where(self, act, where):
+        for x in SPECIAL_CASES:
+            got, expected = act(x), where(x)
+            assert np.array_equal(got.view(np.int64), expected.view(np.int64)), x
 
 
 class TestLinearLayer:
     def test_zero_input_zero_output(self):
         ops = [operator_for_graph(undirected_path(), RAW)]
         X = np.zeros((3, 2))
-        for act in (IDENTITY, RELU, LEAKY_RELU):
+        for act in (identity, relu, leaky_relu):
             out = mrs_linear_layer(X, ops, [np.ones((2, 2))], act)
             assert np.all(out == 0.0)
 
@@ -439,91 +460,89 @@ class TestMrsGatedGcn:
 
 
 class TestTiedReduction:
-    """Tied per-relation transforms make the split invisible (base variant)."""
+    """Tied per-relation transforms make the split invisible: the split
+    kernel equals the base kernel, run on whole_graph(g) with one transform
+    per relation, and on the all-ties split that stands in for it."""
 
     def _pair(self, seed, n=8, extra=6):
         rng = np.random.default_rng(seed)
         g = random_undirected(rng, n, extra)
         split = split_edges(g, order_degree(g))
-        unsplit = all_ties_split(g)
         X = rng.uniform(-1, 1, (n, 3))
-        return rng, split, unsplit, X
+        return rng, split, whole_graph(g), all_ties_split(g), X
+
+    def _check(self, kernel, split, whole, unsplit, tied, single):
+        out = kernel(split, tied)
+        assert np.abs(out - kernel(whole, single)).max() < 1e-10
+        assert np.abs(out - kernel(unsplit, tied)).max() < 1e-10
 
     def test_gcn(self):
-        rng, split, unsplit, X = self._pair(20)
+        rng, split, whole, unsplit, X = self._pair(20)
         w = rng.uniform(-1, 1, (3, 3))
-        params = LayerParams(rel_weights=(w, w, w))
-        diff = mrs_gcn(X, split, params) - mrs_gcn(X, unsplit, params)
-        assert np.abs(diff).max() < 1e-10
+        self._check(
+            lambda mrg, p: mrs_gcn(X, mrg, p), split, whole, unsplit,
+            LayerParams(rel_weights=(w, w, w)), LayerParams(rel_weights=(w,)),
+        )
 
     def test_sage(self):
-        rng, split, unsplit, X = self._pair(21)
-        w = rng.uniform(-1, 1, (3, 3))
-        params = LayerParams(rel_weights=(w, w, w), self_weight=rng.uniform(-1, 1, (3, 3)))
-        diff = mrs_sage(X, split, params) - mrs_sage(X, unsplit, params)
-        assert np.abs(diff).max() < 1e-10
+        rng, split, whole, unsplit, X = self._pair(21)
+        w, s = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))
+        self._check(
+            lambda mrg, p: mrs_sage(X, mrg, p), split, whole, unsplit,
+            LayerParams(rel_weights=(w, w, w), self_weight=s),
+            LayerParams(rel_weights=(w,), self_weight=s),
+        )
 
     def test_gat(self):
-        rng, split, unsplit, X = self._pair(22)
+        rng, split, whole, unsplit, X = self._pair(22)
         w1, w2 = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))
-        params = LayerParams(
-            rel_weights=(w1, w1, w1, w2, w2, w2),
-            att_vectors=(rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6)),
+        att = (rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6))
+        self._check(
+            lambda mrg, p: mrs_gat(X, mrg, p), split, whole, unsplit,
+            LayerParams(rel_weights=(w1, w1, w1, w2, w2, w2), att_vectors=att),
+            LayerParams(rel_weights=(w1, w2), att_vectors=att),
         )
-        diff = mrs_gat(X, split, params) - mrs_gat(X, unsplit, params)
-        assert np.abs(diff).max() < 1e-10
 
     def test_gatedgcn(self):
-        rng, split, unsplit, X = self._pair(23)
+        rng, split, whole, unsplit, X = self._pair(23)
         b = rng.uniform(-1, 1, (3, 3))
-        params = LayerParams(
-            gate_self=rng.uniform(-1, 1, (3, 3)), gate_rel=(b, b, b),
-            gate_edge=rng.uniform(-1, 1, (3, 3)),
-            gate_recv=rng.uniform(-1, 1, (3, 3)),
-            gate_send=rng.uniform(-1, 1, (3, 3)),
+        gates = {
+            name: rng.uniform(-1, 1, (3, 3))
+            for name in ("gate_self", "gate_edge", "gate_recv", "gate_send")
+        }
+        self._check(
+            lambda mrg, p: mrs_gatedgcn(X, None, mrg, p), split, whole, unsplit,
+            LayerParams(gate_rel=(b, b, b), **gates), LayerParams(gate_rel=(b,), **gates),
         )
-        diff = mrs_gatedgcn(X, None, split, params) - mrs_gatedgcn(
-            X, None, unsplit, params
+
+    def test_gin(self):
+        # GIN applies its MLP per relation, so tying does not reduce a real
+        # split; the all-ties split with the other relations zeroed does.
+        rng, _, whole, unsplit, X = self._pair(24)
+        mlp = (0.5, rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)))
+        zero = (0.0, np.zeros((3, 3)), np.zeros((3, 3)))
+        assert np.array_equal(
+            mrs_gin(X, whole, LayerParams(gin=(mlp,))),
+            mrs_gin(X, unsplit, LayerParams(gin=(zero, zero, mlp))),
         )
-        assert np.abs(diff).max() < 1e-10
 
 
 class TestIterate:
-    def test_single_layer_matches_direct_call(self):
-        rng = np.random.default_rng(30)
-        ops = [operator_for_graph(undirected_path(), ROW_MEAN)]
-        w = rng.uniform(-1, 1, (2, 2))
-        X0 = rng.uniform(-1, 1, (3, 2))
-        states = iterate(
-            X0, lambda k: (lambda X: mrs_linear_layer(X, ops, [w], RELU)), 1
-        )
-        assert len(states) == 2
-        assert np.array_equal(states[1], mrs_linear_layer(X0, ops, [w], RELU))
+    """Deep stacks: mrs_linear_layer applied in a loop."""
 
     def test_dag_mean_relu_reaches_exact_zero(self):
         g = graph_from_pairs(4, [(0, 1), (1, 2), (2, 3)])
-        op = operator_for_graph(g, ROW_MEAN)
+        ops = [operator_for_graph(g, ROW_MEAN)]
         rng = np.random.default_rng(31)
-        depth = longest_path_length(g) + 1
-
-        def layer(_k):
-            w = rng.uniform(-1, 1, (3, 3))
-            return lambda X: np.maximum(op @ (X @ w), 0.0)
-
-        states = iterate(rng.uniform(-1, 1, (4, 3)), layer, depth)
-        assert np.abs(states[depth]).max() == 0.0
+        X = rng.uniform(-1, 1, (4, 3))
+        for _ in range(longest_path_length(g) + 1):
+            X = mrs_linear_layer(X, ops, [rng.uniform(-1, 1, (3, 3))], relu)
+        assert np.abs(X).max() == 0.0
 
     def test_leaf_self_loop_keeps_leaf_alive(self):
         g = add_leaf_self_loops(graph_from_pairs(3, [(0, 1), (1, 2)]))
-        op = operator_for_graph(g, ROW_MEAN)
-        X0 = np.abs(np.random.default_rng(32).uniform(0.1, 1, (3, 2)))
-        states = iterate(
-            X0,
-            lambda k: (lambda X: np.maximum(op @ (X @ np.eye(2)), 0.0)),
-            6,
-        )
-        assert np.linalg.norm(states[-1][2]) > 0.0
-
-    def test_requires_positive_layer_count(self):
-        with pytest.raises(ValueError):
-            iterate(np.ones((2, 2)), lambda k: (lambda X: X), 0)
+        ops = [operator_for_graph(g, ROW_MEAN)]
+        X = np.abs(np.random.default_rng(32).uniform(0.1, 1, (3, 2)))
+        for _ in range(6):
+            X = mrs_linear_layer(X, ops, [np.eye(2)], relu)
+        assert np.linalg.norm(X[2]) > 0.0

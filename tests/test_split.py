@@ -25,6 +25,7 @@ from mrsplit.split import (
     operator_for_graph,
     split_edges,
     split_summary,
+    whole_graph,
 )
 
 
@@ -153,6 +154,45 @@ class TestSplitEdges:
         assert relation_arcs(mrg, 0) == relation_arcs(flipped, 1)
         assert relation_arcs(mrg, 1) == relation_arcs(flipped, 0)
         assert relation_arcs(mrg, 2) == relation_arcs(flipped, 2)
+
+
+class TestWholeGraph:
+    """A base (unsplit) graph is one relation that holds every arc."""
+
+    @settings(max_examples=40)
+    @given(graph_and_scores())
+    def test_one_read_only_relation_of_every_arc(self, gs):
+        g, _ = gs
+        mrg = whole_graph(g)
+        assert mrg.base is g and mrg.ordering is None
+        (every_arc,) = mrg.relations
+        assert every_arc.dtype.kind == "i"
+        assert np.array_equal(every_arc, np.arange(g.num_edges))
+        with pytest.raises(ValueError, match="read-only"):
+            every_arc[...] = 0
+        assert arcs(mrg.relation_graph(0)) == arcs(g)
+
+    @settings(max_examples=40)
+    @given(graph_and_scores())
+    def test_equal_to_itself_and_unequal_to_any_split(self, gs):
+        g, scores = gs
+        mrg = whole_graph(g)
+        assert mrg == whole_graph(g) and hash(mrg) == hash(whole_graph(g))
+        assert mrg != split_edges(g, scores)
+        assert mrg != split_edges(g, scores_of([0] * g.n))
+
+    @settings(max_examples=40)
+    @given(graph_and_scores())
+    def test_operator_for_graph_equals_direct_operator(self, gs):
+        g, _ = gs
+        for mode in (RAW, ROW_MEAN, SYM_GCN):
+            op = operator_for_graph(g, mode)
+            ref = split._operator(g.n, g.src, g.dst, g.w, mode, in_degrees(g))
+            assert op.shape == ref.shape
+            for name in ("data", "indices", "indptr"):
+                got, want = getattr(op, name), getattr(ref, name)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
 
 
 class TestNormalize:
