@@ -78,7 +78,7 @@ def cmd_rod_trace(args: argparse.Namespace) -> int:
         for variant in config.variants:
             r = traces[variant]["rod_mean"][it]
             e = traces[variant]["dirichlet_mean"][it]
-            lines.append(f"{it + 1},{variant},{r!r},{e!r}")
+            lines.append(f"{it + 1},{variant},{float(r)!r},{float(e)!r}")
     return _write_text(args.output, "\n".join(lines) + "\n")
 
 
@@ -130,16 +130,17 @@ def cmd_train(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_USAGE
+    base, mrs = outcome["base_variant"], outcome["mrs_variant"]
     lines = ["variant,seed,epoch,train_mae"]
     for run in outcome["runs"]:
         for epoch, mae in enumerate(run["base_trace"]):
-            lines.append(f"{outcome['base_variant']},{run['seed']},{epoch},{mae!r}")
+            lines.append(f"{base},{run['seed']},{epoch},{float(mae)!r}")
         for epoch, mae in enumerate(run["mrs_trace"]):
-            lines.append(f"{outcome['mrs_variant']},{run['seed']},{epoch},{mae!r}")
-    winner = outcome["mrs_variant"] if outcome["mrs_wins_all"] else "mixed"
+            lines.append(f"{mrs},{run['seed']},{epoch},{float(mae)!r}")
+    winner = mrs if outcome["mrs_wins_all"] else "mixed"
     finals = [
-        f"seed {r['seed']}: {outcome['base_variant']}={r['base_final']!r} "
-        f"{outcome['mrs_variant']}={r['mrs_final']!r}"
+        f"seed {r['seed']}: {base}={float(r['base_final'])!r} "
+        f"{mrs}={float(r['mrs_final'])!r}"
         for r in outcome["runs"]
     ]
     lines.append(f"# summary: winner={winner}; " + "; ".join(finals))

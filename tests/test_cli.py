@@ -289,6 +289,22 @@ def test_seed_must_be_non_negative_integer(argv, seed):
     assert "--seed" in err.splitlines()[0]
 
 
+def test_csv_value_cells_parse_as_floats():
+    code, trace, _ = _run(["rod-trace", "--graphs", "2", "--layers", "3", "--dim", "4"])
+    assert code == EXIT_OK
+    code, train, _ = _run([*TINY_TRAIN, "--model-seeds", "2"])
+    assert code == EXIT_OK
+    *rows, summary = train.splitlines()[1:]
+    cells = [cell for line in trace.splitlines()[1:] for cell in line.split(",")[2:]]
+    cells += [line.split(",")[3] for line in rows]
+    # "# summary: winner=W; seed 0: gcn=X mrs_gcn=Y; seed 1: ..."
+    for per_seed in summary.split("; ")[1:]:
+        cells += [pair.split("=")[1] for pair in per_seed.split(": ")[1].split(" ")]
+    assert len(cells) == 3 * 4 * 2 + 2 * 2 * 2 + 2 * 2
+    for cell in cells:
+        assert repr(float(cell)) == cell
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(mrsplit.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
