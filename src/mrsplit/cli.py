@@ -8,6 +8,7 @@ subcommands are deterministic given identical arguments and seed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -25,19 +26,13 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _write_text(path: Optional[str], text: str) -> int:
-    """Write text to path, or to stdout for "-"; EXIT_USAGE with an error
-    line when path cannot be written, else EXIT_OK."""
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return EXIT_OK
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return EXIT_OK
+def _open_output(path: str):
+    """The --output stream as a context manager: stdout for "-", else path
+    opened for writing. Commands open it before their main work, so an
+    unwritable path fails at once."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8")
 
 
 def _json_dumps(obj) -> str:
@@ -51,16 +46,17 @@ def cmd_split(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    scores = order_by(
-        args.ordering, g, args.seed, ppr_alpha=args.ppr_alpha, ppr_iters=args.ppr_iters
-    )
-    mrg = split_edges(g, scores)
-    payload = split_summary(mrg)
-    payload["seed"] = args.seed
-    return _write_text(args.output, _json_dumps(payload))
+    # Opened only now, after the input is read, so --output may name --input.
+    with _open_output(args.output) as fh:
+        scores = order_by(
+            args.ordering, g, args.seed,
+            ppr_alpha=args.ppr_alpha, ppr_iters=args.ppr_iters,
+        )
+        mrg = split_edges(g, scores)
+        payload = split_summary(mrg)
+        payload["seed"] = args.seed
+        fh.write(_json_dumps(payload))
+    return EXIT_OK
 
 
 def cmd_rod_trace(args: argparse.Namespace) -> int:
@@ -72,28 +68,30 @@ def cmd_rod_trace(args: argparse.Namespace) -> int:
         ordering=args.ordering,
         seed=args.seed,
     )
-    traces = rod_trace(config)
-    lines = ["iter,variant,rod_mean,dirichlet_mean"]
-    for it in range(config.layers):
-        for variant in config.variants:
-            r = traces[variant]["rod_mean"][it]
-            e = traces[variant]["dirichlet_mean"][it]
-            lines.append(f"{it + 1},{variant},{float(r)!r},{float(e)!r}")
-    return _write_text(args.output, "\n".join(lines) + "\n")
+    with _open_output(args.output) as fh:
+        traces = rod_trace(config)
+        lines = ["iter,variant,rod_mean,dirichlet_mean"]
+        for it in range(config.layers):
+            for variant in config.variants:
+                r = traces[variant]["rod_mean"][it]
+                e = traces[variant]["dirichlet_mean"][it]
+                lines.append(f"{it + 1},{variant},{float(r)!r},{float(e)!r}")
+        fh.write("\n".join(lines) + "\n")
+    return EXIT_OK
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    reports = run_full_suite(seed=args.seed, trials=args.trials)
-    bundle = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "reports": [r.to_dict() for r in reports],
-        "all_passed": all(r.passed for r in reports),
-    }
-    if args.trials == 0:
-        bundle["warning"] = "trials=0: vacuous pass"
-    if _write_text(args.output, _json_dumps(bundle)) != EXIT_OK:
-        return EXIT_USAGE
+    with _open_output(args.output) as fh:
+        reports = run_full_suite(seed=args.seed, trials=args.trials)
+        bundle = {
+            "seed": args.seed,
+            "trials": args.trials,
+            "reports": [r.to_dict() for r in reports],
+            "all_passed": all(r.passed for r in reports),
+        }
+        if args.trials == 0:
+            bundle["warning"] = "trials=0: vacuous pass"
+        fh.write(_json_dumps(bundle))
     if not bundle["all_passed"]:
         for r in reports:
             if not r.passed:
@@ -107,9 +105,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    task = make_synthetic_task(
-        TaskParams(count=args.count, seed=args.seed)
-    )
+    params = TaskParams(count=args.count, seed=args.seed)
     config = ModelConfig(
         variant=args.variant,
         layers=args.layers,
@@ -120,31 +116,34 @@ def cmd_train(args: argparse.Namespace) -> int:
         lr=args.lr,
         epochs=args.epochs,
     )
-    seeds = tuple(range(args.model_seeds))
-    outcome = compare_base_vs_split(task, config, seeds=seeds)
-    for run in outcome["runs"]:
-        for variant in run["diverged"]:
-            print(
-                f"error: {variant} diverged at model seed {run['seed']}: the "
-                f"training loss became non-finite; try a smaller --lr than {args.lr!r}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-    base, mrs = outcome["base_variant"], outcome["mrs_variant"]
-    lines = ["variant,seed,epoch,train_mae"]
-    for run in outcome["runs"]:
-        for epoch, mae in enumerate(run["base_trace"]):
-            lines.append(f"{base},{run['seed']},{epoch},{float(mae)!r}")
-        for epoch, mae in enumerate(run["mrs_trace"]):
-            lines.append(f"{mrs},{run['seed']},{epoch},{float(mae)!r}")
-    winner = mrs if outcome["mrs_wins_all"] else "mixed"
-    finals = [
-        f"seed {r['seed']}: {base}={float(r['base_final'])!r} "
-        f"{mrs}={float(r['mrs_final'])!r}"
-        for r in outcome["runs"]
-    ]
-    lines.append(f"# summary: winner={winner}; " + "; ".join(finals))
-    return _write_text(args.output, "\n".join(lines) + "\n")
+    with _open_output(args.output) as fh:
+        seeds = tuple(range(args.model_seeds))
+        outcome = compare_base_vs_split(make_synthetic_task(params), config, seeds)
+        for run in outcome["runs"]:
+            for variant in run["diverged"]:
+                print(
+                    f"error: {variant} diverged at model seed {run['seed']}: "
+                    "the training loss became non-finite; "
+                    f"try a smaller --lr than {args.lr!r}",
+                    file=sys.stderr,
+                )
+                return EXIT_USAGE
+        base, mrs = outcome["base_variant"], outcome["mrs_variant"]
+        lines = ["variant,seed,epoch,train_mae"]
+        for run in outcome["runs"]:
+            for epoch, mae in enumerate(run["base_trace"]):
+                lines.append(f"{base},{run['seed']},{epoch},{float(mae)!r}")
+            for epoch, mae in enumerate(run["mrs_trace"]):
+                lines.append(f"{mrs},{run['seed']},{epoch},{float(mae)!r}")
+        winner = mrs if outcome["mrs_wins_all"] else "mixed"
+        finals = [
+            f"seed {r['seed']}: {base}={float(r['base_final'])!r} "
+            f"{mrs}={float(r['mrs_final'])!r}"
+            for r in outcome["runs"]
+        ]
+        lines.append(f"# summary: winner={winner}; " + "; ".join(finals))
+        fh.write("\n".join(lines) + "\n")
+    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,7 +155,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _non_negative_int(text: str) -> int:
     """The type of every --seed (numpy accepts only non-negative integer
-    seeds) and of --ppr-iters."""
+    seeds), of --ppr-iters and of --trials."""
     if not text.isdecimal():
         raise argparse.ArgumentTypeError(
             f"expected a non-negative integer, got {text!r}"
@@ -183,6 +182,7 @@ def _checked(parse, ok, rule: str):
 
 _ppr_alpha = _checked(float, lambda a: 0.0 <= a <= 1.0, "a finite number in [0, 1]")
 _lr = _checked(float, lambda lr: 0.0 < lr < math.inf, "a finite number > 0")
+_positive_int = _checked(int, lambda k: k >= 1, "an integer >= 1")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the theorem suites")
     p_verify.add_argument("--seed", type=_non_negative_int, default=0)
-    p_verify.add_argument("--trials", type=int, default=500)
+    p_verify.add_argument("--trials", type=_non_negative_int, default=500)
     p_verify.add_argument("--output", default="-")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--lr", type=_lr, default=0.3)
     p_train.add_argument("--epochs", type=int, default=300)
     p_train.add_argument("--seed", type=_non_negative_int, default=0)
-    p_train.add_argument("--model-seeds", type=int, default=3)
+    p_train.add_argument("--model-seeds", type=_positive_int, default=3)
     p_train.add_argument("--output", default="-")
     p_train.set_defaults(func=cmd_train)
     return parser
@@ -257,6 +257,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return args.func(args)
     except (GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # split reads its input under a handler of its own
+        print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

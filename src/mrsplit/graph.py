@@ -11,13 +11,18 @@ import heapq
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, Iterable, Optional
+from typing import IO, Callable, Iterable, Optional
 
 import numpy as np
 
 
 class GraphError(ValueError):
-    """Malformed graph input or a violated structural precondition."""
+    """Malformed graph input or a violated structural precondition. arc is
+    the index of the offending arc when the fault is in one arc, else None."""
+
+    def __init__(self, message: str, arc: Optional[int] = None) -> None:
+        super().__init__(message)
+        self.arc = arc
 
 
 # Above this node count the arc keys src * n + dst would overflow int64.
@@ -61,7 +66,7 @@ class Graph:
             np.concatenate((src, dst)).view(np.uint64).max() >= n
             or len(set((src * n + dst).tolist())) < len(src)
         ):
-            raise GraphError(_first_bad_arc(src, dst, n))
+            raise GraphError(*_first_bad_arc(src, dst, n))
 
     def _key(self) -> tuple:
         arrays = (self.src, self.dst, self.w)
@@ -78,9 +83,9 @@ class Graph:
         return len(self.src)
 
 
-def _first_bad_arc(src: np.ndarray, dst: np.ndarray, n: int) -> str:
+def _first_bad_arc(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[str, int]:
     """Message naming the first arc, in arc order, that is out of range or
-    repeats an earlier (src, dst) pair."""
+    repeats an earlier (src, dst) pair, and that arc's index."""
     outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
     head = int(outside.argmax()) if outside.any() else len(src)
     keys = src[:head] * n + dst[:head]
@@ -88,9 +93,9 @@ def _first_bad_arc(src: np.ndarray, dst: np.ndarray, n: int) -> str:
     order = np.argsort(keys, kind="stable")
     repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
     if len(repeats):
-        e = repeats.min()
-        return f"duplicate edge ({src[e]}, {dst[e]})"
-    return f"edge ({src[head]}, {dst[head]}) out of range for n={n}"
+        e = int(repeats.min())
+        return f"duplicate edge ({src[e]}, {dst[e]})", e
+    return f"edge ({src[head]}, {dst[head]}) out of range for n={n}", head
 
 
 @dataclass(frozen=True)
@@ -143,7 +148,8 @@ def load_edge_list(
     "#n=<count>". JSON is {"n": int, "edges": [[src, dst, weight?], ...],
     "undirected": bool}. Without an explicit node count, n = 1 + max index.
     Duplicate edges are errors, not merged; in an undirected list an edge
-    given in both directions is a duplicate.
+    given in both directions is a duplicate. Errors name the line or edge,
+    and a fault found while parsing is reported before any duplicate.
     """
     if format == "tsv":
         return _load_tsv(source, undirected)
@@ -156,26 +162,8 @@ def _decode(line) -> str:
     return line.decode("utf-8") if isinstance(line, bytes) else line
 
 
-def _add_arc(
-    arcs: dict[tuple[int, int], float],
-    where: str,
-    src: int,
-    dst: int,
-    weight: float,
-    undirected: bool,
-) -> None:
-    """Record one parsed arc, and its reverse for an undirected list unless
-    it is a self-loop; where names the input position in the error. arcs
-    maps (src, dst) to the weight, in input order."""
-    if (src, dst) in arcs:
-        raise GraphError(f"{where}: duplicate edge ({src}, {dst})")
-    arcs[(src, dst)] = weight
-    if undirected and src != dst:
-        arcs[(dst, src)] = weight
-
-
 def _load_tsv(source: IO, undirected: bool) -> Graph:
-    arcs: dict[tuple[int, int], float] = {}
+    src, dst, w, lines = [], [], [], []
     declared_n: Optional[int] = None
     for lineno, raw in enumerate(source, start=1):
         line = _decode(raw).strip()
@@ -194,31 +182,51 @@ def _load_tsv(source: IO, undirected: bool) -> Graph:
         if len(parts) not in (2, 3):
             raise GraphError(f"line {lineno}: expected 2 or 3 fields, got {len(parts)}")
         try:
-            src, dst = int(parts[0]), int(parts[1])
+            s, d = int(parts[0]), int(parts[1])
             weight = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise GraphError(f"line {lineno}: malformed edge {line!r}") from exc
         if not math.isfinite(weight):
             raise GraphError(f"line {lineno}: non-finite weight {parts[2]!r}")
-        if src < 0 or dst < 0:
+        if s < 0 or d < 0:
             raise GraphError(f"line {lineno}: negative node index")
-        if declared_n is not None and (src >= declared_n or dst >= declared_n):
+        if declared_n is not None and (s >= declared_n or d >= declared_n):
             raise GraphError(
                 f"line {lineno}: index out of declared range n={declared_n}"
             )
-        _add_arc(arcs, f"line {lineno}", src, dst, weight, undirected)
-    return _loaded_graph(arcs, declared_n, undirected)
+        src.append(s)
+        dst.append(d)
+        w.append(weight)
+        lines.append(lineno)
+    return _loaded_graph(src, dst, w, declared_n, undirected, lambda k: f"line {lines[k]}")
 
 
 def _loaded_graph(
-    arcs: dict[tuple[int, int], float], n: Optional[int], undirected: bool
+    src: list, dst: list, w: list, n: Optional[int], undirected: bool, where: Callable
 ) -> Graph:
-    """Graph from parsed arcs; without a declared n, n = 1 + max index.
-    The Graph constructor rejects indices outside the declared range."""
-    src, dst = zip(*arcs) if arcs else ((), ())
+    """Graph from parsed edges; without a declared n, n = 1 + max index. An
+    undirected list gives each edge's arc, then its reverse unless it is a
+    self-loop. The Graph constructor is the one check for duplicate and
+    out-of-range arcs; its error is prefixed with where(k), the input
+    position of the offending arc's edge k."""
     if n is None:
-        n = 1 + max(src + dst, default=-1)
-    return Graph(n=n, src=src, dst=dst, w=list(arcs.values()), undirected=undirected)
+        n = 1 + max(max(src, default=-1), max(dst, default=-1))
+    if undirected:
+        # Object arrays keep the parsed Python ints, so the constructor checks
+        # the node count before converting any index, as for a directed list.
+        s, d = np.array(src, dtype=object), np.array(dst, dtype=object)
+        kept = np.ones(2 * len(s), dtype=bool)  # slot 2k: edge k; 2k + 1: reverse
+        kept[1::2] = s != d
+        src = np.column_stack((s, d)).ravel()[kept]
+        dst = np.column_stack((d, s)).ravel()[kept]
+        w = np.repeat(w, 2)[kept]
+    try:
+        return Graph(n=n, src=src, dst=dst, w=w, undirected=undirected)
+    except GraphError as exc:
+        if exc.arc is None:
+            raise
+        k = int(np.flatnonzero(kept)[exc.arc]) // 2 if undirected else exc.arc
+        raise GraphError(f"{where(k)}: {exc}") from exc
 
 
 def _is_int(x) -> bool:
@@ -237,13 +245,12 @@ def _load_json(source: IO, undirected: bool) -> Graph:
         raise GraphError("JSON 'undirected' must be true or false")
     if undirected and not file_undirected:
         raise GraphError("JSON graph says undirected=false but undirected was requested")
-    undirected = file_undirected
-    arcs: dict[tuple[int, int], float] = {}
+    src, dst, w = [], [], []
     for k, item in enumerate(data["edges"]):
         if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
             raise GraphError(f"edge #{k}: expected [src, dst] or [src, dst, weight]")
-        src, dst = item[0], item[1]
-        if not (_is_int(src) and _is_int(dst)):
+        s, d = item[0], item[1]
+        if not (_is_int(s) and _is_int(d)):
             raise GraphError(f"edge #{k}: node indices must be integers")
         try:
             weight = float(item[2]) if len(item) == 3 else 1.0
@@ -251,11 +258,13 @@ def _load_json(source: IO, undirected: bool) -> Graph:
             raise GraphError(f"edge #{k}: malformed weight {item[2]!r}") from exc
         if not math.isfinite(weight):
             raise GraphError(f"edge #{k}: non-finite weight {weight!r}")
-        _add_arc(arcs, f"edge #{k}", src, dst, weight, undirected)
+        src.append(s)
+        dst.append(d)
+        w.append(weight)
     n = data.get("n")
     if "n" in data and not _is_int(n):
         raise GraphError("JSON 'n' must be an integer")
-    return _loaded_graph(arcs, n, undirected)
+    return _loaded_graph(src, dst, w, n, file_undirected, lambda k: f"edge #{k}")
 
 
 def reverse(g: Graph) -> Graph:

@@ -194,6 +194,8 @@ def dar_pair_from_dag(g: Graph) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
 
 def split_summary(mrg: MultiRelGraph) -> dict:
     """JSON-ready view of a split: arc lists per relation plus the scores."""
+    if mrg.ordering is None:
+        raise ValueError("split_summary: the graph is not a split from split_edges")
     arcs = np.stack([mrg.base.src, mrg.base.dst], axis=1)
     return {
         "E1": arcs[mrg.relations[0]].tolist(),

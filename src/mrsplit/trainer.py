@@ -117,7 +117,6 @@ class CompiledTask:
     pool: sparse.csr_matrix  # num_graphs x total_nodes mean pooling
     X: np.ndarray  # stacked features
     targets: np.ndarray
-    uses_self: bool
 
 
 def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
@@ -141,7 +140,6 @@ def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
         pool=pool,
         X=np.vstack(task.features),
         targets=task.targets,
-        uses_self=VARIANTS[config.variant].self_term,
     )
 
 

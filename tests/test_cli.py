@@ -12,6 +12,7 @@ import mrsplit
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrsplit import cli
 from mrsplit.cli import EXIT_OK, EXIT_USAGE, main
 
 PATH_TSV = "0\t1\n1\t2\n"
@@ -46,6 +47,17 @@ class TestSplitCommand:
         assert payload["E2"] == [[1, 0], [1, 2]]
         assert payload["E3"] == []
         assert payload["seed"] == 0
+
+    def test_output_may_name_the_input(self, path_graph_file):
+        code = main(
+            [
+                "split", "--input", path_graph_file, "--undirected",
+                "--output", path_graph_file,
+            ]
+        )
+        assert code == EXIT_OK
+        payload = json.loads(Path(path_graph_file).read_text())
+        assert payload["E1"] == [[0, 1], [2, 1]]
 
     def test_triangle_all_remainder(self, triangle_file, tmp_path):
         out = tmp_path / "split.json"
@@ -269,6 +281,37 @@ def test_unwritable_output_exits_usage(argv, kind, tmp_path):
     assert out == ""
     assert err.startswith(f"error: cannot write {path}: ")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rod-trace", "--graphs", "0"],
+        ["verify", "--trials", "-5"],
+        [*TINY_TRAIN, "--model-seeds", "0"],
+        [*TINY_TRAIN, "--epochs", "-1"],
+    ],
+)
+def test_bad_arguments_leave_no_output_file(argv, tmp_path):
+    out = tmp_path / "out"
+    code, _, err = _run([*argv, "--output", str(out)])
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["rod-trace"], ["verify"], ["train"]])
+def test_unwritable_output_exits_before_the_work(argv, monkeypatch, tmp_path):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the output was opened")
+
+    for name in ("run_full_suite", "rod_trace", "compare_base_vs_split"):
+        monkeypatch.setattr(cli, name, must_not_run)
+    path = str(tmp_path / "missing" / "out")
+    code, out, err = _run([*argv, "--output", path])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
 
 
 @pytest.mark.parametrize(

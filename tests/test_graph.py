@@ -1,9 +1,12 @@
 """Graph construction, edge-list ingestion, and DAG utilities."""
 
 import io
+import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mrsplit.graph import (
     Graph,
@@ -190,6 +193,25 @@ class TestLoadEdgeList:
                 io.StringIO('{"n": 1, "edges": [[0, 1]]}'), format="json"
             )
 
+    def test_json_out_of_range_names_its_edge(self):
+        with pytest.raises(GraphError) as info:
+            load_edge_list(io.StringIO('{"n": 1, "edges": [[0, 1]]}'), format="json")
+        assert str(info.value) == "edge #0: edge (0, 1) out of range for n=1"
+        # Arc 3 of the expansion, after edge #1's self-loop, is edge #2's.
+        payload = '{"n": 2, "undirected": true, "edges": [[0, 1], [1, 1], [0, 2]]}'
+        with pytest.raises(GraphError) as info:
+            load_edge_list(io.StringIO(payload), format="json")
+        assert str(info.value) == "edge #2: edge (0, 2) out of range for n=2"
+
+    def test_parse_fault_reported_before_earlier_duplicate(self):
+        with pytest.raises(GraphError) as info:
+            load_edge_list(io.StringIO("0\t1\n0\t1\nbad\n"))
+        assert str(info.value) == "line 3: expected 2 or 3 fields, got 1"
+
+    def test_undirected_node_count_checked_before_int64(self):
+        with pytest.raises(GraphError, match="node count"):
+            load_edge_list(io.StringIO("0\t99999999999999999999999\n"), undirected=True)
+
     def test_unknown_format(self):
         with pytest.raises(GraphError):
             load_edge_list(io.StringIO(""), format="csv")
@@ -310,3 +332,186 @@ class TestDegrees:
         g = chain(3)
         assert list(in_degrees(g)) == [0, 1, 1]
         assert list(out_degrees(g)) == [1, 1, 0]
+
+
+def reference_load_edge_list(source, format="tsv", undirected=False):
+    """The loader as it was before Graph became its only duplicate check: a
+    dict from (src, dst) to weight, checked as each edge is parsed."""
+
+    def add_arc(arcs, where, src, dst, weight, undirected):
+        if (src, dst) in arcs:
+            raise GraphError(f"{where}: duplicate edge ({src}, {dst})")
+        arcs[(src, dst)] = weight
+        if undirected and src != dst:
+            arcs[(dst, src)] = weight
+
+    def loaded_graph(arcs, n, undirected):
+        src, dst = zip(*arcs) if arcs else ((), ())
+        if n is None:
+            n = 1 + max(src + dst, default=-1)
+        return Graph(n=n, src=src, dst=dst, w=list(arcs.values()), undirected=undirected)
+
+    def is_int(x):
+        return isinstance(x, int) and not isinstance(x, bool)
+
+    arcs = {}
+    if format == "tsv":
+        declared_n = None
+        for lineno, line in enumerate(source, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if lineno == 1 and line.startswith("#n="):
+                    try:
+                        declared_n = int(line[3:])
+                    except ValueError:
+                        raise GraphError(f"line 1: malformed node count header {line!r}")
+                    if declared_n < 0:
+                        raise GraphError(f"line 1: negative node count {declared_n}")
+                continue
+            parts = line.split("\t")
+            if len(parts) not in (2, 3):
+                raise GraphError(f"line {lineno}: expected 2 or 3 fields, got {len(parts)}")
+            try:
+                src, dst = int(parts[0]), int(parts[1])
+                weight = float(parts[2]) if len(parts) == 3 else 1.0
+            except ValueError as exc:
+                raise GraphError(f"line {lineno}: malformed edge {line!r}") from exc
+            if not math.isfinite(weight):
+                raise GraphError(f"line {lineno}: non-finite weight {parts[2]!r}")
+            if src < 0 or dst < 0:
+                raise GraphError(f"line {lineno}: negative node index")
+            if declared_n is not None and (src >= declared_n or dst >= declared_n):
+                raise GraphError(f"line {lineno}: index out of declared range n={declared_n}")
+            add_arc(arcs, f"line {lineno}", src, dst, weight, undirected)
+        return loaded_graph(arcs, declared_n, undirected)
+    try:
+        data = json.loads(source.read())
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"malformed JSON graph: {exc}") from exc
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
+        raise GraphError("JSON graph must be an object with an 'edges' list")
+    file_undirected = data.get("undirected", undirected)
+    if not isinstance(file_undirected, bool):
+        raise GraphError("JSON 'undirected' must be true or false")
+    if undirected and not file_undirected:
+        raise GraphError("JSON graph says undirected=false but undirected was requested")
+    for k, item in enumerate(data["edges"]):
+        if not isinstance(item, (list, tuple)) or len(item) not in (2, 3):
+            raise GraphError(f"edge #{k}: expected [src, dst] or [src, dst, weight]")
+        src, dst = item[0], item[1]
+        if not (is_int(src) and is_int(dst)):
+            raise GraphError(f"edge #{k}: node indices must be integers")
+        try:
+            weight = float(item[2]) if len(item) == 3 else 1.0
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"edge #{k}: malformed weight {item[2]!r}") from exc
+        if not math.isfinite(weight):
+            raise GraphError(f"edge #{k}: non-finite weight {weight!r}")
+        add_arc(arcs, f"edge #{k}", src, dst, weight, file_undirected)
+    n = data.get("n")
+    if "n" in data and not is_int(n):
+        raise GraphError("JSON 'n' must be an integer")
+    return loaded_graph(arcs, n, file_undirected)
+
+
+# Items that each hold one parsing fault, and lines that hold no edge.
+BAD_TSV_LINES = ["0\t1\t2\t3", "a\tb", "0\t1\tinf", "7"]
+BAD_JSON_EDGES = [[0], [0, 1.5], [0, 1, "x"], [0, 1, None], [0, 1, math.inf]]
+SKIPPED_TSV_LINES = ["", "  ", "# comment", "#n=1"]
+
+
+@st.composite
+def edge_list_inputs(draw):
+    """(text, format, undirected, faults, range_edge) for a small edge list.
+
+    faults counts the faults in the input: parsing faults, duplicates and
+    out-of-range indices. range_edge is k when the one fault is JSON edge
+    #k out of range, which only load_edge_list names, else None.
+    """
+    fmt = draw(st.sampled_from(["tsv", "json"]))
+    undirected = draw(st.booleans())
+    index = st.sampled_from([-1] + list(range(8)) * 3)  # -1 is a rare fault
+    edge = st.tuples(
+        index, index, st.one_of(st.none(), st.sampled_from([0.5, 2.0, -1.0]))
+    )
+    bad = st.sampled_from(BAD_TSV_LINES if fmt == "tsv" else BAD_JSON_EDGES)
+    kinds = [edge, edge, edge, bad.map(lambda b: ("bad", b))]
+    if fmt == "tsv":
+        kinds.append(st.sampled_from(SKIPPED_TSV_LINES).map(lambda x: ("skip", x)))
+    items = draw(st.lists(st.one_of(kinds), max_size=6))
+    declared = draw(st.sampled_from([None] * 5 + list(range(10)) + ["x", -2]))
+    if declared is None and items[:1] == [("skip", "#n=1")]:
+        items[0] = ("skip", "# comment")  # on line 1 it would be a header
+    flag = draw(st.sampled_from([None, False, True])) if fmt == "json" else None
+
+    faults, range_edge = 0, None
+    if declared in ("x", -2):
+        faults += 1
+    if undirected and flag is False:
+        faults += 1
+    effective = undirected if flag is None else flag
+    if isinstance(declared, int):
+        n = declared
+    else:
+        n = 1 + max((max(item[:2]) for item in items if len(item) == 3), default=-1)
+    seen = set()
+    for k, item in enumerate(items):
+        if len(item) == 2:
+            faults += item[0] == "bad"
+            continue
+        s, d, _ = item
+        if min(s, d) < 0 or max(s, d) >= n:
+            faults += 1
+            range_edge = k
+            if fmt == "tsv":
+                continue  # a parsing fault in TSV, so never an arc
+        faults += (s, d) in seen
+        seen.update({(s, d), (d, s)} if effective else {(s, d)})
+    if fmt == "tsv" or faults != 1:
+        range_edge = None
+
+    def edge_json(item):
+        s, d, w = item
+        return [s, d] if w is None else [s, d, w]
+
+    def edge_line(item):
+        s, d, w = item
+        return f"{s}\t{d}" if w is None else f"{s}\t{d}\t{w!r}"
+
+    if fmt == "tsv":
+        lines = [] if declared is None else [f"#n={declared}"]
+        lines += [item[1] if len(item) == 2 else edge_line(item) for item in items]
+        text = "".join(line + "\n" for line in lines)
+    else:
+        obj = {"edges": [item[1] if len(item) == 2 else edge_json(item) for item in items]}
+        if declared is not None:
+            obj["n"] = declared
+        if flag is not None:
+            obj["undirected"] = flag
+        text = json.dumps(obj)
+    return text, fmt, undirected, faults, range_edge
+
+
+def _outcome(loader, text, fmt, undirected):
+    try:
+        return loader(io.StringIO(text), fmt, undirected), None
+    except GraphError as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_inputs())
+def test_loader_matches_dict_reference(case):
+    text, fmt, undirected, faults, range_edge = case
+    got, got_error = _outcome(load_edge_list, text, fmt, undirected)
+    want, want_error = _outcome(reference_load_edge_list, text, fmt, undirected)
+    if faults == 0:
+        assert got_error is None and want_error is None
+        assert got == want
+        return
+    assert got_error is not None and want_error is not None
+    if faults == 1:
+        prefix = "" if range_edge is None else f"edge #{range_edge}: "
+        assert got_error == prefix + want_error

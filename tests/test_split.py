@@ -396,3 +396,7 @@ class TestSplitSummary:
         assert payload["E3"] == []
         assert payload["ordering"] == "degree"
         assert payload["scores"] == [1.0, 2.0, 1.0]
+
+    def test_rejects_unsplit_graph(self):
+        with pytest.raises(ValueError, match="not a split from split_edges"):
+            split_summary(whole_graph(undirected_path()))

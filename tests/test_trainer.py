@@ -107,7 +107,11 @@ class TestCompileAndForward:
         task = make_synthetic_task(TINY_TASK)
         compiled = compile_task(task, tiny_config(variant="sage"))
         assert len(compiled.rel_ops) == 1
-        assert compiled.uses_self
+        sage = init_model(tiny_config(variant="sage"), task.params.buckets).layer_self
+        gcn = init_model(tiny_config(variant="gcn"), task.params.buckets).layer_self
+        assert len(sage) == len(gcn) == tiny_config().layers
+        assert all(isinstance(t, ad.Tensor) for t in sage)
+        assert all(t is None for t in gcn)
 
     def test_zero_head_zero_prediction(self):
         task = make_synthetic_task(TINY_TASK)
