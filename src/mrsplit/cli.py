@@ -17,7 +17,7 @@ from typing import Optional
 from .diagnostics import run_full_suite
 from .graph import GraphError, load_edge_list
 from .ordering import order_by
-from .split import split_edges, split_summary
+from .split import split_edges, split_json
 from .trainer import ModelConfig, TaskParams, compare_base_vs_split, make_synthetic_task
 from .trajectories import TraceConfig, rod_trace
 
@@ -28,8 +28,10 @@ EXIT_USAGE = 2
 
 def _open_output(path: str):
     """The --output stream as a context manager: stdout for "-", else path
-    opened for writing. Commands open it before their main work, so an
-    unwritable path fails at once."""
+    opened for writing. rod-trace, verify and train open it before their
+    main work, so an unwritable path fails at once. split opens it only
+    once its text is built, so --output may name --input and a failed split
+    leaves no file behind."""
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8")
@@ -46,16 +48,13 @@ def cmd_split(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # Opened only now, after the input is read, so --output may name --input.
+    scores = order_by(
+        args.ordering, g, args.seed,
+        ppr_alpha=args.ppr_alpha, ppr_iters=args.ppr_iters,
+    )
+    text = split_json(split_edges(g, scores), args.seed)
     with _open_output(args.output) as fh:
-        scores = order_by(
-            args.ordering, g, args.seed,
-            ppr_alpha=args.ppr_alpha, ppr_iters=args.ppr_iters,
-        )
-        mrg = split_edges(g, scores)
-        payload = split_summary(mrg)
-        payload["seed"] = args.seed
-        fh.write(_json_dumps(payload))
+        fh.write(text)
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ aggregates each node over its in-neighbors.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -204,3 +205,41 @@ def split_summary(mrg: MultiRelGraph) -> dict:
         "scores": list(mrg.ordering.scores),
         "ordering": mrg.ordering.method,
     }
+
+
+_PAIR = "    [\n      %d,\n      %d\n    ]"
+
+
+def split_json(mrg: MultiRelGraph, seed: int) -> str:
+    """A split as the text of json.dumps(split_summary(mrg) | {"seed": seed},
+    indent=2, sort_keys=True) + "\n", built from the arc arrays.
+
+    Each relation fills one "%d" pair template per arc from its flat
+    (src, dst) index list; each score is written by float.__repr__, as json
+    writes floats. A non-finite score has no strict JSON form: ValueError.
+    """
+    if mrg.ordering is None:
+        raise ValueError("split_json: the graph is not a split from split_edges")
+    scores = mrg.ordering.scores
+    finite = np.isfinite(mrg.ordering.as_array())
+    if not finite.all():
+        node = int(np.argmin(finite))
+        raise ValueError(
+            f"node {node} has the non-finite score {scores[node]!r}, "
+            "which strict JSON cannot hold"
+        )
+    b = mrg.base
+    lines = ["{"]
+    for k, arcs in enumerate(mrg.relations):
+        body = "[]"
+        if len(arcs):
+            flat = np.stack([b.src[arcs], b.dst[arcs]], axis=1).ravel().tolist()
+            body = "[\n" + ",\n".join([_PAIR] * len(arcs)) % tuple(flat) + "\n  ]"
+        lines.append(f'  "E{k + 1}": {body},')
+    lines.append(f'  "ordering": {json.dumps(mrg.ordering.method)},')
+    body = "[]"
+    if scores:
+        body = "[\n    " + ",\n    ".join(map(float.__repr__, scores)) + "\n  ]"
+    lines.append(f'  "scores": {body},')
+    lines.append(f'  "seed": {seed}')
+    return "\n".join(lines) + "\n}\n"

@@ -9,11 +9,13 @@ import sys
 from pathlib import Path
 
 import mrsplit
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mrsplit import cli
 from mrsplit.cli import EXIT_OK, EXIT_USAGE, main
+from mrsplit.ordering import order_feature_sum
 
 PATH_TSV = "0\t1\n1\t2\n"
 
@@ -83,11 +85,31 @@ class TestSplitCommand:
         assert main(["split", "--input", str(p)]) == EXIT_USAGE
         assert "duplicate" in capsys.readouterr().err
 
-    def test_features_ordering_needs_api(self, path_graph_file, capsys):
+    def test_features_ordering_needs_api(self, path_graph_file, tmp_path):
+        out = tmp_path / "x"
         code = main(
-            ["split", "--input", path_graph_file, "--ordering", "features"]
+            [
+                "split", "--input", path_graph_file, "--ordering", "features",
+                "--output", str(out),
+            ]
         )
         assert code == EXIT_USAGE
+        assert not out.exists()
+
+    def test_non_finite_score_exits_usage(self, path_graph_file, tmp_path,
+                                          monkeypatch, capsys):
+        monkeypatch.setattr(
+            cli, "order_by",
+            lambda *a, **k: order_feature_sum(np.array([[0.0], [np.inf], [1.0]])),
+        )
+        out = tmp_path / "x"
+        code = main(["split", "--input", path_graph_file, "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: node 1 has the non-finite score inf, "
+            "which strict JSON cannot hold\n"
+        )
+        assert not out.exists()
 
     def test_random_ordering_with_seed(self, path_graph_file, tmp_path):
         out = tmp_path / "split.json"

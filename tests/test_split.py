@@ -1,8 +1,10 @@
 """Edge-relation assignment and normalized relation operators."""
 
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import sparse
 
 from mrsplit import convolution, split
@@ -15,7 +17,13 @@ from mrsplit.graph import (
     is_dag,
     reverse,
 )
-from mrsplit.ordering import OrderingScores, order_degree, order_random
+from mrsplit.ordering import (
+    OrderingScores,
+    order_by,
+    order_degree,
+    order_feature_sum,
+    order_random,
+)
 from mrsplit.split import (
     RAW,
     ROW_MEAN,
@@ -24,6 +32,7 @@ from mrsplit.split import (
     normalize,
     operator_for_graph,
     split_edges,
+    split_json,
     split_summary,
     whole_graph,
 )
@@ -390,13 +399,76 @@ class TestOperatorsAreCsr:
 class TestSplitSummary:
     def test_json_ready_payload(self):
         g = undirected_path()
-        payload = split_summary(split_edges(g, order_degree(g)))
+        payload = json.loads(split_json(split_edges(g, order_degree(g)), 0))
         assert payload["E1"] == [[0, 1], [2, 1]]
         assert payload["E2"] == [[1, 0], [1, 2]]
         assert payload["E3"] == []
         assert payload["ordering"] == "degree"
         assert payload["scores"] == [1.0, 2.0, 1.0]
+        assert payload["seed"] == 0
 
     def test_rejects_unsplit_graph(self):
         with pytest.raises(ValueError, match="not a split from split_edges"):
-            split_summary(whole_graph(undirected_path()))
+            split_json(whole_graph(undirected_path()), 0)
+
+
+# Finite floats whose repr takes each of its forms, and ties among them.
+SCORE_VALUES = [0.0, -0.0, 1.0, 2.0, 0.1, -2.5, 5e-324, 1e16, 1.5e-7, -1e300]
+
+
+@st.composite
+def split_cases(draw):
+    """(split, seed) over directed and undirected graphs with weights,
+    self-loops, isolated nodes, optional large node indices and zero arcs,
+    ordered by each CLI ordering or by drawn scores with ties."""
+    n = draw(st.integers(0, 6)) + draw(st.sampled_from([0, 0, 0, 2_345]))
+    nodes = draw(st.lists(st.integers(0, n - 1), max_size=5, unique=True)) if n else []
+    pairs = draw(
+        st.lists(st.tuples(st.sampled_from(nodes), st.sampled_from(nodes)),
+                 max_size=12, unique=True)
+    ) if nodes else []
+    undirected = draw(st.booleans())
+    if undirected:
+        edges = sorted({(min(a, b), max(a, b)) for a, b in pairs})
+        pairs = [arc for a, b in edges for arc in ([(a, b)] if a == b else [(a, b), (b, a)])]
+    weights = draw(
+        st.lists(st.sampled_from([1.0, 0.5, 3.0]), min_size=len(pairs), max_size=len(pairs))
+    )
+    g = Graph(n=n, src=[a for a, _ in pairs], dst=[b for _, b in pairs], w=weights,
+              undirected=undirected)
+    seed = draw(st.integers(0, 2**64 - 1))
+    method = draw(st.sampled_from(["degree", "ppr", "random", "drawn"]))
+    if method == "drawn":
+        values = draw(st.lists(st.sampled_from(SCORE_VALUES), min_size=1, max_size=4))
+        scores = scores_of([values[i % len(values)] for i in range(n)])
+    else:
+        assume(n or method != "ppr")
+        scores = order_by(method, g, seed)
+    return split_edges(g, scores), seed
+
+
+class TestSplitJson:
+    @settings(max_examples=200, deadline=None)
+    @given(split_cases())
+    def test_bytes_equal_indented_json_dumps(self, case):
+        mrg, seed = case
+        oracle = split_summary(mrg) | {"seed": seed}
+        text = split_json(mrg, seed)
+        assert text == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+        assert json.loads(text) == oracle
+
+    @pytest.mark.parametrize(
+        "rows, node, shown",
+        [
+            ([[1.0], [np.inf], [np.nan]], 1, "inf"),
+            ([[1.0], [2.0], [np.nan]], 2, "nan"),
+            ([[-np.inf, 1.0], [0.0, 0.0], [1.0, 1.0]], 0, "-inf"),
+        ],
+    )
+    def test_non_finite_score_names_its_node(self, rows, node, shown):
+        mrg = split_edges(undirected_path(), order_feature_sum(np.array(rows)))
+        with pytest.raises(
+            ValueError, match=f"^node {node} has the non-finite score {shown},"
+        ):
+            split_json(mrg, 0)
+
