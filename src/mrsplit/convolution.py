@@ -81,9 +81,11 @@ def _uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=shape)
 
 
-def glorot(rng: np.random.Generator, d_in: int, d_out: int) -> np.ndarray:
+def glorot(rng: np.random.Generator, d_in: int, d_out: int, *lead: int) -> np.ndarray:
+    """Glorot-uniform (d_in, d_out) transform, or a (*lead, d_in, d_out) stack
+    of them drawn from the same stream as that many separate calls."""
     limit = np.sqrt(6.0 / (d_in + d_out))
-    return rng.uniform(-limit, limit, size=(d_in, d_out))
+    return rng.uniform(-limit, limit, size=(*lead, d_in, d_out))
 
 
 def linear_params(

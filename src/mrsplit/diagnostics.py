@@ -118,39 +118,65 @@ def rows_nonzero(X: np.ndarray, tol: float = ROW_ZERO_TOL) -> bool:
     return bool(np.all(np.linalg.norm(np.asarray(X), axis=1) > tol))
 
 
-def rod(X: np.ndarray) -> float:
+def _nuclear_norms(X: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(X, compute_uv=False).sum(axis=-1)
+
+
+def _scalar_or_stack(values: np.ndarray, X: np.ndarray):
+    return float(values) if X.ndim == 2 else values
+
+
+def rod(X: np.ndarray) -> float | np.ndarray:
     """Nuclear-norm distance of X (normalized) to its dominant rank-one part.
 
     The rank-one reference is u v^T with u the column and v the row of X of
     largest Euclidean norm (ties broken by lowest index). Zero iff X is
     effectively rank one; invariant under positive scaling of X.
+
+    X is one matrix (n, d), giving a float, or a stack (..., n, d), giving
+    one distance per matrix; each matrix in a stack measures exactly what it
+    measures on its own.
     """
     X = np.asarray(X, dtype=np.float64)
-    nuc = np.linalg.norm(X, ord="nuc")
-    if nuc == 0.0:
+    if X.ndim < 2:
+        raise ValueError("rank-one distance needs a matrix or a stack of matrices")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("matrix must have finite entries")
+    nuc = _nuclear_norms(X)
+    if np.any(nuc == 0.0):
         raise ValueError("rank-one distance is undefined for the zero matrix")
-    u = X[:, int(np.argmax(np.linalg.norm(X, axis=0)))]
-    v = X[int(np.argmax(np.linalg.norm(X, axis=1))), :]
-    ref = np.outer(u, v)
+    col_norms = np.sqrt(np.add.reduce(X * X, axis=-2))
+    row_norms = np.sqrt(np.add.reduce(X * X, axis=-1))
+    col = np.argmax(col_norms, axis=-1)[..., None, None]
+    row = np.argmax(row_norms, axis=-1)[..., None, None]
+    u = np.take_along_axis(X, col, axis=-1)[..., 0]
+    v = np.take_along_axis(X, row, axis=-2)[..., 0, :]
+    ref = u[..., :, None] * v[..., None, :]
     # u and v carry an arbitrary relative sign; orient the reference toward X
     # so exact rank-one inputs measure 0 rather than 2.
-    if float(np.sum(X * ref)) < 0.0:
-        ref = -ref
-    ref_nuc = np.linalg.norm(u) * np.linalg.norm(v)
-    return float(np.linalg.norm(X / nuc - ref / ref_nuc, ord="nuc"))
+    flip = np.sum(X * ref, axis=(-2, -1)) < 0.0
+    ref = np.where(flip[..., None, None], -ref, ref)
+    ref_nuc = np.sqrt(np.vecdot(u, u)) * np.sqrt(np.vecdot(v, v))
+    dist = _nuclear_norms(X / nuc[..., None, None] - ref / ref_nuc[..., None, None])
+    return _scalar_or_stack(dist, X)
 
 
-def dirichlet_energy(X: np.ndarray, g: Graph) -> float:
-    """Sum over arcs (i, j) of ||x_i - x_j||^2, added in arc order."""
+def dirichlet_energy(X: np.ndarray, g: Graph) -> float | np.ndarray:
+    """Sum over arcs (i, j) of ||x_i - x_j||^2, added in arc order.
+
+    X is one feature matrix (n, d), giving a float, or a stack (..., n, d)
+    of feature matrices on the same graph, giving one energy per matrix.
+    """
     X = np.asarray(X, dtype=np.float64)
-    if X.shape[0] != g.n:
+    if X.ndim < 2 or X.shape[-2] != g.n:
         raise ValueError("feature rows must match graph node count")
     if not g.num_edges:
-        return 0.0
-    diff = X[g.src] - X[g.dst]
+        return _scalar_or_stack(np.zeros(X.shape[:-2]), X)
+    diff = X[..., g.src, :] - X[..., g.dst, :]
     # A sequential running sum, not np.sum's pairwise one, keeps every result
     # bit-identical to adding the arcs one at a time.
-    return float(np.add.accumulate(np.vecdot(diff, diff))[-1])
+    energy = np.add.accumulate(np.vecdot(diff, diff), axis=-1)[..., -1]
+    return _scalar_or_stack(energy, X)
 
 
 @dataclass

@@ -16,7 +16,6 @@ import numpy as np
 from .convolution import glorot, relation_sum, relu
 from .diagnostics import dirichlet_energy, rod
 from .ensembles import molecule_like_graph
-from .graph import Graph
 from .split import VARIANTS, variant_operators
 
 
@@ -41,56 +40,57 @@ class TraceConfig:
             raise ValueError(f"unsupported trace ordering: {self.ordering!r}")
 
 
-def _trace_one(
-    g: Graph,
-    variant: str,
-    config: TraceConfig,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-iteration (rod, dirichlet) for one graph, relu after every layer."""
-    mats = variant_operators(g, variant, config.ordering, config.seed)
-    uses_self = VARIANTS[variant].self_term
-    d = config.dim
-    X = rng.uniform(-1.0, 1.0, (g.n, d))
-    rods = np.zeros(config.layers)
-    energies = np.zeros(config.layers)
-    for it in range(config.layers):
-        weights = [glorot(rng, d, d) for _ in mats]
-        self_weight = glorot(rng, d, d) if uses_self else None
-        X = relu(relation_sum(X, mats, weights, self_weight))
-        norm = np.linalg.norm(X)
-        if norm == 0.0:
-            rods[it:] = 0.0
-            energies[it:] = 0.0
-            break
-        X = X / norm
-        rods[it] = rod(X)
-        energies[it] = dirichlet_energy(X, g)
-    return rods, energies
-
-
 def rod_trace(config: TraceConfig) -> dict[str, dict[str, np.ndarray]]:
     """Mean rank-one distance and Dirichlet energy per iteration and variant.
 
-    Every variant sees the same graphs and the same initial features; layer
-    transforms are drawn independently per (graph, variant, layer).
+    Every variant sees the same graphs. Each (graph, variant) pair draws its
+    initial features and its layer transforms from its own generator, seeded
+    by (seed, graph index, variant name). The variants of one graph step in
+    lockstep, relu after every layer; the states still nonzero after a layer
+    are measured as one stack, and a state that reaches exact zero leaves the
+    stack and reports 0 for every remaining layer.
     """
     master = np.random.default_rng(config.seed)
-    graphs = [
-        molecule_like_graph(master, config.n_min, config.n_max)
-        for _ in range(config.num_graphs)
-    ]
-    out: dict[str, dict[str, np.ndarray]] = {}
-    for variant in config.variants:
-        rod_sum = np.zeros(config.layers)
-        energy_sum = np.zeros(config.layers)
-        for gi, g in enumerate(graphs):
-            rng = np.random.default_rng([config.seed, gi, sum(variant.encode())])
-            rods, energies = _trace_one(g, variant, config, rng)
-            rod_sum += rods
-            energy_sum += energies
-        out[variant] = {
-            "rod_mean": rod_sum / config.num_graphs,
-            "dirichlet_mean": energy_sum / config.num_graphs,
+    d = config.dim
+    rod_sum = np.zeros((len(config.variants), config.layers))
+    energy_sum = np.zeros_like(rod_sum)
+    for gi in range(config.num_graphs):
+        g = molecule_like_graph(master, config.n_min, config.n_max)
+        rngs = [
+            np.random.default_rng([config.seed, gi, sum(variant.encode())])
+            for variant in config.variants
+        ]
+        ops = [
+            variant_operators(g, variant, config.ordering, config.seed)
+            for variant in config.variants
+        ]
+        uses_self = [VARIANTS[variant].self_term for variant in config.variants]
+        states = [rng.uniform(-1.0, 1.0, (g.n, d)) for rng in rngs]
+        live = list(range(len(config.variants)))
+        for it in range(config.layers):
+            still_live = []
+            for r in live:
+                m = len(ops[r])
+                weights = glorot(rngs[r], d, d, m + uses_self[r])
+                X = relu(relation_sum(
+                    states[r], ops[r], weights[:m], weights[m] if uses_self[r] else None
+                ))
+                norm = np.linalg.norm(X)
+                if norm != 0.0:
+                    states[r] = X / norm
+                    still_live.append(r)
+            live = still_live
+            if not live:
+                break
+            # Sums gain graphs in graph order; a collapsed state adds nothing,
+            # which is adding its 0.0 exactly.
+            stack = np.stack([states[r] for r in live])
+            rod_sum[live, it] += rod(stack)
+            energy_sum[live, it] += dirichlet_energy(stack, g)
+    return {
+        variant: {
+            "rod_mean": rod_sum[r] / config.num_graphs,
+            "dirichlet_mean": energy_sum[r] / config.num_graphs,
         }
-    return out
+        for r, variant in enumerate(config.variants)
+    }

@@ -180,6 +180,105 @@ class TestRod:
         elif rod(X) < 1e-8:
             assert numeric_rank(X) == 1
 
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            rod(np.array([[np.nan, 1.0]]))
+
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError, match="matrix"):
+            rod(np.array([1.0, 2.0]))
+
+    def test_zero_matrix_in_stack_rejected(self):
+        stack = np.stack([np.eye(2), np.zeros((2, 2)), np.ones((2, 2))])
+        with pytest.raises(ValueError, match="zero matrix"):
+            rod(stack)
+
+    def test_matrix_gives_float_and_stack_gives_array(self):
+        X = np.random.default_rng(1).uniform(-1, 1, (5, 3))
+        assert type(rod(X)) is float
+        out = rod(np.stack([X, 2.0 * X]).reshape(1, 2, 5, 3))
+        assert isinstance(out, np.ndarray) and out.shape == (1, 2)
+
+
+def oracle_rod(X: np.ndarray) -> float:
+    """rod as it was computed one matrix at a time through np.linalg.norm."""
+    nuc = np.linalg.norm(X, ord="nuc")
+    u = X[:, int(np.argmax(np.linalg.norm(X, axis=0)))]
+    v = X[int(np.argmax(np.linalg.norm(X, axis=1))), :]
+    ref = np.outer(u, v)
+    if float(np.sum(X * ref)) < 0.0:
+        ref = -ref
+    ref_nuc = np.linalg.norm(u) * np.linalg.norm(v)
+    return float(np.linalg.norm(X / nuc - ref / ref_nuc, ord="nuc"))
+
+
+def oracle_dirichlet_energy(X: np.ndarray, g) -> float:
+    """dirichlet_energy as it was computed one matrix at a time."""
+    if not g.num_edges:
+        return 0.0
+    diff = X[g.src] - X[g.dst]
+    return float(np.add.accumulate(np.vecdot(diff, diff))[-1])
+
+
+def _signed_copies(line: np.ndarray, count: int, rng) -> np.ndarray:
+    """count copies of line with random sign flips: equal squared entries in
+    equal order, so their Euclidean norms tie exactly."""
+    return line * rng.choice([-1.0, 1.0], size=(count, line.size))
+
+
+def _matrix(kind: str, rng, n: int, d: int) -> np.ndarray:
+    if kind == "relu":
+        return np.fmax(rng.uniform(-1, 1, (n, d)), 0.0)
+    a, b = rng.uniform(-1, 1, n), rng.uniform(-1, 1, d)
+    if kind == "near_rank_one":
+        return np.outer(a, b) + 1e-9 * rng.standard_normal((n, d))
+    if kind == "flipped_rank_one":
+        # Every entry is negative, so u v^T is positive and the reference
+        # must be flipped to reach distance 0.
+        return np.outer(-np.abs(a), np.abs(b))
+    if kind == "tied_columns":
+        return _signed_copies(rng.uniform(-1, 1, n), d, rng).T.copy()
+    return _signed_copies(rng.uniform(-1, 1, d), n, rng)  # tied_rows
+
+
+@st.composite
+def matrix_stacks(draw):
+    k, n, d = draw(st.integers(1, 5)), draw(st.integers(1, 30)), draw(st.integers(1, 16))
+    kinds = draw(st.lists(
+        st.sampled_from(["relu", "near_rank_one", "flipped_rank_one", "tied_columns",
+                         "tied_rows"]),
+        min_size=k, max_size=k,
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return np.stack([_matrix(kind, rng, n, d) for kind in kinds]), rng
+
+
+class TestStackedAgainstOracle:
+    """The stacked forms equal the per-matrix forms bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_stacks())
+    def test_rod(self, drawn):
+        stack, _ = drawn
+        if not np.all(np.any(stack != 0.0, axis=(-2, -1))):
+            with pytest.raises(ValueError, match="zero matrix"):
+                rod(stack)
+            return
+        expected = [oracle_rod(X) for X in stack]
+        assert rod(stack).tolist() == expected
+        assert [rod(X) for X in stack] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_stacks(), st.floats(0.0, 1.0))
+    def test_dirichlet_energy(self, drawn, density):
+        stack, rng = drawn
+        n = stack.shape[1]
+        arcs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < density]
+        g = graph_from_pairs(n, arcs)
+        expected = [oracle_dirichlet_energy(X, g) for X in stack]
+        assert dirichlet_energy(stack, g).tolist() == expected
+        assert [dirichlet_energy(X, g) for X in stack] == expected
+
 
 class TestDirichletEnergy:
     def test_constant_rows(self):

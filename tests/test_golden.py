@@ -28,6 +28,9 @@ CASES = {
     "split_features": (EXIT_USAGE, ["split", "--input", TSV, "--ordering", "features"]),
     "rod_trace_degree": (EXIT_OK, [*TINY_TRACE, "--seed", "1"]),
     "rod_trace_random": (EXIT_OK, [*TINY_TRACE, "--ordering", "random", "--seed", "2"]),
+    # d=1 states collapse to zero partway through, and gcn is listed twice.
+    "rod_trace_collapse": (EXIT_OK, ["rod-trace", "--graphs", "4", "--layers", "12", "--dim", "1",
+                                     "--seed", "1", "--variants", "gcn,mrs_gcn,sage,mrs_sage,gcn"]),
     "verify": (EXIT_OK, ["verify", "--trials", "10", "--seed", "1"]),
     "train_gcn_degree_residual": (EXIT_OK, [*TINY_TRAIN, "--residual"]),
     "train_sage_random_cat": (EXIT_OK, [*TINY_TRAIN, "--variant", "sage", "--ordering", "random",

@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from mrsplit.convolution import glorot, relation_sum, relu
+from mrsplit.diagnostics import dirichlet_energy, rod
+from mrsplit.ensembles import molecule_like_graph
+from mrsplit.split import VARIANTS, variant_operators
 from mrsplit.trajectories import TraceConfig, rod_trace
 
 
@@ -42,3 +46,82 @@ def test_random_ordering_supported():
 def test_unknown_ordering_rejected():
     with pytest.raises(ValueError):
         rod_trace(small_config(variants=("mrs_gcn",), ordering="ppr"))
+
+
+def _oracle_trace_one(g, variant, config, rng):
+    """One (graph, variant) trace, one variant at a time, with one glorot
+    call per transform and rod / dirichlet_energy on single matrices; also
+    says whether the state reached exact zero."""
+    mats = variant_operators(g, variant, config.ordering, config.seed)
+    uses_self = VARIANTS[variant].self_term
+    d = config.dim
+    X = rng.uniform(-1.0, 1.0, (g.n, d))
+    rods = np.zeros(config.layers)
+    energies = np.zeros(config.layers)
+    for it in range(config.layers):
+        weights = [glorot(rng, d, d) for _ in mats]
+        self_weight = glorot(rng, d, d) if uses_self else None
+        X = relu(relation_sum(X, mats, weights, self_weight))
+        norm = np.linalg.norm(X)
+        if norm == 0.0:
+            return rods, energies, True
+        X = X / norm
+        rods[it] = rod(X)
+        energies[it] = dirichlet_energy(X, g)
+    return rods, energies, False
+
+
+def oracle_rod_trace(config):
+    """rod_trace as a per-variant loop over graphs; also the number of
+    (graph, variant) states that collapsed to zero."""
+    master = np.random.default_rng(config.seed)
+    graphs = [
+        molecule_like_graph(master, config.n_min, config.n_max)
+        for _ in range(config.num_graphs)
+    ]
+    out, collapsed = {}, 0
+    for variant in config.variants:
+        rod_sum = np.zeros(config.layers)
+        energy_sum = np.zeros(config.layers)
+        for gi, g in enumerate(graphs):
+            rng = np.random.default_rng([config.seed, gi, sum(variant.encode())])
+            rods, energies, zero = _oracle_trace_one(g, variant, config, rng)
+            rod_sum += rods
+            energy_sum += energies
+            collapsed += zero
+        out[variant] = {
+            "rod_mean": rod_sum / config.num_graphs,
+            "dirichlet_mean": energy_sum / config.num_graphs,
+        }
+    return out, collapsed
+
+
+def assert_traces_equal(got, expected):
+    assert list(got) == list(expected)
+    for variant in expected:
+        for key in ("rod_mean", "dirichlet_mean"):
+            assert np.array_equal(got[variant][key], expected[variant][key])
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"variants": tuple(VARIANTS), "seed": 3},
+        {"variants": ("gcn", "mrs_sage", "gcn", "mrs_sage"), "num_graphs": 3},
+        {"variants": ("sage", "mrs_gcn"), "ordering": "random", "seed": 5},
+        {"num_graphs": 1, "layers": 1, "dim": 1},
+    ],
+)
+def test_lockstep_trace_equals_per_variant_oracle(overrides):
+    config = small_config(**overrides)
+    expected, _ = oracle_rod_trace(config)
+    assert_traces_equal(rod_trace(config), expected)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lockstep_trace_equals_oracle_when_states_collapse(seed):
+    config = TraceConfig(num_graphs=2, layers=6, dim=1, seed=seed)
+    expected, collapsed = oracle_rod_trace(config)
+    assert collapsed > 0
+    assert_traces_equal(rod_trace(config), expected)
