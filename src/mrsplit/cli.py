@@ -196,9 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--input", required=True)
     p_split.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_split.add_argument("--undirected", action="store_true")
+    # features needs a feature matrix, which an edge list does not carry.
     p_split.add_argument(
-        "--ordering", choices=("random", "features", "ppr", "degree"),
-        default="degree",
+        "--ordering", choices=("random", "ppr", "degree"), default="degree"
     )
     p_split.add_argument("--seed", type=_non_negative_int, default=0)
     p_split.add_argument("--ppr-alpha", type=_ppr_alpha, default=0.1)

@@ -149,6 +149,15 @@ def _check_dims(X: np.ndarray, ops: Sequence[sparse.csr_matrix]) -> None:
             )
 
 
+def _aggregate(mat: sparse.csr_matrix, Y: np.ndarray) -> np.ndarray:
+    """mat applied to the rows of Y, a matrix or a stack flattened to rows."""
+    if Y.ndim == 2:
+        # A reshaped result would be a view, which numpy cannot reuse as the
+        # output of the next add, so a large matrix would pay a new buffer.
+        return mat @ Y
+    return (mat @ Y.reshape(-1, Y.shape[-1])).reshape(Y.shape)
+
+
 def relation_sum(
     X: np.ndarray,
     mats: Sequence[sparse.csr_matrix],
@@ -157,12 +166,16 @@ def relation_sum(
 ) -> np.ndarray:
     """sum_k A_k (X W_k), plus X W_self when self_weight is given.
 
-    Relations are added in order and the self term last; every numpy
-    relation sum goes through here, so all callers round alike.
+    X is one feature matrix (n, d) or a stack (..., n, d) whose transforms
+    are stacks (..., d, d') of their own; each A_k then applies to the
+    stack's rows flattened, so a block-diagonal A_k steps a stack of graphs
+    exactly as it steps each graph alone. Relations are added in order and
+    the self term last; every numpy relation sum goes through here, so all
+    callers round alike.
     """
-    pre = mats[0] @ (X @ weights[0])
+    pre = _aggregate(mats[0], X @ weights[0])
     for mat, w in zip(mats[1:], weights[1:]):
-        pre = pre + mat @ (X @ w)
+        pre = pre + _aggregate(mat, X @ w)
     if self_weight is not None:
         pre = pre + X @ self_weight
     return pre

@@ -85,7 +85,8 @@ class TestSplitCommand:
         assert main(["split", "--input", str(p)]) == EXIT_USAGE
         assert "duplicate" in capsys.readouterr().err
 
-    def test_features_ordering_needs_api(self, path_graph_file, tmp_path):
+    def test_features_ordering_needs_api(self, path_graph_file, tmp_path, capsys):
+        # An edge list carries no feature matrix, so split does not offer it.
         out = tmp_path / "x"
         code = main(
             [
@@ -94,6 +95,9 @@ class TestSplitCommand:
             ]
         )
         assert code == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(
+            "error: mrsplit split: argument --ordering: invalid choice: 'features'"
+        )
         assert not out.exists()
 
     def test_non_finite_score_exits_usage(self, path_graph_file, tmp_path,

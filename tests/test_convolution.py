@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mrsplit.convolution import (
     ACTIVATIONS,
@@ -18,13 +19,21 @@ from mrsplit.convolution import (
     mrs_gin,
     mrs_linear_layer,
     mrs_sage,
+    relation_sum,
     relu,
     sage_params,
     sigmoid,
 )
 from mrsplit.graph import Graph, add_leaf_self_loops, graph_from_pairs, longest_path_length
 from mrsplit.ordering import OrderingScores, order_degree
-from mrsplit.split import RAW, ROW_MEAN, operator_for_graph, split_edges, whole_graph
+from mrsplit.split import (
+    RAW,
+    ROW_MEAN,
+    normalize,
+    operator_for_graph,
+    split_edges,
+    whole_graph,
+)
 
 _ATT_SLOPE = 0.2  # the published GAT attention slope the kernel uses
 
@@ -251,6 +260,30 @@ class TestLinearLayer:
         ops = [operator_for_graph(undirected_path(), RAW)]
         with pytest.raises(ValueError):
             mrs_linear_layer(np.zeros((4, 1)), ops, [np.eye(1)])
+
+
+class TestStackedRelationSum:
+    """A stack of graphs with one node count, under block-diagonal operators,
+    sums exactly as each graph does alone."""
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("with_self", [False, True])
+    def test_stack_equals_separate_calls(self, split, with_self):
+        rng = np.random.default_rng(11)
+        graphs = [random_undirected(rng, 9, 6) for _ in range(3)]
+        mrgs = [split_edges(g, order_degree(g)) if split else whole_graph(g) for g in graphs]
+        per_graph = [normalize(mrg, ROW_MEAN) for mrg in mrgs]
+        blocks = [sparse.block_diag(ops, format="csr") for ops in zip(*per_graph)]
+        X = rng.uniform(-1.0, 1.0, (3, 9, 5))
+        weights = rng.uniform(-1.0, 1.0, (len(blocks), 3, 5, 4))
+        self_weight = rng.uniform(-1.0, 1.0, (3, 5, 4)) if with_self else None
+        stacked = relation_sum(X, blocks, weights, self_weight)
+        assert stacked.shape == (3, 9, 4)
+        for b, ops in enumerate(per_graph):
+            alone = relation_sum(
+                X[b], ops, weights[:, b], None if self_weight is None else self_weight[b]
+            )
+            assert np.array_equal(stacked[b], alone)
 
 
 class TestMrsGcn:

@@ -6,8 +6,10 @@ on purpose regenerates them with ``python tests/test_golden.py`` and says so.
 
 import contextlib
 import io
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -42,9 +44,11 @@ CASES = {
 
 
 def run_case(argv: list[str]) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of one in-process CLI run."""
+    """(exit code, stdout, stderr) of one in-process CLI run. argparse wraps
+    a usage message to the terminal width, so the width is pinned to 80."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
 

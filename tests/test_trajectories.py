@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mrsplit import trajectories
 from mrsplit.convolution import glorot, relation_sum, relu
 from mrsplit.diagnostics import dirichlet_energy, rod
 from mrsplit.ensembles import molecule_like_graph
@@ -48,6 +49,36 @@ def test_unknown_ordering_rejected():
         rod_trace(small_config(variants=("mrs_gcn",), ordering="ppr"))
 
 
+@pytest.mark.parametrize(
+    "overrides, fields",
+    [
+        ({"n_min": 5, "n_max": 3}, "n_min=5, n_max=3"),
+        ({"n_min": 0}, "n_min=0"),
+        ({"n_min": -3, "n_max": 2}, "n_min=-3"),
+        ({"variants": ()}, "variants"),
+    ],
+)
+def test_bad_config_rejected(overrides, fields):
+    with pytest.raises(ValueError, match=fields):
+        small_config(**overrides)
+
+
+def test_repeated_variant_is_traced_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return variant_operators(*args, **kwargs)
+
+    monkeypatch.setattr(trajectories, "variant_operators", counting)
+    once = rod_trace(small_config(variants=("gcn",)))
+    single_calls = len(calls)
+    calls.clear()
+    repeated = rod_trace(small_config(variants=("gcn", "gcn", "gcn")))
+    assert len(calls) == single_calls
+    assert_traces_equal(repeated, once)
+
+
 def _oracle_trace_one(g, variant, config, rng):
     """One (graph, variant) trace, one variant at a time, with one glorot
     call per transform and rod / dirichlet_energy on single matrices; also
@@ -72,23 +103,24 @@ def _oracle_trace_one(g, variant, config, rng):
 
 
 def oracle_rod_trace(config):
-    """rod_trace as a per-variant loop over graphs; also the number of
-    (graph, variant) states that collapsed to zero."""
+    """rod_trace as a per-variant loop over graphs; also, per variant, the
+    number of graphs whose state collapsed to zero."""
     master = np.random.default_rng(config.seed)
     graphs = [
         molecule_like_graph(master, config.n_min, config.n_max)
         for _ in range(config.num_graphs)
     ]
-    out, collapsed = {}, 0
+    out, collapsed = {}, {}
     for variant in config.variants:
         rod_sum = np.zeros(config.layers)
         energy_sum = np.zeros(config.layers)
+        collapsed[variant] = 0
         for gi, g in enumerate(graphs):
             rng = np.random.default_rng([config.seed, gi, sum(variant.encode())])
             rods, energies, zero = _oracle_trace_one(g, variant, config, rng)
             rod_sum += rods
             energy_sum += energies
-            collapsed += zero
+            collapsed[variant] += zero
         out[variant] = {
             "rod_mean": rod_sum / config.num_graphs,
             "dirichlet_mean": energy_sum / config.num_graphs,
@@ -103,6 +135,14 @@ def assert_traces_equal(got, expected):
             assert np.array_equal(got[variant][key], expected[variant][key])
 
 
+# d=1 on six graphs of one node count, so one block system: under every
+# variant some states collapse to zero partway through and the rest stay live.
+MIXED_BLOCK = {
+    "variants": tuple(VARIANTS), "num_graphs": 6, "layers": 4, "dim": 1,
+    "n_min": 8, "n_max": 8, "seed": 1,
+}
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -111,6 +151,12 @@ def assert_traces_equal(got, expected):
         {"variants": ("gcn", "mrs_sage", "gcn", "mrs_sage"), "num_graphs": 3},
         {"variants": ("sage", "mrs_gcn"), "ordering": "random", "seed": 5},
         {"num_graphs": 1, "layers": 1, "dim": 1},
+        # Every graph has one node count, so all pairs step as one block system.
+        {"n_min": 12, "n_max": 12, "num_graphs": 5, "variants": tuple(VARIANTS)},
+        # 17 graphs over 16 node counts: some node count repeats.
+        {"num_graphs": 17, "variants": tuple(VARIANTS), "seed": 2},
+        MIXED_BLOCK,
+        {"variants": ("mrs_gcn", "sage", "mrs_gcn"), "ordering": "random", "seed": 7},
     ],
 )
 def test_lockstep_trace_equals_per_variant_oracle(overrides):
@@ -123,5 +169,28 @@ def test_lockstep_trace_equals_per_variant_oracle(overrides):
 def test_lockstep_trace_equals_oracle_when_states_collapse(seed):
     config = TraceConfig(num_graphs=2, layers=6, dim=1, seed=seed)
     expected, collapsed = oracle_rod_trace(config)
-    assert collapsed > 0
+    assert sum(collapsed.values()) > 0
     assert_traces_equal(rod_trace(config), expected)
+
+
+def test_mixed_block_holds_collapsed_and_live_states():
+    config = small_config(**MIXED_BLOCK)
+    _, collapsed = oracle_rod_trace(config)
+    assert all(0 < collapsed[v] < config.num_graphs for v in config.variants)
+
+
+def test_collapsed_states_draw_no_more_transforms(monkeypatch):
+    draw, drawn = glorot, []
+
+    def counting(rng, d_in, d_out, *lead):
+        drawn.append(int(np.prod(lead)))
+        return draw(rng, d_in, d_out, *lead)
+
+    config = small_config(**MIXED_BLOCK)
+    monkeypatch.setattr(trajectories, "glorot", counting)
+    rod_trace(config)
+    stacked = sum(drawn)
+    drawn.clear()
+    monkeypatch.setattr(f"{__name__}.glorot", counting)
+    oracle_rod_trace(config)
+    assert stacked == sum(drawn)
