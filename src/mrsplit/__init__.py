@@ -3,11 +3,9 @@ message passing on them, and verify the resulting rank and smoothing
 guarantees with executable property checks."""
 
 from .graph import (
-    DegreeVector,
     Graph,
     GraphError,
     add_leaf_self_loops,
-    degree_vector,
     graph_from_pairs,
     is_dag,
     load_edge_list,

@@ -113,11 +113,6 @@ def _independent_pair_count(E: np.ndarray) -> int:
     return int(np.count_nonzero(_ranks(pairs, DEFAULT_RANK_TOL) == 2))
 
 
-def rows_nonzero(X: np.ndarray, tol: float = ROW_ZERO_TOL) -> bool:
-    """Row-wise nonzero predicate: every row has Euclidean norm above tol."""
-    return bool(np.all(np.linalg.norm(np.asarray(X), axis=1) > tol))
-
-
 def _nuclear_norms(X: np.ndarray) -> np.ndarray:
     return np.linalg.svd(X, compute_uv=False).sum(axis=-1)
 

@@ -28,6 +28,32 @@ class GraphError(ValueError):
 # Above this node count the arc keys src * n + dst would overflow int64.
 _MAX_NODES = 2**31
 
+# Entry types that a cast to int64 would truncate, wrap or read as 0 and 1.
+_NOT_INDICES = (bool, np.bool_, float, complex, np.inexact)
+
+
+def _cast(values, dtype) -> np.ndarray:
+    try:
+        return np.array(values, dtype=dtype)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise GraphError(f"arcs do not fit int64/float64 arrays: {exc}") from exc
+
+
+def _index_arrays(n, src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """src and dst as new int64 arrays, checked in this order: the node
+    count n, before any cast; no float, NaN or bool index; every index fits
+    int64."""
+    if not 0 <= n < _MAX_NODES:
+        raise GraphError(f"node count must be in [0, 2**31), got {n}")
+    for name, values in (("src", src), ("dst", dst)):
+        if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+            continue
+        types = set(map(type, values)) if np.iterable(values) else set()
+        bad = ", ".join(sorted(t.__name__ for t in types if issubclass(t, _NOT_INDICES)))
+        if bad:
+            raise GraphError(f"{name} must hold integer indices, not {bad}")
+    return _cast(src, np.int64), _cast(dst, np.int64)
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -48,24 +74,21 @@ class Graph:
 
     def __post_init__(self) -> None:
         n = self.n
-        if not 0 <= n < _MAX_NODES:
-            raise GraphError(f"node count must be in [0, 2**31), got {n}")
-        try:
-            src = np.array(self.src, dtype=np.int64)
-            dst = np.array(self.dst, dtype=np.int64)
-            w = np.array(self.w, dtype=np.float64)
-        except (OverflowError, TypeError, ValueError) as exc:
-            raise GraphError(f"arcs do not fit int64/float64 arrays: {exc}") from exc
+        src, dst = _index_arrays(n, self.src, self.dst)
+        w = _cast(self.w, np.float64)
         if not (src.ndim == dst.ndim == w.ndim == 1 and len(src) == len(dst) == len(w)):
             raise GraphError("src, dst and w must be vectors of the same length")
         for name, arr in (("src", src), ("dst", dst), ("w", w)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        # Viewed as unsigned, a negative index is at least 2**63 >= n.
-        if len(src) and (
-            np.concatenate((src, dst)).view(np.uint64).max() >= n
-            or len(set((src * n + dst).tolist())) < len(src)
-        ):
+        # Viewed as unsigned, a negative index is at least 2**63 >= n. In
+        # range, src * n + dst is one key per pair; sorted, a repeat is
+        # next to its twin.
+        if len(src) and np.concatenate((src, dst)).view(np.uint64).max() >= n:
+            raise GraphError(*_first_bad_arc(src, dst, n))
+        keys = src * n + dst
+        keys.sort()
+        if (keys[1:] == keys[:-1]).any():
             raise GraphError(*_first_bad_arc(src, dst, n))
 
     def _key(self) -> tuple:
@@ -96,25 +119,6 @@ def _first_bad_arc(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[str, int]:
         e = int(repeats.min())
         return f"duplicate edge ({src[e]}, {dst[e]})", e
     return f"edge ({src[head]}, {dst[head]}) out of range for n={n}", head
-
-
-@dataclass(frozen=True)
-class DegreeVector:
-    """Per-node in/out degree counts and their weighted variants."""
-
-    in_deg: tuple[int, ...]
-    out_deg: tuple[int, ...]
-    weighted_in: tuple[float, ...]
-    weighted_out: tuple[float, ...]
-
-
-def degree_vector(g: Graph) -> DegreeVector:
-    return DegreeVector(
-        tuple(in_degrees(g).tolist()),
-        tuple(out_degrees(g).tolist()),
-        tuple(np.bincount(g.dst, weights=g.w, minlength=g.n).tolist()),
-        tuple(np.bincount(g.src, weights=g.w, minlength=g.n).tolist()),
-    )
 
 
 def in_degrees(g: Graph) -> np.ndarray:
@@ -148,25 +152,24 @@ def load_edge_list(
     "#n=<count>". JSON is {"n": int, "edges": [[src, dst, weight?], ...],
     "undirected": bool}. Without an explicit node count, n = 1 + max index.
     Duplicate edges are errors, not merged; in an undirected list an edge
-    given in both directions is a duplicate. Errors name the line or edge,
-    and a fault found while parsing is reported before any duplicate.
+    given in both directions is a duplicate. A byte stream is decoded as
+    UTF-8 in one piece, so invalid UTF-8 raises UnicodeDecodeError before
+    any other fault. Errors name the line or edge, and a fault found while
+    parsing is reported before any duplicate.
     """
-    if format == "tsv":
-        return _load_tsv(source, undirected)
-    if format == "json":
-        return _load_json(source, undirected)
-    raise GraphError(f"unknown edge list format: {format!r}")
+    if format not in ("tsv", "json"):
+        raise GraphError(f"unknown edge list format: {format!r}")
+    text = source.read()
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    return (_load_tsv if format == "tsv" else _load_json)(text, undirected)
 
 
-def _decode(line) -> str:
-    return line.decode("utf-8") if isinstance(line, bytes) else line
-
-
-def _load_tsv(source: IO, undirected: bool) -> Graph:
+def _load_tsv(text: str, undirected: bool) -> Graph:
     src, dst, w, lines = [], [], [], []
     declared_n: Optional[int] = None
-    for lineno, raw in enumerate(source, start=1):
-        line = _decode(raw).strip()
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
         if not line:
             continue
         if line.startswith("#"):
@@ -212,9 +215,8 @@ def _loaded_graph(
     if n is None:
         n = 1 + max(max(src, default=-1), max(dst, default=-1))
     if undirected:
-        # Object arrays keep the parsed Python ints, so the constructor checks
-        # the node count before converting any index, as for a directed list.
-        s, d = np.array(src, dtype=object), np.array(dst, dtype=object)
+        # Graph's own checks first: the node count before any index cast.
+        s, d = _index_arrays(n, src, dst)
         kept = np.ones(2 * len(s), dtype=bool)  # slot 2k: edge k; 2k + 1: reverse
         kept[1::2] = s != d
         src = np.column_stack((s, d)).ravel()[kept]
@@ -233,9 +235,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _load_json(source: IO, undirected: bool) -> Graph:
+def _load_json(text: str, undirected: bool) -> Graph:
     try:
-        data = json.loads(_decode(source.read()))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphError(f"malformed JSON graph: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("edges"), list):

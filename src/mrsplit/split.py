@@ -79,6 +79,13 @@ def _read_only(arcs: np.ndarray) -> np.ndarray:
     return arcs
 
 
+def read_only_operator(mat: sparse.csr_matrix) -> sparse.csr_matrix:
+    """mat, with its data, indices and indptr arrays made read-only."""
+    for arr in (mat.data, mat.indices, mat.indptr):
+        _read_only(arr)
+    return mat
+
+
 def whole_graph(g: Graph) -> MultiRelGraph:
     """g unsplit: one relation that holds every arc (a base convolution)."""
     every_arc = _read_only(np.arange(g.num_edges))
@@ -121,10 +128,7 @@ def _operator(
         vals = w * inv_sqrt[dst] * inv_sqrt[src]
     else:
         raise ValueError(f"unknown normalization mode: {mode!r}")
-    mat = sparse.csr_matrix((vals, (dst, src)), shape=(n, n))
-    for arr in (mat.data, mat.indices, mat.indptr):
-        arr.flags.writeable = False
-    return mat
+    return read_only_operator(sparse.csr_matrix((vals, (dst, src)), shape=(n, n)))
 
 
 def normalize(

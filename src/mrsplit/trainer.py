@@ -18,7 +18,7 @@ from . import autodiff as ad
 from .convolution import ACTIVATIONS, glorot
 from .ensembles import random_connected_graph
 from .graph import Graph, in_degrees
-from .split import VARIANTS, variant_operators
+from .split import VARIANTS, read_only_operator, variant_operators
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
         for idx, (g, X) in enumerate(zip(task.graphs, task.features))
     ]
     rel_ops = [
-        sparse.block_diag(ops, format="csr")
+        read_only_operator(sparse.block_diag(ops, format="csr"))
         for ops in zip(*per_graph)
     ]
     sizes = np.array([g.n for g in task.graphs])
@@ -136,8 +136,8 @@ def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
     )
     return CompiledTask(
         rel_ops=rel_ops,
-        rel_ops_t=[op.T.tocsr() for op in rel_ops],
-        pool=pool,
+        rel_ops_t=[read_only_operator(op.T.tocsr()) for op in rel_ops],
+        pool=read_only_operator(pool),
         X=np.vstack(task.features),
         targets=task.targets,
     )

@@ -18,7 +18,7 @@ from .convolution import glorot, relation_sum, relu
 from .diagnostics import dirichlet_energy, rod
 from .ensembles import molecule_like_graph
 from .graph import Graph
-from .split import VARIANTS, variant_operators
+from .split import VARIANTS, read_only_operator, variant_operators
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,10 @@ def _trace_same_size(
         for g in graphs
         for name, spec in zip(names, specs)
     ]
-    blocks = [sparse.block_diag(ops, format="csr") for ops in zip(*per_pair)]
-    for mat in blocks:
-        for arr in (mat.data, mat.indices, mat.indptr):
-            arr.flags.writeable = False
+    blocks = [
+        read_only_operator(sparse.block_diag(ops, format="csr"))
+        for ops in zip(*per_pair)
+    ]
     weights = np.zeros((slots + has_self, len(rngs), d, d))
     live = np.ones(len(rngs), dtype=bool)
     rods = np.zeros((len(rngs), layers))

@@ -290,6 +290,32 @@ def test_bad_counts_and_names_exit_usage(argv):
 
 
 @pytest.mark.parametrize(
+    "data, format, flags",
+    [
+        (b'{"n": 5, "edges": [[0, 1000000000000000000000000000000]]}', "json", []),
+        (b'{"n": 5, "edges": [[0, 1000000000000000000000000000000]]}', "json",
+         ["--undirected"]),
+        (b'{"n": 5, "edges": [[-1000000000000000000000000000000, 0]]}', "json", []),
+        (b'{"n": 5, "edges": [[-1000000000000000000000000000000, 0]]}', "json",
+         ["--undirected"]),
+        (b"0\t1\n\xff\t2\n", "tsv", []),
+        (b'{"edges": [[0, 1]], "note": "\xff"}', "json", []),
+    ],
+    ids=["big-index", "big-index-undirected", "big-negative-index",
+         "big-negative-index-undirected", "invalid-utf8-tsv", "invalid-utf8-json"],
+)
+def test_unloadable_edge_list_exits_usage(data, format, flags, tmp_path):
+    path, out = tmp_path / "graph", tmp_path / "out.json"
+    path.write_bytes(data)
+    code, stdout, err = _run(
+        ["split", "--input", str(path), "--format", format, *flags, "--output", str(out)]
+    )
+    assert (code, stdout) == (EXIT_USAGE, "")
+    assert err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         PPR_SPLIT,

@@ -12,7 +12,6 @@ from mrsplit.diagnostics import (
     in_degree_matrix,
     numeric_rank,
     rod,
-    rows_nonzero,
     structurally_independent,
     verify_dag_pair_rank,
     verify_dar_independent_pairs,
@@ -309,16 +308,6 @@ class TestDirichletEnergy:
     def test_row_count_validated(self):
         with pytest.raises(ValueError):
             dirichlet_energy(np.ones((2, 2)), graph_from_pairs(3, []))
-
-
-class TestRowsNonzero:
-    def test_all_nonzero(self):
-        assert rows_nonzero(np.ones((3, 2)))
-
-    def test_detects_zero_row(self):
-        X = np.ones((3, 2))
-        X[1] = 0.0
-        assert not rows_nonzero(X)
 
 
 class TestVerifyRankTheorem:

@@ -12,7 +12,6 @@ from mrsplit.graph import (
     Graph,
     GraphError,
     add_leaf_self_loops,
-    degree_vector,
     graph_from_pairs,
     in_degrees,
     is_dag,
@@ -56,6 +55,7 @@ class TestGraphInvariants:
     def test_empty_graph(self):
         g = graph_from_pairs(0, [])
         assert g.num_edges == 0
+        assert Graph(n=2, src=np.array([]), dst=np.array([]), w=[]).num_edges == 0
 
     def test_list_and_array_construction_agree(self):
         listed = Graph(n=3, src=[0, 1, 2], dst=[1, 2, 0], w=[1.0, 0.5, 2.0])
@@ -65,9 +65,15 @@ class TestGraphInvariants:
             dst=np.array([1, 2, 0], dtype=np.int32),
             w=np.array([1.0, 0.5, 2.0]),
         )
+        narrow = Graph(
+            n=3,
+            src=np.array([0, 1, 2], dtype=np.uint8),
+            dst=np.array([1, 2, 0], dtype=np.int8),
+            w=[1.0, 0.5, 2.0],
+        )
         paired = graph_from_pairs(3, [(0, 1), (1, 2, 0.5), (2, 0, 2.0)])
-        assert listed == arrays == paired
-        assert hash(listed) == hash(arrays) == hash(paired)
+        assert listed == arrays == narrow == paired
+        assert hash(listed) == hash(arrays) == hash(narrow) == hash(paired)
         assert listed != graph_from_pairs(3, [(0, 1), (1, 2, 0.5), (2, 0, 3.0)])
         assert listed != graph_from_pairs(3, [(1, 2, 0.5), (0, 1), (2, 0, 2.0)])
         assert listed != Graph(n=4, src=[0, 1, 2], dst=[1, 2, 0], w=[1.0, 0.5, 2.0])
@@ -88,6 +94,25 @@ class TestGraphInvariants:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(GraphError, match="same length"):
             Graph(n=2, src=[0, 1], dst=[1], w=[1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "src, dst, name",
+        [
+            ([0.9, 1.5], [1, 2], "src"),
+            ([0, 1], [1.2, 2.7], "dst"),
+            (np.array([0.0, 1.0]), [1, 2], "src"),
+            (np.array([np.nan, 0.0]), [1, 2], "src"),
+            ([0, 1], [math.nan, 2], "dst"),
+            ([True, 0], [1, 2], "src"),
+            (np.array([0, 1]), np.array([True, False]), "dst"),
+            ([0, np.float32(1.0)], [1, 2], "src"),
+        ],
+    )
+    def test_rejects_non_integer_indices(self, src, dst, name):
+        # A cast would truncate 0.9 to 0, wrap NaN to -2**63 and read a
+        # bool as 0 or 1.
+        with pytest.raises(GraphError, match=f"^{name} must hold integer indices, not "):
+            Graph(n=3, src=src, dst=dst, w=[1.0, 1.0])
 
     @pytest.mark.parametrize(
         "n, arc_list, message",
@@ -208,6 +233,18 @@ class TestLoadEdgeList:
             load_edge_list(io.StringIO("0\t1\n0\t1\nbad\n"))
         assert str(info.value) == "line 3: expected 2 or 3 fields, got 1"
 
+    @pytest.mark.parametrize("index", [10**30, -(10**30), 2**63])
+    @pytest.mark.parametrize("undirected", [False, True])
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_json_index_beyond_int64_with_declared_n(self, index, undirected, position):
+        edge = [0, index] if position else [index, 0]
+        payload = json.dumps({"n": 5, "edges": [[0, 1], edge]})
+        with pytest.raises(GraphError) as info:
+            load_edge_list(io.StringIO(payload), format="json", undirected=undirected)
+        assert str(info.value) == (
+            "arcs do not fit int64/float64 arrays: Python int too large to convert to C long"
+        )
+
     def test_undirected_node_count_checked_before_int64(self):
         with pytest.raises(GraphError, match="node count"):
             load_edge_list(io.StringIO("0\t99999999999999999999999\n"), undirected=True)
@@ -322,12 +359,6 @@ class TestLongestPath:
 
 
 class TestDegrees:
-    def test_degree_sums_match_edge_count(self):
-        g = graph_from_pairs(4, [(0, 1, 2.0), (2, 1), (3, 2), (1, 3)])
-        dv = degree_vector(g)
-        assert sum(dv.in_deg) == sum(dv.out_deg) == g.num_edges
-        assert dv.weighted_in[1] == 3.0
-
     def test_in_out_vectors(self):
         g = chain(3)
         assert list(in_degrees(g)) == [0, 1, 1]

@@ -102,6 +102,9 @@ class TestCompileAndForward:
         for op, op_t in zip(compiled.rel_ops, compiled.rel_ops_t):
             assert sparse.isspmatrix_csr(op_t)
             assert np.array_equal(op_t.toarray(), op.T.toarray())
+        for mat in (*compiled.rel_ops, *compiled.rel_ops_t, compiled.pool):
+            for arr in (mat.data, mat.indices, mat.indptr):
+                assert not arr.flags.writeable
 
     def test_base_variant_single_operator(self):
         task = make_synthetic_task(TINY_TASK)
