@@ -19,7 +19,7 @@ from .graph import GraphError, load_edge_list
 from .ordering import order_by
 from .split import split_edges, split_json
 from .trainer import ModelConfig, TaskParams, compare_base_vs_split, make_synthetic_task
-from .trajectories import TraceConfig, rod_trace
+from .trajectories import DEFAULT_VARIANTS, TraceConfig, rod_trace
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -35,10 +35,6 @@ def _open_output(path: str):
     if path == "-":
         return contextlib.nullcontext(sys.stdout)
     return open(path, "w", encoding="utf-8")
-
-
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def cmd_split(args: argparse.Namespace) -> int:
@@ -82,25 +78,22 @@ def cmd_rod_trace(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     with _open_output(args.output) as fh:
         reports = run_full_suite(seed=args.seed, trials=args.trials)
+        failed = [r for r in reports if not r.passed]
         bundle = {
             "seed": args.seed,
             "trials": args.trials,
             "reports": [r.to_dict() for r in reports],
-            "all_passed": all(r.passed for r in reports),
+            "all_passed": not failed,
         }
         if args.trials == 0:
             bundle["warning"] = "trials=0: vacuous pass"
-        fh.write(_json_dumps(bundle))
-    if not bundle["all_passed"]:
-        for r in reports:
-            if not r.passed:
-                print(
-                    f"verification failed: {r.theorem} "
-                    f"({r.failures}/{r.trials} trials)",
-                    file=sys.stderr,
-                )
-        return EXIT_VERIFY_FAIL
-    return EXIT_OK
+        fh.write(json.dumps(bundle, indent=2, sort_keys=True) + "\n")
+    for r in failed:
+        print(
+            f"verification failed: {r.theorem} ({r.failures}/{r.trials} trials)",
+            file=sys.stderr,
+        )
+    return EXIT_VERIFY_FAIL if failed else EXIT_OK
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -117,28 +110,29 @@ def cmd_train(args: argparse.Namespace) -> int:
     )
     with _open_output(args.output) as fh:
         seeds = tuple(range(args.model_seeds))
-        outcome = compare_base_vs_split(make_synthetic_task(params), config, seeds)
-        for run in outcome["runs"]:
-            for variant in run["diverged"]:
+        pairs = compare_base_vs_split(make_synthetic_task(params), config, seeds)
+        results = [result for pair in pairs for result in pair]
+        for result in results:
+            if result.diverged:
                 print(
-                    f"error: {variant} diverged at model seed {run['seed']}: "
-                    "the training loss became non-finite; "
+                    f"error: {result.config.variant} diverged at model seed "
+                    f"{result.config.seed}: the training loss became non-finite; "
                     f"try a smaller --lr than {args.lr!r}",
                     file=sys.stderr,
                 )
                 return EXIT_USAGE
-        base, mrs = outcome["base_variant"], outcome["mrs_variant"]
         lines = ["variant,seed,epoch,train_mae"]
-        for run in outcome["runs"]:
-            for epoch, mae in enumerate(run["base_trace"]):
-                lines.append(f"{base},{run['seed']},{epoch},{float(mae)!r}")
-            for epoch, mae in enumerate(run["mrs_trace"]):
-                lines.append(f"{mrs},{run['seed']},{epoch},{float(mae)!r}")
-        winner = mrs if outcome["mrs_wins_all"] else "mixed"
+        for result in results:
+            lines.extend(
+                f"{result.config.variant},{result.config.seed},{epoch},{mae!r}"
+                for epoch, mae in enumerate(result.trace)
+            )
+        split_wins = all(split.final_mae < base.final_mae for base, split in pairs)
+        winner = pairs[0][1].config.variant if split_wins else "mixed"
         finals = [
-            f"seed {r['seed']}: {base}={float(r['base_final'])!r} "
-            f"{mrs}={float(r['mrs_final'])!r}"
-            for r in outcome["runs"]
+            f"seed {base.config.seed}: {base.config.variant}={base.final_mae!r} "
+            f"{split.config.variant}={split.final_mae!r}"
+            for base, split in pairs
         ]
         lines.append(f"# summary: winner={winner}; " + "; ".join(finals))
         fh.write("\n".join(lines) + "\n")
@@ -209,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser(
         "rod-trace", help="rank-one distance over deep layer stacks"
     )
-    p_trace.add_argument("--variants", default="gcn,mrs_gcn,sage,mrs_sage")
+    p_trace.add_argument("--variants", default=",".join(DEFAULT_VARIANTS))
     p_trace.add_argument("--graphs", type=int, default=50)
     p_trace.add_argument("--layers", type=int, default=128)
     p_trace.add_argument("--dim", type=int, default=16)

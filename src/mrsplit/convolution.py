@@ -27,6 +27,10 @@ _GAT_ATT_SLOPE = 0.2
 
 LEAKY_SLOPE = 0.01
 
+# A split has three relations (E1, E2, E3), and GAT runs two attention heads.
+_RELATIONS = 3
+_GAT_HEADS = 2
+
 
 def identity(x: np.ndarray) -> np.ndarray:
     return x
@@ -88,65 +92,64 @@ def glorot(rng: np.random.Generator, d_in: int, d_out: int, *lead: int) -> np.nd
     return rng.uniform(-limit, limit, size=(*lead, d_in, d_out))
 
 
-def linear_params(
-    rng: np.random.Generator, d_in: int, d_out: int, relations: int = 3
-) -> LayerParams:
+def linear_params(rng: np.random.Generator, d_in: int, d_out: int) -> LayerParams:
     return LayerParams(
-        rel_weights=tuple(glorot(rng, d_in, d_out) for _ in range(relations))
+        rel_weights=tuple(glorot(rng, d_in, d_out) for _ in range(_RELATIONS))
     )
 
 
-def sage_params(
-    rng: np.random.Generator, d_in: int, d_out: int, relations: int = 3
-) -> LayerParams:
+def sage_params(rng: np.random.Generator, d_in: int, d_out: int) -> LayerParams:
     return LayerParams(
-        rel_weights=tuple(glorot(rng, d_in, d_out) for _ in range(relations)),
+        rel_weights=tuple(glorot(rng, d_in, d_out) for _ in range(_RELATIONS)),
         self_weight=glorot(rng, d_in, d_out),
     )
 
 
-def gat_params(
-    rng: np.random.Generator, d_in: int, d_out: int, relations: int = 3, heads: int = 2
-) -> LayerParams:
+def gat_params(rng: np.random.Generator, d_in: int, d_out: int) -> LayerParams:
     # One set of relation transforms per head, flattened head-major.
     return LayerParams(
         rel_weights=tuple(
-            glorot(rng, d_in, d_out) for _ in range(heads * relations)
+            glorot(rng, d_in, d_out) for _ in range(_GAT_HEADS * _RELATIONS)
         ),
-        att_vectors=tuple(_uniform(rng, 2 * d_out) for _ in range(heads)),
+        att_vectors=tuple(_uniform(rng, 2 * d_out) for _ in range(_GAT_HEADS)),
     )
 
 
-def gin_params(
-    rng: np.random.Generator, d_in: int, d_out: int, relations: int = 3
-) -> LayerParams:
+def gin_params(rng: np.random.Generator, d_in: int, d_out: int) -> LayerParams:
     return LayerParams(
         gin=tuple(
             (0.0, glorot(rng, d_in, d_out), glorot(rng, d_out, d_out))
-            for _ in range(relations)
+            for _ in range(_RELATIONS)
         )
     )
 
 
-def gatedgcn_params(
-    rng: np.random.Generator, d_in: int, d_out: int, relations: int = 3
-) -> LayerParams:
+def gatedgcn_params(rng: np.random.Generator, d_in: int, d_out: int) -> LayerParams:
     return LayerParams(
         gate_self=glorot(rng, d_in, d_out),
-        gate_rel=tuple(glorot(rng, d_in, d_out) for _ in range(relations)),
+        gate_rel=tuple(glorot(rng, d_in, d_out) for _ in range(_RELATIONS)),
         gate_edge=glorot(rng, d_in, d_out),
         gate_recv=glorot(rng, d_in, d_out),
         gate_send=glorot(rng, d_in, d_out),
     )
 
 
-def _check_dims(X: np.ndarray, ops: Sequence[sparse.csr_matrix]) -> None:
-    n = X.shape[0]
+def _checked_features(
+    X: np.ndarray, ops: Sequence[sparse.csr_matrix], weights: Sequence[np.ndarray]
+) -> np.ndarray:
+    """X as float64, once there is one transform per operator, every operator
+    has one row per row of X, and every transform takes X's feature width."""
+    if len(ops) != len(weights):
+        raise ValueError(f"got {len(ops)} operators but {len(weights)} transforms")
+    X = np.asarray(X, dtype=np.float64)
     for op in ops:
-        if op.shape[0] != n:
+        if op.shape[0] != X.shape[0]:
             raise ValueError(
-                f"operator size {op.shape[0]} does not match feature rows {n}"
+                f"operator size {op.shape[0]} does not match feature rows {X.shape[0]}"
             )
+    if any(w.shape[0] != X.shape[1] for w in weights):
+        raise ValueError("transform input dim does not match features")
+    return X
 
 
 def _aggregate(mat: sparse.csr_matrix, Y: np.ndarray) -> np.ndarray:
@@ -188,14 +191,7 @@ def mrs_linear_layer(
     act: ArrayFn = identity,
 ) -> np.ndarray:
     """act(sum_k A_k X W_k); with one relation this is a plain convolution."""
-    if len(ops) != len(weights):
-        raise ValueError(
-            f"got {len(ops)} operators but {len(weights)} transforms"
-        )
-    X = np.asarray(X, dtype=np.float64)
-    _check_dims(X, ops)
-    if any(w.shape[0] != X.shape[1] for w in weights):
-        raise ValueError("transform input dim does not match features")
+    X = _checked_features(X, ops, weights)
     return act(relation_sum(X, ops, weights))
 
 
@@ -210,8 +206,8 @@ def mrs_sage(
     X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: ArrayFn = identity
 ) -> np.ndarray:
     """Self transform plus mean-aggregated per-relation messages."""
-    X = np.asarray(X, dtype=np.float64)
     ops = normalize(mrg, ROW_MEAN)
+    X = _checked_features(X, ops, params.rel_weights)
     return act(relation_sum(X, ops, params.rel_weights, params.self_weight))
 
 

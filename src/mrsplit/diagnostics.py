@@ -8,7 +8,7 @@ data, not an exception.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -31,6 +31,8 @@ from .split import (
 
 DEFAULT_RANK_TOL = 1e-8
 ROW_ZERO_TOL = 1e-12
+# Feature width of the random states and transforms the theorem suites draw.
+VERIFY_DIM = 8
 
 
 def in_degree_matrix(ops: Sequence[sparse.csr_matrix]) -> np.ndarray:
@@ -93,7 +95,7 @@ def exact_rank_small(M) -> int:
     return rank
 
 
-def structurally_independent(d_i, d_j, rel_tol: float = DEFAULT_RANK_TOL) -> bool:
+def structurally_independent(d_i, d_j) -> bool:
     """True iff the two weighted in-degree vectors are linearly independent.
 
     A zero vector is dependent on everything. Symmetric in its arguments.
@@ -102,7 +104,7 @@ def structurally_independent(d_i, d_j, rel_tol: float = DEFAULT_RANK_TOL) -> boo
     b = np.asarray(d_j, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 1:
         raise ValueError("expected two equal-length vectors")
-    return numeric_rank(np.stack([a, b]), rel_tol) == 2
+    return numeric_rank(np.stack([a, b])) == 2
 
 
 def _independent_pair_count(E: np.ndarray) -> int:
@@ -190,15 +192,7 @@ class VerificationReport:
         return self.failures == 0
 
     def to_dict(self) -> dict:
-        return {
-            "theorem": self.theorem,
-            "trials": self.trials,
-            "failures": self.failures,
-            "min_margin": self.min_margin,
-            "seed": self.seed,
-            "passed": self.passed,
-            "notes": self.notes,
-        }
+        return asdict(self) | {"passed": self.passed}
 
 
 _SIGMAS = (identity, leaky_relu)
@@ -241,12 +235,11 @@ def _rank_checks(
     ops: Sequence[sparse.csr_matrix],
     rows,
     target: int,
-    d: int,
 ) -> list[tuple[float, Optional[str]]]:
     """Per activation: rank of the selected output rows of one split
     convolution of a random rank-one input, minus the target rank."""
-    X = np.outer(rng.uniform(-1, 1, ops[0].shape[0]), rng.uniform(-1, 1, d))
-    weights = [rng.uniform(-1, 1, (d, d)) for _ in ops]
+    X = np.outer(rng.uniform(-1, 1, ops[0].shape[0]), rng.uniform(-1, 1, VERIFY_DIM))
+    weights = [rng.uniform(-1, 1, (VERIFY_DIM, VERIFY_DIM)) for _ in ops]
     pre = relation_sum(X, ops, weights)
     checks = []
     for sigma in _SIGMAS:
@@ -257,10 +250,7 @@ def _rank_checks(
 
 
 def verify_rank_theorem(
-    ops: Sequence[sparse.csr_matrix],
-    trials: int = 500,
-    seed: int = 0,
-    d: int = 8,
+    ops: Sequence[sparse.csr_matrix], trials: int = 500, seed: int = 0
 ) -> VerificationReport:
     """Output rank of one split convolution is at least rank of the
     weighted in-degree matrix, for rank-one inputs and generic transforms."""
@@ -269,7 +259,7 @@ def verify_rank_theorem(
         "rank_lower_bound",
         trials,
         seed,
-        lambda rng, t: _rank_checks(rng, t, ops, slice(None), rank_e, d),
+        lambda rng, t: _rank_checks(rng, t, ops, slice(None), rank_e),
     )
 
 
@@ -278,7 +268,6 @@ def verify_independence_theorem(
     pair: tuple[int, int],
     trials: int = 500,
     seed: int = 0,
-    d: int = 8,
 ) -> VerificationReport:
     """Structurally independent node pairs yield linearly independent output
     rows in every trial. Nothing is asserted for dependent pairs."""
@@ -292,16 +281,14 @@ def verify_independence_theorem(
         "independent_pair_rows",
         trials,
         seed,
-        lambda rng, t: _rank_checks(rng, t, ops, [i, j], 2, d) if independent else [],
+        lambda rng, t: _rank_checks(rng, t, ops, [i, j], 2) if independent else [],
     )
     if not independent:
         report.notes.append("pair is structurally dependent; no assertion made")
     return report
 
 
-def verify_zero_convergence(
-    trials: int = 100, seed: int = 0, d: int = 8
-) -> VerificationReport:
+def verify_zero_convergence(trials: int = 100, seed: int = 0) -> VerificationReport:
     """Mean aggregation on a DAG without leaf self-loops drives every state
     to exactly zero after longest-path-length + 1 steps."""
 
@@ -309,9 +296,9 @@ def verify_zero_convergence(
         g = random_connected_dag(rng, int(rng.integers(5, 21)))
         mats = [operator_for_graph(g, ROW_MEAN)]
         depth = longest_path_length(g) + 1
-        X = rng.uniform(-1, 1, (g.n, d))
+        X = rng.uniform(-1, 1, (g.n, VERIFY_DIM))
         for _ in range(depth):
-            X = relu(relation_sum(X, mats, [rng.uniform(-1, 1, (d, d))]))
+            X = relu(relation_sum(X, mats, [rng.uniform(-1, 1, (VERIFY_DIM, VERIFY_DIM))]))
         peak = float(np.abs(X).max())
         note = f"trial {t}: residual magnitude {peak}"
         return [(-peak, note if peak != 0.0 else None)]
@@ -320,7 +307,7 @@ def verify_zero_convergence(
 
 
 def verify_dag_pair_rank(
-    trials: int = 200, seed: int = 0, depth: int = 16, d: int = 8
+    trials: int = 200, seed: int = 0, depth: int = 16
 ) -> VerificationReport:
     """A DAG plus its reverse with distinct transforms keeps every row
     nonzero and rank above one at depth `depth`.
@@ -336,9 +323,9 @@ def verify_dag_pair_rank(
         mats = dar_pair_from_dag(g)
         checks = []
         for sigma in _SIGMAS:
-            X = rng.uniform(-1, 1, (g.n, d))
+            X = rng.uniform(-1, 1, (g.n, VERIFY_DIM))
             for _ in range(depth):
-                weights = [rng.uniform(-1, 1, (d, d)) for _ in mats]
+                weights = [rng.uniform(-1, 1, (VERIFY_DIM, VERIFY_DIM)) for _ in mats]
                 X = sigma(relation_sum(X, mats, weights))
                 norm = np.linalg.norm(X)
                 if norm == 0.0:
@@ -394,7 +381,7 @@ def verify_dar_independent_pairs(
 
 
 def verify_rank_theorem_random_splits(
-    trials: int = 500, seed: int = 0, d: int = 8
+    trials: int = 500, seed: int = 0
 ) -> VerificationReport:
     """Rank lower bound over freshly sampled split graphs per trial."""
 
@@ -402,7 +389,7 @@ def verify_rank_theorem_random_splits(
         g = molecule_like_graph(rng, 8, 30)
         ops = variant_operators(g, "mrs_gcn", "random", int(rng.integers(0, 2**63)))
         rank_e = numeric_rank(in_degree_matrix(ops))
-        return _rank_checks(rng, t, ops, slice(None), rank_e, d)
+        return _rank_checks(rng, t, ops, slice(None), rank_e)
 
     return _run_suite("rank_lower_bound_random_splits", trials, seed, trial)
 
@@ -417,34 +404,26 @@ def _independent_pair_instance(
         c, e = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         if a * e - b * c != 0:
             break
-    counts = [(a, b), (c, e)]
-    edges1: list[tuple[int, int, float]] = []
-    edges2: list[tuple[int, int, float]] = []
+    # Each count k of node i's relation is k arcs into i from k new senders.
+    arcs: tuple[list, list] = ([], [])
     nxt = 2
-    for node, (k1, k2) in enumerate(counts):
-        for _ in range(k1):
-            edges1.append((nxt, node, 1.0))
-            nxt += 1
-        for _ in range(k2):
-            edges2.append((nxt, node, 1.0))
-            nxt += 1
-    n = nxt
-    ops = [
-        operator_for_graph(graph_from_pairs(n, edges1), RAW),
-        operator_for_graph(graph_from_pairs(n, edges2), RAW),
-    ]
+    for node, counts in enumerate([(a, b), (c, e)]):
+        for rel, k in enumerate(counts):
+            arcs[rel].extend((sender, node) for sender in range(nxt, nxt + k))
+            nxt += k
+    ops = [operator_for_graph(graph_from_pairs(nxt, pairs), RAW) for pairs in arcs]
     return ops, (0, 1)
 
 
 def verify_independence_on_constructions(
-    trials: int = 500, seed: int = 0, d: int = 8
+    trials: int = 500, seed: int = 0
 ) -> VerificationReport:
     """Constructed structurally independent pairs always yield rank-2 output
     row pairs; one freshly built instance per trial."""
 
     def trial(rng: np.random.Generator, t: int):
         ops, pair = _independent_pair_instance(rng)
-        return _rank_checks(rng, t, ops, list(pair), 2, d)
+        return _rank_checks(rng, t, ops, list(pair), 2)
 
     return _run_suite("constructed_independent_pairs", trials, seed, trial)
 

@@ -153,15 +153,21 @@ def load_edge_list(
     "undirected": bool}. Without an explicit node count, n = 1 + max index.
     Duplicate edges are errors, not merged; in an undirected list an edge
     given in both directions is a duplicate. A byte stream is decoded as
-    UTF-8 in one piece, so invalid UTF-8 raises UnicodeDecodeError before
-    any other fault. Errors name the line or edge, and a fault found while
-    parsing is reported before any duplicate.
+    UTF-8 in one piece, so invalid UTF-8 is reported, with its line, before
+    any other fault. A JSON weight must be a number, not a bool or a string,
+    and JSON nested too deeply for the parser is malformed. Errors name the
+    line or edge, and a fault found while parsing is reported before any
+    duplicate.
     """
     if format not in ("tsv", "json"):
         raise GraphError(f"unknown edge list format: {format!r}")
     text = source.read()
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = text.count(b"\n", 0, exc.start) + 1
+            raise GraphError(f"line {line}: invalid UTF-8 ({exc.reason})") from exc
     return (_load_tsv if format == "tsv" else _load_json)(text, undirected)
 
 
@@ -238,7 +244,7 @@ def _is_int(x) -> bool:
 def _load_json(text: str, undirected: bool) -> Graph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise GraphError(f"malformed JSON graph: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
         raise GraphError("JSON graph must be an object with an 'edges' list")
@@ -254,10 +260,13 @@ def _load_json(text: str, undirected: bool) -> Graph:
         s, d = item[0], item[1]
         if not (_is_int(s) and _is_int(d)):
             raise GraphError(f"edge #{k}: node indices must be integers")
+        weight = item[2] if len(item) == 3 else 1.0
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise GraphError(f"edge #{k}: malformed weight {weight!r}")
         try:
-            weight = float(item[2]) if len(item) == 3 else 1.0
-        except (TypeError, ValueError) as exc:
-            raise GraphError(f"edge #{k}: malformed weight {item[2]!r}") from exc
+            weight = float(weight)
+        except OverflowError:  # an integer beyond float64 is +-inf, as 1e400 reads
+            weight = math.inf if weight > 0 else -math.inf
         if not math.isfinite(weight):
             raise GraphError(f"edge #{k}: non-finite weight {weight!r}")
         src.append(s)
@@ -274,12 +283,26 @@ def reverse(g: Graph) -> Graph:
     return Graph(n=g.n, src=g.dst, dst=g.src, w=g.w, undirected=g.undirected)
 
 
-def _successors(g: Graph) -> list[list[int]]:
-    """Adjacency lists: entry i holds the heads of i's out-arcs in arc order."""
-    succ: list[list[int]] = [[] for _ in range(g.n)]
-    for src, dst in zip(g.src.tolist(), g.dst.tolist()):
-        succ[src].append(dst)
-    return succ
+def _kahn(g: Graph) -> tuple[Optional[list[int]], list[int]]:
+    """One pass of Kahn's algorithm, lowest index first: the topological
+    order, None on a cycle, and each node's depth, the arc count of the
+    longest path that ends there."""
+    by_src = np.argsort(g.src, kind="stable")
+    heads = g.dst[by_src].tolist()  # out-arc heads grouped by tail, in arc order
+    start = np.concatenate(([0], np.cumsum(out_degrees(g)))).tolist()
+    indeg = in_degrees(g).tolist()
+    depth = [0] * g.n
+    ready = [i for i in range(g.n) if indeg[i] == 0]  # ascending, so a heap
+    order: list[int] = []
+    while ready:
+        node = heapq.heappop(ready)
+        order.append(node)
+        for nxt in heads[start[node] : start[node + 1]]:
+            depth[nxt] = max(depth[nxt], depth[node] + 1)
+            indeg[nxt] -= 1
+            if indeg[nxt] == 0:
+                heapq.heappush(ready, nxt)
+    return (order if len(order) == g.n else None), depth
 
 
 def is_dag(g: Graph) -> tuple[bool, Optional[list[int]]]:
@@ -288,21 +311,8 @@ def is_dag(g: Graph) -> tuple[bool, Optional[list[int]]]:
     Returns (True, topological order) for acyclic graphs, (False, None)
     otherwise. A self-loop counts as a cycle.
     """
-    indeg = in_degrees(g).tolist()
-    succ = _successors(g)
-    ready = [i for i in range(g.n) if indeg[i] == 0]
-    heapq.heapify(ready)
-    order: list[int] = []
-    while ready:
-        node = heapq.heappop(ready)
-        order.append(node)
-        for nxt in succ[node]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                heapq.heappush(ready, nxt)
-    if len(order) != g.n:
-        return False, None
-    return True, order
+    order, _ = _kahn(g)
+    return order is not None, order
 
 
 def add_leaf_self_loops(g: Graph) -> Graph:
@@ -326,13 +336,7 @@ def add_leaf_self_loops(g: Graph) -> Graph:
 
 def longest_path_length(g: Graph) -> int:
     """Number of edges on the longest directed path of a DAG."""
-    acyclic, order = is_dag(g)
-    if not acyclic:
+    order, depth = _kahn(g)
+    if order is None:
         raise GraphError("longest_path_length requires a DAG")
-    dist = [0] * g.n
-    succ = _successors(g)
-    for node in order:  # type: ignore[union-attr]
-        for nxt in succ[node]:
-            if dist[node] + 1 > dist[nxt]:
-                dist[nxt] = dist[node] + 1
-    return max(dist, default=0)
+    return max(depth, default=0)

@@ -52,7 +52,6 @@ class TaskParams:
     count: int = 128
     n_min: int = 12
     n_max: int = 30
-    extra_edge_fraction: float = 1.0
     buckets: int = 2
     seed: int = 0
 
@@ -94,8 +93,7 @@ def make_synthetic_task(params: TaskParams) -> SyntheticTask:
     graphs, feats, targets = [], [], []
     for _ in range(params.count):
         n = int(rng.integers(params.n_min, params.n_max + 1))
-        extra = max(1, int(round(params.extra_edge_fraction * n)))
-        g = random_connected_graph(rng, n, extra)
+        g = random_connected_graph(rng, n, extra_edges=n)
         X = degree_bucket_features(g, params.buckets)
         graphs.append(g)
         feats.append(X)
@@ -253,31 +251,16 @@ def train(task: SyntheticTask, config: ModelConfig, tied: bool = False) -> Train
 
 def compare_base_vs_split(
     task: SyntheticTask, config: ModelConfig, seeds: tuple[int, ...] = (0, 1, 2)
-) -> dict:
-    """Train the base variant and its split counterpart on the same task for
-    each seed; reports final MAEs and whether the split model won each time."""
+) -> list[tuple[TrainResult, TrainResult]]:
+    """Train the base variant and its split counterpart on the same task;
+    one (base, split) pair of results per model seed, in seed order."""
     if not seeds:
         raise ValueError("need at least one model seed")
-    base_variant = config.variant.removeprefix("mrs_")
-    mrs_variant = "mrs_" + base_variant
-    rows = []
-    for seed in seeds:
-        base = train(task, replace(config, variant=base_variant, seed=seed))
-        mrs = train(task, replace(config, variant=mrs_variant, seed=seed))
-        rows.append(
-            {
-                "seed": seed,
-                "base_final": base.final_mae,
-                "mrs_final": mrs.final_mae,
-                "base_trace": base.trace,
-                "mrs_trace": mrs.trace,
-                "mrs_wins": mrs.final_mae < base.final_mae,
-                "diverged": [r.config.variant for r in (base, mrs) if r.diverged],
-            }
+    base = config.variant.removeprefix("mrs_")
+    return [
+        (
+            train(task, replace(config, variant=base, seed=seed)),
+            train(task, replace(config, variant="mrs_" + base, seed=seed)),
         )
-    return {
-        "base_variant": base_variant,
-        "mrs_variant": mrs_variant,
-        "runs": rows,
-        "mrs_wins_all": all(r["mrs_wins"] for r in rows),
-    }
+        for seed in seeds
+    ]

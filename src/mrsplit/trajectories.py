@@ -21,9 +21,13 @@ from .graph import Graph
 from .split import VARIANTS, read_only_operator, variant_operators
 
 
+# The variants a trace runs by default; a name added to VARIANTS does not join.
+DEFAULT_VARIANTS = ("gcn", "mrs_gcn", "sage", "mrs_sage")
+
+
 @dataclass(frozen=True)
 class TraceConfig:
-    variants: tuple[str, ...] = tuple(VARIANTS)
+    variants: tuple[str, ...] = DEFAULT_VARIANTS
     num_graphs: int = 50
     layers: int = 128
     dim: int = 16

@@ -183,15 +183,15 @@ class TestCriterion8:
     def test_training_direction(self, capsys):
         task = make_synthetic_task(TaskParams())  # 128 graphs, default task
         config = ModelConfig(variant="gcn")  # L=4, d=32, 300 epochs
-        outcome = compare_base_vs_split(task, config, seeds=(0, 1, 2))
+        pairs = compare_base_vs_split(task, config, seeds=(0, 1, 2))
         finals = "; ".join(
-            f"seed {r['seed']}: {r['base_final']:.3f} vs {r['mrs_final']:.3f}"
-            for r in outcome["runs"]
+            f"seed {base.config.seed}: {base.final_mae:.3f} vs {split.final_mae:.3f}"
+            for base, split in pairs
         )
         report(
             capsys, 8,
             f"split model beats base in all 3 seeds ({finals})",
-            outcome["mrs_wins_all"],
+            all(split.final_mae < base.final_mae for base, split in pairs),
         )
 
     def test_tied_weights_reduce_to_base(self, capsys):

@@ -300,9 +300,16 @@ def test_bad_counts_and_names_exit_usage(argv):
          ["--undirected"]),
         (b"0\t1\n\xff\t2\n", "tsv", []),
         (b'{"edges": [[0, 1]], "note": "\xff"}', "json", []),
+        (b'{"edges": [[0, 1, ' + b"9" * 400 + b"]]}", "json", []),
+        (b"0\t1\t" + b"9" * 400 + b"\n", "tsv", []),
+        (b"[" * 10_000 + b"]" * 10_000, "json", []),
+        (b'{"edges": [[0, 1, "2.5"]]}', "json", []),
+        (b'{"edges": [[0, 1, true]]}', "json", []),
     ],
     ids=["big-index", "big-index-undirected", "big-negative-index",
-         "big-negative-index-undirected", "invalid-utf8-tsv", "invalid-utf8-json"],
+         "big-negative-index-undirected", "invalid-utf8-tsv", "invalid-utf8-json",
+         "big-weight-json", "big-weight-tsv", "nested-json", "string-weight-json",
+         "bool-weight-json"],
 )
 def test_unloadable_edge_list_exits_usage(data, format, flags, tmp_path):
     path, out = tmp_path / "graph", tmp_path / "out.json"

@@ -246,20 +246,30 @@ class TestLinearLayer:
         )
         assert np.array_equal(out, [[6.0], [2.0]])
 
-    def test_count_mismatch(self):
-        ops = [operator_for_graph(undirected_path(), RAW)]
-        with pytest.raises(ValueError):
-            mrs_linear_layer(np.zeros((3, 1)), ops, [np.eye(1), np.eye(1)])
+    # Each kernel applied to features X and relation transforms on the
+    # three-relation split of undirected_path(); SAGE's self transform fits X.
+    KERNELS = {
+        "mrs_linear_layer": lambda X, ws: mrs_linear_layer(X, normalize(path_split(), RAW), ws),
+        "mrs_gcn": lambda X, ws: mrs_gcn(X, path_split(), LayerParams(rel_weights=ws)),
+        "mrs_sage": lambda X, ws: mrs_sage(
+            X, path_split(), LayerParams(rel_weights=ws, self_weight=np.eye(X.shape[1]))
+        ),
+    }
 
-    def test_dim_mismatch(self):
-        ops = [operator_for_graph(undirected_path(), RAW)]
-        with pytest.raises(ValueError):
-            mrs_linear_layer(np.zeros((3, 2)), ops, [np.eye(3)])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_count_mismatch(self, kernel):
+        with pytest.raises(ValueError, match="got 3 operators but 2 transforms"):
+            self.KERNELS[kernel](np.zeros((3, 1)), (np.eye(1),) * 2)
 
-    def test_operator_size_mismatch(self):
-        ops = [operator_for_graph(undirected_path(), RAW)]
-        with pytest.raises(ValueError):
-            mrs_linear_layer(np.zeros((4, 1)), ops, [np.eye(1)])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_dim_mismatch(self, kernel):
+        with pytest.raises(ValueError, match="transform input dim does not match"):
+            self.KERNELS[kernel](np.zeros((3, 2)), (np.eye(3),) * 3)
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_operator_size_mismatch(self, kernel):
+        with pytest.raises(ValueError, match="operator size 3 does not match feature rows 4"):
+            self.KERNELS[kernel](np.zeros((4, 1)), (np.eye(1),) * 3)
 
 
 class TestStackedRelationSum:

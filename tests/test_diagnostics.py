@@ -7,6 +7,7 @@ from scipy import sparse
 
 from mrsplit import diagnostics
 from mrsplit.diagnostics import (
+    VerificationReport,
     dirichlet_energy,
     exact_rank_small,
     in_degree_matrix,
@@ -333,6 +334,16 @@ class TestVerifyRankTheorem:
         d = verify_rank_theorem(ops, trials=5, seed=3).to_dict()
         assert d["theorem"] == "rank_lower_bound"
         assert d["trials"] == 5 and d["seed"] == 3
+
+    def test_report_dict_holds_every_field_and_the_verdict(self):
+        report = VerificationReport(
+            "t", trials=4, failures=1, min_margin=-1.0, seed=2, notes=["trial 0: x"]
+        )
+        assert report.to_dict() == {
+            "theorem": "t", "trials": 4, "failures": 1, "min_margin": -1.0,
+            "seed": 2, "notes": ["trial 0: x"], "passed": False,
+        }
+        assert report.to_dict()["notes"] is not report.notes
 
 
 class TestVerifyIndependenceTheorem:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mrsplit.ensembles import random_connected_dag
 from mrsplit.graph import (
     Graph,
     GraphError,
@@ -245,6 +246,43 @@ class TestLoadEdgeList:
             "arcs do not fit int64/float64 arrays: Python int too large to convert to C long"
         )
 
+    @pytest.mark.parametrize("format", ["tsv", "json"])
+    def test_invalid_utf8_is_a_graph_error_naming_its_line(self, format):
+        with pytest.raises(GraphError, match=r"^line 2: invalid UTF-8"):
+            load_edge_list(io.BytesIO(b"0\t1\n\xff\t2\n"), format=format)
+
+    def test_invalid_utf8_reported_before_any_other_fault(self):
+        with pytest.raises(GraphError, match=r"^line 3: invalid UTF-8"):
+            load_edge_list(io.BytesIO(b"bad\n0\t1\n0\t1\xff\n"))
+
+    @pytest.mark.parametrize("weight", ['"2.5"', "true", "false", "null", "[1]"])
+    def test_json_weight_must_be_a_number(self, weight):
+        payload = '{"edges": [[0, 1, 1.5], [1, 2, ' + weight + "]]}"
+        with pytest.raises(GraphError) as info:
+            load_edge_list(io.StringIO(payload), format="json")
+        assert str(info.value) == f"edge #1: malformed weight {json.loads(weight)!r}"
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_json_integer_weight_beyond_float64_is_not_finite(self, sign):
+        payload = '{"edges": [[0, 1, ' + sign + "9" * 400 + "]]}"
+        with pytest.raises(GraphError) as info:
+            load_edge_list(io.StringIO(payload), format="json")
+        assert str(info.value) == f"edge #0: non-finite weight {sign}inf"
+
+    @pytest.mark.parametrize(
+        "payload",
+        ["[" * 10_000 + "]" * 10_000, '{"edges": ' + "[" * 10_000 + "]" * 10_000 + "}"],
+        ids=["nested-10000", "nested-edges-10000"],
+    )
+    def test_json_the_parser_cannot_read_is_malformed(self, payload):
+        with pytest.raises(GraphError, match="^malformed JSON graph: "):
+            load_edge_list(io.StringIO(payload), format="json")
+
+    def test_json_integer_and_float_weights_load_as_float64(self):
+        payload = '{"edges": [[0, 1, 2], [1, 2, 0.5], [2, 0, -3]]}'
+        g = load_edge_list(io.StringIO(payload), format="json")
+        assert g.w.tolist() == [2.0, 0.5, -3.0]
+
     def test_undirected_node_count_checked_before_int64(self):
         with pytest.raises(GraphError, match="node count"):
             load_edge_list(io.StringIO("0\t99999999999999999999999\n"), undirected=True)
@@ -356,6 +394,36 @@ class TestLongestPath:
     def test_requires_dag(self):
         with pytest.raises(GraphError):
             longest_path_length(graph_from_pairs(2, [(0, 1), (1, 0)]))
+
+    def test_matches_path_enumeration_on_random_dags(self):
+        # Brute force: walk every directed path from every node.
+        rng = np.random.default_rng(2024)
+        for _ in range(50):
+            g = random_connected_dag(rng, int(rng.integers(2, 16)))
+            succ = {i: [d for s, d, _ in arcs(g) if s == i] for i in range(g.n)}
+
+            def longest_from(node):
+                return max((1 + longest_from(nxt) for nxt in succ[node]), default=0)
+
+            assert longest_path_length(g) == max(longest_from(i) for i in range(g.n))
+
+    def test_order_is_the_lowest_index_first_topological_order(self):
+        # At each step the order takes the lowest-index node all of whose
+        # in-neighbors are already placed.
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            g = random_connected_dag(rng, int(rng.integers(2, 16)))
+            acyclic, order = is_dag(g)
+            assert acyclic
+            placed: set[int] = set()
+            for node in order:
+                ready = [
+                    i for i in range(g.n) if i not in placed
+                    and all(s in placed for s, d, _ in arcs(g) if d == i)
+                ]
+                assert node == min(ready)
+                placed.add(node)
+            assert len(order) == g.n
 
 
 class TestDegrees:

@@ -9,6 +9,7 @@ from mrsplit.graph import graph_from_pairs
 from mrsplit.trainer import (
     ModelConfig,
     TaskParams,
+    TrainResult,
     compare_base_vs_split,
     compile_task,
     degree_bucket_features,
@@ -241,12 +242,16 @@ class TestFusedTrainingMatchesChain:
 class TestCompare:
     def test_structure_and_determinism(self):
         task = make_synthetic_task(TINY_TASK)
-        outcome = compare_base_vs_split(task, tiny_config(epochs=2), seeds=(0, 1))
-        assert outcome["base_variant"] == "gcn"
-        assert outcome["mrs_variant"] == "mrs_gcn"
-        assert len(outcome["runs"]) == 2
+        pairs = compare_base_vs_split(task, tiny_config(epochs=2), seeds=(0, 1))
+        assert [
+            (base.config.variant, base.config.seed, split.config.variant, split.config.seed)
+            for base, split in pairs
+        ] == [("gcn", 0, "mrs_gcn", 0), ("gcn", 1, "mrs_gcn", 1)]
+        for result in (result for pair in pairs for result in pair):
+            assert isinstance(result, TrainResult)
+            assert len(result.trace) == 3 and result.final_mae == result.trace[-1]
         again = compare_base_vs_split(task, tiny_config(epochs=2), seeds=(0, 1))
-        assert outcome == again
+        assert pairs == again
 
 
 class TestModelGradients:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from mrsplit import trajectories
+from mrsplit.cli import build_parser
 from mrsplit.convolution import glorot, relation_sum, relu
 from mrsplit.diagnostics import dirichlet_energy, rod
 from mrsplit.ensembles import molecule_like_graph
 from mrsplit.split import VARIANTS, variant_operators
-from mrsplit.trajectories import TraceConfig, rod_trace
+from mrsplit.trajectories import DEFAULT_VARIANTS, TraceConfig, rod_trace
 
 
 def small_config(**overrides):
@@ -194,3 +195,11 @@ def test_collapsed_states_draw_no_more_transforms(monkeypatch):
     monkeypatch.setattr(f"{__name__}.glorot", counting)
     oracle_rod_trace(config)
     assert stacked == sum(drawn)
+
+
+def test_one_explicit_default_variant_list():
+    # The library and CLI defaults are one tuple, not the registry's keys.
+    assert DEFAULT_VARIANTS == ("gcn", "mrs_gcn", "sage", "mrs_sage")
+    assert TraceConfig().variants is DEFAULT_VARIANTS
+    args = build_parser().parse_args(["rod-trace"])
+    assert tuple(args.variants.split(",")) == DEFAULT_VARIANTS
