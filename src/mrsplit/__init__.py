@@ -31,7 +31,9 @@ from .split import (
     split_edges,
 )
 from .convolution import (
-    LayerParams,
+    GatedGcnParams,
+    GatParams,
+    SageParams,
     mrs_gat,
     mrs_gatedgcn,
     mrs_gcn,

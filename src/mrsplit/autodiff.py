@@ -36,12 +36,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
 
 def parameter(value) -> Tensor:
     return Tensor(value)

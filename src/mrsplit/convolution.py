@@ -1,14 +1,15 @@
 """Message-passing kernels: the component-wise activations, the generic
 linear multi-relational layer and the five named convolution variants.
 
-All kernels are pure functions of (features, relations, parameters). No
+All kernels are pure functions of (features, relations, parameters), and
+each family takes one parameter type that its factory draws. No
 transformation carries a bias term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -53,32 +54,48 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-# The component-wise activations a layer or a model config may name.
+# The component-wise activations a model config may name.
 ACTIVATIONS = {f.__name__: f for f in (identity, relu, leaky_relu, sigmoid)}
-ArrayFn = Callable[[np.ndarray], np.ndarray]
+
+
+# Added to the GatedGCN gate sum before dividing by it.
+GATE_EPS = 1e-6
+
+# GCN: one d x d' transform per relation.
+GcnParams = tuple[np.ndarray, ...]
+# GIN: one (epsilon, W_hidden, W_out) triple per relation.
+GinParams = tuple[tuple[float, np.ndarray, np.ndarray], ...]
 
 
 @dataclass(frozen=True)
-class LayerParams:
-    """Per-layer parameters; which fields are set depends on the variant.
+class SageParams:
+    """One d x d' transform per relation and the previous-state transform."""
 
-    rel_weights holds one d x d' transform per relation. self_weight is the
-    extra previous-state transform (SAGE). att_vectors holds one attention
-    vector of length 2*d' per head (GAT, two heads by default). gin holds
-    (epsilon, W_hidden, W_out) per relation. gate_* are the GatedGCN
-    transforms with gate_eps the denominator stabilizer.
-    """
+    rel_weights: tuple[np.ndarray, ...]
+    self_weight: np.ndarray
 
-    rel_weights: Optional[tuple[np.ndarray, ...]] = None
-    self_weight: Optional[np.ndarray] = None
-    att_vectors: Optional[tuple[np.ndarray, ...]] = None
-    gin: Optional[tuple[tuple[float, np.ndarray, np.ndarray], ...]] = None
-    gate_self: Optional[np.ndarray] = None
-    gate_rel: Optional[tuple[np.ndarray, ...]] = None
-    gate_edge: Optional[np.ndarray] = None
-    gate_recv: Optional[np.ndarray] = None
-    gate_send: Optional[np.ndarray] = None
-    gate_eps: float = 1e-6
+
+@dataclass(frozen=True)
+class GatParams:
+    """Per head, one d x d' transform per relation (head_weights[h][k]) and
+    one attention vector of length 2 d' (att_vectors[h])."""
+
+    head_weights: tuple[tuple[np.ndarray, ...], ...]
+    att_vectors: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True)
+class GatedGcnParams:
+    """The d x d' transforms of out_i = A x_i + sum_j(gate_ij * B_k x_j) /
+    (sum_j gate_ij + eps), gate_ij = sigmoid(D x_i + E x_j + C e_ij): A is
+    self_weight, B_k rel_weights[k], C edge_weight (d_e x d'), D recv_weight
+    and E send_weight."""
+
+    self_weight: np.ndarray
+    rel_weights: tuple[np.ndarray, ...]
+    edge_weight: np.ndarray
+    recv_weight: np.ndarray
+    send_weight: np.ndarray
 
 
 def _uniform(rng: np.random.Generator, shape) -> np.ndarray:
@@ -92,53 +109,53 @@ def glorot(rng: np.random.Generator, d_in: int, d_out: int, *lead: int) -> np.nd
     return rng.uniform(-limit, limit, size=(*lead, d_in, d_out))
 
 
-def linear_params(rng: np.random.Generator, d_in: int, d_out: int) -> LayerParams:
-    return LayerParams(
-        rel_weights=tuple(glorot(rng, d_in, d_out) for _ in range(_RELATIONS))
-    )
+def linear_params(rng: np.random.Generator, d_in: int, d_out: int) -> GcnParams:
+    return tuple(glorot(rng, d_in, d_out) for _ in range(_RELATIONS))
 
 
-def sage_params(rng: np.random.Generator, d_in: int, d_out: int) -> LayerParams:
-    return LayerParams(
+def sage_params(rng: np.random.Generator, d_in: int, d_out: int) -> SageParams:
+    return SageParams(
         rel_weights=tuple(glorot(rng, d_in, d_out) for _ in range(_RELATIONS)),
         self_weight=glorot(rng, d_in, d_out),
     )
 
 
-def gat_params(rng: np.random.Generator, d_in: int, d_out: int) -> LayerParams:
-    # One set of relation transforms per head, flattened head-major.
-    return LayerParams(
-        rel_weights=tuple(
-            glorot(rng, d_in, d_out) for _ in range(_GAT_HEADS * _RELATIONS)
+def gat_params(rng: np.random.Generator, d_in: int, d_out: int) -> GatParams:
+    return GatParams(
+        head_weights=tuple(
+            tuple(glorot(rng, d_in, d_out) for _ in range(_RELATIONS))
+            for _ in range(_GAT_HEADS)
         ),
         att_vectors=tuple(_uniform(rng, 2 * d_out) for _ in range(_GAT_HEADS)),
     )
 
 
-def gin_params(rng: np.random.Generator, d_in: int, d_out: int) -> LayerParams:
-    return LayerParams(
-        gin=tuple(
-            (0.0, glorot(rng, d_in, d_out), glorot(rng, d_out, d_out))
-            for _ in range(_RELATIONS)
-        )
+def gin_params(rng: np.random.Generator, d_in: int, d_out: int) -> GinParams:
+    return tuple(
+        (0.0, glorot(rng, d_in, d_out), glorot(rng, d_out, d_out))
+        for _ in range(_RELATIONS)
     )
 
 
-def gatedgcn_params(rng: np.random.Generator, d_in: int, d_out: int) -> LayerParams:
-    return LayerParams(
-        gate_self=glorot(rng, d_in, d_out),
-        gate_rel=tuple(glorot(rng, d_in, d_out) for _ in range(_RELATIONS)),
-        gate_edge=glorot(rng, d_in, d_out),
-        gate_recv=glorot(rng, d_in, d_out),
-        gate_send=glorot(rng, d_in, d_out),
+def gatedgcn_params(rng: np.random.Generator, d_in: int, d_out: int) -> GatedGcnParams:
+    return GatedGcnParams(
+        self_weight=glorot(rng, d_in, d_out),
+        rel_weights=tuple(glorot(rng, d_in, d_out) for _ in range(_RELATIONS)),
+        edge_weight=glorot(rng, d_in, d_out),
+        recv_weight=glorot(rng, d_in, d_out),
+        send_weight=glorot(rng, d_in, d_out),
     )
 
 
 def _checked_features(
-    X: np.ndarray, ops: Sequence[sparse.csr_matrix], weights: Sequence[np.ndarray]
+    X: np.ndarray,
+    ops: Sequence[sparse.csr_matrix],
+    weights: Sequence[np.ndarray],
+    *others: np.ndarray,
 ) -> np.ndarray:
-    """X as float64, once there is one transform per operator, every operator
-    has one row per row of X, and every transform takes X's feature width."""
+    """X as float64, once there is one transform in weights per operator,
+    every operator has one row per row of X, and every transform in weights
+    and others takes X's feature width."""
     if len(ops) != len(weights):
         raise ValueError(f"got {len(ops)} operators but {len(weights)} transforms")
     X = np.asarray(X, dtype=np.float64)
@@ -147,7 +164,7 @@ def _checked_features(
             raise ValueError(
                 f"operator size {op.shape[0]} does not match feature rows {X.shape[0]}"
             )
-    if any(w.shape[0] != X.shape[1] for w in weights):
+    if any(w.shape[0] != X.shape[1] for w in (*weights, *others)):
         raise ValueError("transform input dim does not match features")
     return X
 
@@ -185,30 +202,22 @@ def relation_sum(
 
 
 def mrs_linear_layer(
-    X: np.ndarray,
-    ops: Sequence[sparse.csr_matrix],
-    weights: Sequence[np.ndarray],
-    act: ArrayFn = identity,
+    X: np.ndarray, ops: Sequence[sparse.csr_matrix], weights: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """act(sum_k A_k X W_k); with one relation this is a plain convolution."""
+    """sum_k A_k X W_k; with one relation this is a plain convolution."""
     X = _checked_features(X, ops, weights)
-    return act(relation_sum(X, ops, weights))
+    return relation_sum(X, ops, weights)
 
 
-def mrs_gcn(
-    X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: ArrayFn = identity
-) -> np.ndarray:
-    ops = normalize(mrg, SYM_GCN)
-    return mrs_linear_layer(X, ops, params.rel_weights, act)
+def mrs_gcn(X: np.ndarray, mrg: MultiRelGraph, params: GcnParams) -> np.ndarray:
+    return mrs_linear_layer(X, normalize(mrg, SYM_GCN), params)
 
 
-def mrs_sage(
-    X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: ArrayFn = identity
-) -> np.ndarray:
+def mrs_sage(X: np.ndarray, mrg: MultiRelGraph, params: SageParams) -> np.ndarray:
     """Self transform plus mean-aggregated per-relation messages."""
     ops = normalize(mrg, ROW_MEAN)
-    X = _checked_features(X, ops, params.rel_weights)
-    return act(relation_sum(X, ops, params.rel_weights, params.self_weight))
+    X = _checked_features(X, ops, params.rel_weights, params.self_weight)
+    return relation_sum(X, ops, params.rel_weights, params.self_weight)
 
 
 def _arc_ends(op: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -240,103 +249,82 @@ def _gat_head(
     return attention @ transformed.reshape(-1, d_out)
 
 
-def mrs_gat(
-    X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: ArrayFn = identity
-) -> np.ndarray:
-    """Two-head attention over per-relation transforms, heads concatenated.
+def mrs_gat(X: np.ndarray, mrg: MultiRelGraph, params: GatParams) -> np.ndarray:
+    """Multi-head attention over per-relation transforms, heads concatenated.
 
     Attention logits use the edge's relation transform on both endpoints.
     Nodes without in-neighbors get a zero output row (softmax over an empty
     set is undefined).
     """
-    X = np.asarray(X, dtype=np.float64)
-    heads = len(params.att_vectors)
-    rels = len(mrg.relations)
-    if len(params.rel_weights) != heads * rels:
-        raise ValueError("expected one relation transform per head and relation")
-    ends = [_arc_ends(op) for op in normalize(mrg, RAW)]
+    ops = normalize(mrg, RAW)
+    ends = [_arc_ends(op) for op in ops]
     arcs = (
         np.concatenate([src for src, _ in ends]),
         np.concatenate([dst for _, dst in ends]),
-        np.repeat(np.arange(rels), [len(src) for src, _ in ends]),
+        np.repeat(np.arange(len(ops)), [len(src) for src, _ in ends]),
     )
     outs = []
-    for h in range(heads):
-        head_weights = params.rel_weights[h * rels : (h + 1) * rels]
-        outs.append(_gat_head(X, arcs, head_weights, params.att_vectors[h]))
-    return act(np.concatenate(outs, axis=1))
+    for weights, att in zip(params.head_weights, params.att_vectors, strict=True):
+        X = _checked_features(X, ops, weights)
+        outs.append(_gat_head(X, arcs, weights, att))
+    return np.concatenate(outs, axis=1)
 
 
-def mrs_gin(
-    X: np.ndarray, mrg: MultiRelGraph, params: LayerParams, act: ArrayFn = identity
-) -> np.ndarray:
+def mrs_gin(X: np.ndarray, mrg: MultiRelGraph, params: GinParams) -> np.ndarray:
     """Sum of one GIN instantiation per edge relation.
 
     Each instantiation computes MLP_k((1 + eps_k) x_i + sum of raw
     in-neighbor features within relation k), with a two-layer relu MLP.
     """
-    X = np.asarray(X, dtype=np.float64)
     ops = normalize(mrg, RAW)
+    X = _checked_features(X, ops, [w_hidden for _, w_hidden, _ in params])
     total = None
-    for k, (eps, w_hidden, w_out) in enumerate(params.gin):
-        s = (1.0 + eps) * X + ops[k] @ X
+    for op, (eps, w_hidden, w_out) in zip(ops, params):
+        s = (1.0 + eps) * X + op @ X
         h = relu(s @ w_hidden) @ w_out
         total = h if total is None else total + h
-    return act(total)
-
-
-def _edge_attr_rows(
-    edge_attrs: dict[tuple[int, int], np.ndarray],
-    src: np.ndarray,
-    dst: np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """Row e holds the attribute of arc src[e] -> dst[e], or zeros when it has
-    none; attributes of pairs that are not arcs are ignored."""
-    pairs = np.array(list(edge_attrs), dtype=np.int64).reshape(-1, 2)
-    vecs = np.array(list(edge_attrs.values()), dtype=np.float64)
-    rows = np.zeros((len(src), vecs.shape[1]))
-    if len(src) == 0:
-        return rows
-    keys = src * n + dst
-    order = np.argsort(keys)
-    wanted = pairs[:, 0] * n + pairs[:, 1]
-    at = order[np.minimum(np.searchsorted(keys, wanted, sorter=order), len(keys) - 1)]
-    hit = ((pairs >= 0) & (pairs < n)).all(axis=1) & (keys[at] == wanted)
-    rows[at[hit]] = vecs[hit]
-    return rows
+    return total
 
 
 def mrs_gatedgcn(
     X: np.ndarray,
-    edge_attrs: Optional[dict[tuple[int, int], np.ndarray]],
+    edge_attrs: Optional[np.ndarray],
     mrg: MultiRelGraph,
-    params: LayerParams,
-    act: ArrayFn = identity,
+    params: GatedGcnParams,
 ) -> np.ndarray:
-    """Gated aggregation with per-relation message transforms.
-
-    out_i = A x_i + sum_j(gate_ij * B_f x_j) / (sum_j gate_ij + eps), with
-    gate_ij = sigmoid(D x_i + E x_j + C e_ij). Missing edge attributes
-    default to zero vectors.
+    """Gated aggregation with per-relation message transforms (see
+    GatedGcnParams). Row e of edge_attrs, shape (mrg.base.num_edges, d_e),
+    is the attribute of base arc e; None gives every arc a zero attribute.
     """
-    X = np.asarray(X, dtype=np.float64)
-    n = mrg.base.n
-    recv, send = X @ params.gate_recv, X @ params.gate_send
-    num = den = np.zeros((n, recv.shape[1]))
-    for k, op in enumerate(normalize(mrg, RAW)):
+    ops = normalize(mrg, RAW)
+    X = _checked_features(
+        X, ops, params.rel_weights,
+        params.self_weight, params.recv_weight, params.send_weight,
+    )
+    b = mrg.base
+    if edge_attrs is not None:
+        edge_attrs = np.asarray(edge_attrs, dtype=np.float64)
+        if edge_attrs.shape != (b.num_edges, params.edge_weight.shape[0]):
+            raise ValueError(
+                f"edge attributes of shape {edge_attrs.shape}, expected "
+                f"({b.num_edges}, {params.edge_weight.shape[0]}): one row per arc"
+            )
+    recv, send = X @ params.recv_weight, X @ params.send_weight
+    num = den = np.zeros((b.n, recv.shape[1]))
+    for op, arcs, w in zip(ops, mrg.relations, params.rel_weights):
         src, dst = _arc_ends(op)
         gate_pre = recv[dst] + send[src]
-        if edge_attrs:
-            gate_pre += _edge_attr_rows(edge_attrs, src, dst, n) @ params.gate_edge
+        if edge_attrs is not None:
+            # The operator stores arcs by receiver, then by sender.
+            in_op_order = arcs[np.lexsort((b.src[arcs], b.dst[arcs]))]
+            gate_pre += edge_attrs[in_op_order] @ params.edge_weight
         gate = 1.0 / (1.0 + np.exp(-gate_pre))
         # Arcs are stored by receiver, so the operator's row pointers make
         # row i of this matrix sum the arcs that arrive at node i.
         segment = sparse.csr_matrix(
             (np.ones(len(src)), np.arange(len(src)), op.indptr),
-            shape=(n, len(src)),
+            shape=(b.n, len(src)),
         )
-        num = num + segment @ (gate * (X @ params.gate_rel[k])[src])
+        num = num + segment @ (gate * (X @ w)[src])
         den = den + segment @ gate
-    return act(X @ params.gate_self + num / (den + params.gate_eps))
-
+    return X @ params.self_weight + num / (den + GATE_EPS)

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 from scipy import sparse
 
-from .graph import Graph, GraphError, in_degrees, is_dag, out_degrees
+from .graph import Graph, GraphError, in_degrees, is_dag, out_degrees, reverse
 from .ordering import OrderingScores, order_by
 
 RAW = "raw"
@@ -185,16 +185,13 @@ def dar_pair_from_dag(g: Graph) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:
     acyclic, _ = is_dag(g)
     if not acyclic:
         raise GraphError("dar_pair_from_dag requires a DAG")
-    out_deg = out_degrees(g)
-    covered = in_degrees(g) + out_deg
+    covered = in_degrees(g) + out_degrees(g)
     if g.n and covered.min() == 0:
         lonely = int(np.argmin(covered))
         raise GraphError(
             f"node {lonely} has no incoming edge in either direction"
         )
-    # The reverse graph's arcs are (dst, src) and its in-degrees g's out-degrees.
-    rev = _operator(g.n, g.dst, g.src, g.w, ROW_MEAN, out_deg)
-    return operator_for_graph(g, ROW_MEAN), rev
+    return operator_for_graph(g, ROW_MEAN), operator_for_graph(reverse(g), ROW_MEAN)
 
 
 def split_summary(mrg: MultiRelGraph) -> dict:

@@ -221,12 +221,12 @@ class TrainResult:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def train(task: SyntheticTask, config: ModelConfig, tied: bool = False) -> TrainResult:
+def train(task: SyntheticTask, config: ModelConfig) -> TrainResult:
     """Full-batch gradient descent; the trace holds the initial loss plus
     one train MAE per epoch. A non-finite loss ends the run and marks it
     diverged, so the overflow that leads there raises no numpy warning."""
     compiled = compile_task(task, config)
-    params = init_model(config, task.params.buckets, tied=tied)
+    params = init_model(config, task.params.buckets)
     tensors = params.all_tensors()
     result = TrainResult(config=config)
     loss = ad.mae_loss(forward(params, compiled, config), compiled.targets)

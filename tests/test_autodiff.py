@@ -148,12 +148,6 @@ class TestConventions:
         expected = X.T @ np.sign(X @ w.value - y) / y.size
         assert np.allclose(w.grad, expected)
 
-    def test_operator_overloads(self):
-        a = ad.parameter(np.ones((2, 2)))
-        b = ad.parameter(np.ones((2, 2)))
-        assert np.array_equal((a + b).value, 2 * np.ones((2, 2)))
-        assert np.array_equal((a @ b).value, 2 * np.ones((2, 2)))
-
     def test_identity_passthrough(self):
         a = ad.parameter(np.ones((2, 2)))
         assert ad.identity(a) is a

@@ -1,12 +1,17 @@
 """Message-passing kernels: the activations, the linear layer, the five variants."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from mrsplit.convolution import (
     ACTIVATIONS,
-    LayerParams,
+    GATE_EPS,
+    GatedGcnParams,
+    GatParams,
+    SageParams,
     gat_params,
     gatedgcn_params,
     gin_params,
@@ -78,8 +83,7 @@ def gat_per_edge(X, mrg, params):
     """Reference GAT: one Python step per arc, softmax per receiver."""
     n, rels = mrg.base.n, len(mrg.relations)
     outs = []
-    for h, att in enumerate(params.att_vectors):
-        head_weights = params.rel_weights[h * rels : (h + 1) * rels]
+    for head_weights, att in zip(params.head_weights, params.att_vectors):
         d_out = head_weights[0].shape[1]
         transformed = [X @ w for w in head_weights]
         dsts, logits, msgs = [], [], []
@@ -101,23 +105,21 @@ def gat_per_edge(X, mrg, params):
 
 
 def gatedgcn_per_edge(X, edge_attrs, mrg, params):
-    """Reference GatedGCN: one Python step per arc."""
-    n, d_in = X.shape
-    d_out = params.gate_self.shape[1]
+    """Reference GatedGCN: one Python step per arc; row e of edge_attrs is
+    base arc e's attribute."""
+    n = X.shape[0]
+    d_out = params.self_weight.shape[1]
     num, den = np.zeros((n, d_out)), np.zeros((n, d_out))
-    for k in range(len(mrg.relations)):
-        for src, dst in relation_arcs(mrg, k):
-            e = None if edge_attrs is None else edge_attrs.get((src, dst))
-            e_vec = np.zeros(d_in) if e is None else np.asarray(e, dtype=np.float64)
-            gate_pre = (
-                X[dst] @ params.gate_recv
-                + X[src] @ params.gate_send
-                + e_vec @ params.gate_edge
-            )
+    for k, arcs in enumerate(mrg.relations):
+        for e in arcs.tolist():
+            src, dst = int(mrg.base.src[e]), int(mrg.base.dst[e])
+            gate_pre = X[dst] @ params.recv_weight + X[src] @ params.send_weight
+            if edge_attrs is not None:
+                gate_pre = gate_pre + edge_attrs[e] @ params.edge_weight
             gate = 1.0 / (1.0 + np.exp(-gate_pre))
-            num[dst] += gate * (X[src] @ params.gate_rel[k])
+            num[dst] += gate * (X[src] @ params.rel_weights[k])
             den[dst] += gate
-    return X @ params.gate_self + num / (den + params.gate_eps)
+    return X @ params.self_weight + num / (den + GATE_EPS)
 
 
 def random_directed_split(seed, scores_kind):
@@ -158,17 +160,29 @@ class TestVectorizedAgainstPerEdge:
     @pytest.mark.parametrize("seed,kind", SPLIT_CASES)
     def test_gatedgcn(self, seed, kind):
         rng, g, mrg = random_directed_split(seed, kind)
+        # Arcs are listed by sender and the operators store them by receiver,
+        # so some relation's arc order is not its operator's order.
+        assert any(np.any(np.diff(g.dst[arcs]) < 0) for arcs in mrg.relations)
         X = rng.uniform(-1, 1, (g.n, 4))
         params = gatedgcn_params(rng, 4, 3)
-        arcs = list(zip(g.src.tolist(), g.dst.tolist()))
-        attrs = {arcs[i]: rng.uniform(-1, 1, 4) for i in range(0, len(arcs), 3)}
-        attrs[(0, 0)] = rng.uniform(-1, 1, 4)  # not an arc: ignored
-        s, d = next((s, d) for s, d in arcs if s >= 1)
-        attrs[(s - 1, d + g.n)] = rng.uniform(-1, 1, 4)  # not a node pair: ignored
-        for edge_attrs in (None, {}, attrs):
+        signs = rng.choice([-1.0, 1.0], (g.num_edges, 4))
+        attrs = signs * rng.uniform(0.5, 1.0, (g.num_edges, 4))  # nonzero on every arc
+        for edge_attrs in (None, attrs):
             out = mrs_gatedgcn(X, edge_attrs, mrg, params)
             ref = gatedgcn_per_edge(X, edge_attrs, mrg, params)
             assert np.abs(out - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize(
+        "shape",
+        [lambda m: (m - 1, 4), lambda m: (m + 1, 4), lambda m: (m, 3),
+         lambda m: (m, 5), lambda m: (4 * m,)],
+        ids=["short", "long", "narrow", "wide", "flat"],
+    )
+    def test_gatedgcn_edge_attribute_shape_checked(self, shape):
+        _, g, mrg = random_directed_split(40, "ties")
+        params = gatedgcn_params(np.random.default_rng(0), 4, 3)
+        with pytest.raises(ValueError, match="edge attributes of shape"):
+            mrs_gatedgcn(np.zeros((g.n, 4)), np.ones(shape(g.num_edges)), mrg, params)
 
     def test_edgeless(self):
         g = graph_from_pairs(3, [])
@@ -178,7 +192,7 @@ class TestVectorizedAgainstPerEdge:
         assert np.all(mrs_gat(X, mrg, gat_params(rng, 2, 2)) == 0.0)
         params = gatedgcn_params(rng, 2, 2)
         assert np.array_equal(
-            mrs_gatedgcn(X, {(0, 1): np.ones(2)}, mrg, params),
+            mrs_gatedgcn(X, np.ones((0, 2)), mrg, params),
             gatedgcn_per_edge(X, None, mrg, params),
         )
 
@@ -220,12 +234,17 @@ class TestActivation:
             assert np.array_equal(got.view(np.int64), expected.view(np.int64)), x
 
 
+def _fitting(X, ws):
+    """A transform from X's feature width to the output width of ws."""
+    return np.ones((X.shape[1], ws[0].shape[1]))
+
+
 class TestLinearLayer:
     def test_zero_input_zero_output(self):
         ops = [operator_for_graph(undirected_path(), RAW)]
         X = np.zeros((3, 2))
         for act in (identity, relu, leaky_relu):
-            out = mrs_linear_layer(X, ops, [np.ones((2, 2))], act)
+            out = act(mrs_linear_layer(X, ops, [np.ones((2, 2))]))
             assert np.all(out == 0.0)
 
     def test_identity_operator_identity_weight(self):
@@ -246,13 +265,28 @@ class TestLinearLayer:
         )
         assert np.array_equal(out, [[6.0], [2.0]])
 
-    # Each kernel applied to features X and relation transforms on the
-    # three-relation split of undirected_path(); SAGE's self transform fits X.
+    # Each kernel applied to features X and relation transforms ws on the
+    # three-relation split of undirected_path(); every other transform fits X
+    # and ws.
     KERNELS = {
         "mrs_linear_layer": lambda X, ws: mrs_linear_layer(X, normalize(path_split(), RAW), ws),
-        "mrs_gcn": lambda X, ws: mrs_gcn(X, path_split(), LayerParams(rel_weights=ws)),
+        "mrs_gcn": lambda X, ws: mrs_gcn(X, path_split(), ws),
         "mrs_sage": lambda X, ws: mrs_sage(
-            X, path_split(), LayerParams(rel_weights=ws, self_weight=np.eye(X.shape[1]))
+            X, path_split(), SageParams(rel_weights=ws, self_weight=_fitting(X, ws))
+        ),
+        "mrs_gat": lambda X, ws: mrs_gat(
+            X, path_split(),
+            GatParams(head_weights=(ws, ws), att_vectors=(np.zeros(2 * ws[0].shape[1]),) * 2),
+        ),
+        "mrs_gin": lambda X, ws: mrs_gin(
+            X, path_split(), tuple((0.0, w, np.eye(w.shape[1])) for w in ws)
+        ),
+        "mrs_gatedgcn": lambda X, ws: mrs_gatedgcn(
+            X, None, path_split(),
+            GatedGcnParams(
+                self_weight=_fitting(X, ws), rel_weights=ws, edge_weight=_fitting(X, ws),
+                recv_weight=_fitting(X, ws), send_weight=_fitting(X, ws),
+            ),
         ),
     }
 
@@ -270,6 +304,21 @@ class TestLinearLayer:
     def test_operator_size_mismatch(self, kernel):
         with pytest.raises(ValueError, match="operator size 3 does not match feature rows 4"):
             self.KERNELS[kernel](np.zeros((4, 1)), (np.eye(1),) * 3)
+
+    @pytest.mark.parametrize(
+        "kernel,field",
+        [("mrs_sage", "self_weight")]
+        + [("mrs_gatedgcn", f) for f in ("self_weight", "recv_weight", "send_weight")],
+    )
+    def test_extra_transform_dim_mismatch(self, kernel, field):
+        draw = sage_params if kernel == "mrs_sage" else gatedgcn_params
+        params = replace(draw(np.random.default_rng(0), 2, 2), **{field: np.eye(3)})
+        X = np.zeros((3, 2))
+        with pytest.raises(ValueError, match="transform input dim does not match"):
+            if kernel == "mrs_sage":
+                mrs_sage(X, path_split(), params)
+            else:
+                mrs_gatedgcn(X, None, path_split(), params)
 
 
 class TestStackedRelationSum:
@@ -303,7 +352,7 @@ class TestMrsGcn:
         mrg = split_edges(g, order_degree(g))
         X = rng.uniform(-1, 1, (8, 3))
         w = rng.uniform(-1, 1, (3, 3))
-        params = LayerParams(rel_weights=(w, w, w))
+        params = (w, w, w)
         base = mrs_linear_layer(
             X, [operator_for_graph(g, "sym_gcn")], [w]
         )
@@ -313,7 +362,7 @@ class TestMrsGcn:
         rng = np.random.default_rng(1)
         X = rng.uniform(-1, 1, (3, 2))
         weights = tuple(rng.uniform(-1, 1, (2, 2)) for _ in range(3))
-        out = mrs_gcn(X, path_split(), LayerParams(rel_weights=weights))
+        out = mrs_gcn(X, path_split(), weights)
         expected = (X[0] @ weights[0] + X[2] @ weights[0]) / np.sqrt(2.0)
         assert np.allclose(out[1], expected)
 
@@ -321,7 +370,7 @@ class TestMrsGcn:
         g = graph_from_pairs(3, [(0, 1), (1, 2)])
         mrg = split_edges(g, OrderingScores((0.0, 1.0, 2.0), method="features"))
         X = np.ones((3, 2))
-        out = mrs_gcn(X, mrg, LayerParams(rel_weights=(np.eye(2),) * 3))
+        out = mrs_gcn(X, mrg, (np.eye(2),) * 3)
         assert np.all(out[0] == 0.0)
 
     def test_permutation_equivariance(self):
@@ -347,7 +396,7 @@ class TestMrsSage:
 
     def test_zero_relation_weights(self):
         rng = np.random.default_rng(4)
-        params = LayerParams(
+        params = SageParams(
             rel_weights=(np.zeros((2, 2)),) * 3, self_weight=rng.uniform(-1, 1, (2, 2))
         )
         X = rng.uniform(-1, 1, (3, 2))
@@ -357,7 +406,7 @@ class TestMrsSage:
     def test_path_center_row_mean(self):
         rng = np.random.default_rng(5)
         weights = tuple(rng.uniform(-1, 1, (2, 2)) for _ in range(3))
-        params = LayerParams(rel_weights=weights, self_weight=np.zeros((2, 2)))
+        params = SageParams(rel_weights=weights, self_weight=np.zeros((2, 2)))
         X = rng.uniform(-1, 1, (3, 2))
         out = mrs_sage(X, path_split(), params)
         assert np.allclose(out[1], (X[0] @ weights[0] + X[2] @ weights[0]) / 2.0)
@@ -372,7 +421,7 @@ class TestMrsGat:
         X = rng.uniform(-1, 1, (2, 2))
         out = mrs_gat(X, mrg, params)
         expected = np.concatenate(
-            [X[0] @ params.rel_weights[0], X[0] @ params.rel_weights[3]]
+            [X[0] @ params.head_weights[0][0], X[0] @ params.head_weights[1][0]]
         )
         assert np.allclose(out[1], expected)
 
@@ -381,7 +430,7 @@ class TestMrsGat:
         mrg = split_edges(g, OrderingScores((0.0, 1.0, 2.0), method="features"))
         rng = np.random.default_rng(7)
         weights = tuple(rng.uniform(-1, 1, (2, 2)) for _ in range(3))
-        params = LayerParams(rel_weights=weights, att_vectors=(np.zeros(4),))
+        params = GatParams(head_weights=(weights,), att_vectors=(np.zeros(4),))
         X = rng.uniform(-1, 1, (3, 2))
         out = mrs_gat(X, mrg, params)
         assert np.allclose(out[2], (X[0] @ weights[0] + X[1] @ weights[0]) / 2.0)
@@ -391,7 +440,7 @@ class TestMrsGat:
         mrg = split_edges(g, OrderingScores((0.0, 1.0, 2.0), method="features"))
         w = np.eye(1)
         att = np.array([0.0, 1.0])  # logit = leaky(x_src), d_out = 1
-        params = LayerParams(rel_weights=(w, w, w), att_vectors=(att,))
+        params = GatParams(head_weights=((w, w, w),), att_vectors=(att,))
         X = np.array([[1.0], [3.0], [0.0]])
         z = np.exp([1.0, 3.0])
         alpha = z / z.sum()
@@ -406,7 +455,10 @@ class TestMrsGat:
         assert np.all(out[0] == 0.0)
 
     def test_weight_count_validated(self):
-        params = LayerParams(rel_weights=(np.eye(1),), att_vectors=(np.zeros(2),))
+        params = GatParams(head_weights=((np.eye(1),),), att_vectors=(np.zeros(2),))
+        with pytest.raises(ValueError, match="got 3 operators but 1 transforms"):
+            mrs_gat(np.ones((3, 1)), path_split(), params)
+        params = GatParams(head_weights=((np.eye(1),) * 3,) * 2, att_vectors=(np.zeros(2),))
         with pytest.raises(ValueError):
             mrs_gat(np.ones((3, 1)), path_split(), params)
 
@@ -418,9 +470,7 @@ class TestMrsGin:
         rng = np.random.default_rng(9)
         w_h, w_o = rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, (2, 2))
         zero = np.zeros((2, 2))
-        params = LayerParams(
-            gin=((0.5, w_h, w_o), (0.0, zero, zero), (0.0, zero, zero))
-        )
+        params = ((0.5, w_h, w_o), (0.0, zero, zero), (0.0, zero, zero))
         X = rng.uniform(-1, 1, (3, 2))
         adj = operator_for_graph(mrg.relation_graph(0), RAW).toarray()
         expected = np.maximum((1.5 * X + adj @ X) @ w_h, 0.0) @ w_o
@@ -430,7 +480,7 @@ class TestMrsGin:
         g = graph_from_pairs(3, [])
         mrg = all_ties_split(g)
         eye = np.eye(2)
-        params = LayerParams(gin=((0.0, eye, eye),) * 3)
+        params = ((0.0, eye, eye),) * 3
         X = np.abs(np.random.default_rng(10).uniform(0, 1, (3, 2)))
         assert np.allclose(mrs_gin(X, mrg, params), 3.0 * X)
 
@@ -456,7 +506,7 @@ class TestMrsGatedGcn:
         params = gatedgcn_params(rng, 2, 2)
         X = rng.uniform(-1, 1, (3, 2))
         assert np.allclose(
-            mrs_gatedgcn(X, None, mrg, params), X @ params.gate_self
+            mrs_gatedgcn(X, None, mrg, params), X @ params.self_weight
         )
 
     def test_zero_gate_inputs_give_half_gates(self):
@@ -465,13 +515,13 @@ class TestMrsGatedGcn:
         rng = np.random.default_rng(13)
         b = rng.uniform(-1, 1, (2, 2))
         zero = np.zeros((2, 2))
-        params = LayerParams(
-            gate_self=zero, gate_rel=(b, b, b), gate_edge=zero,
-            gate_recv=zero, gate_send=zero,
+        params = GatedGcnParams(
+            self_weight=zero, rel_weights=(b, b, b), edge_weight=zero,
+            recv_weight=zero, send_weight=zero,
         )
         X = rng.uniform(-1, 1, (3, 2))
         out = mrs_gatedgcn(X, None, mrg, params)
-        expected = (0.5 * (X[0] @ b) + 0.5 * (X[1] @ b)) / (1.0 + params.gate_eps)
+        expected = (0.5 * (X[0] @ b) + 0.5 * (X[1] @ b)) / (1.0 + GATE_EPS)
         assert np.allclose(out[2], expected)
 
     def test_saturated_gate_approaches_plain_message(self):
@@ -479,9 +529,9 @@ class TestMrsGatedGcn:
         mrg = split_edges(g, OrderingScores((0.0, 1.0), method="features"))
         big = np.full((1, 1), 50.0)
         b = np.array([[2.0]])
-        params = LayerParams(
-            gate_self=np.zeros((1, 1)), gate_rel=(b, b, b),
-            gate_edge=np.zeros((1, 1)), gate_recv=big, gate_send=big,
+        params = GatedGcnParams(
+            self_weight=np.zeros((1, 1)), rel_weights=(b, b, b),
+            edge_weight=np.zeros((1, 1)), recv_weight=big, send_weight=big,
         )
         X = np.array([[1.0], [1.0]])
         out = mrs_gatedgcn(X, None, mrg, params)
@@ -491,13 +541,13 @@ class TestMrsGatedGcn:
         g = graph_from_pairs(2, [(0, 1)])
         mrg = split_edges(g, OrderingScores((0.0, 1.0), method="features"))
         b = np.array([[1.0]])
-        params = LayerParams(
-            gate_self=np.zeros((1, 1)), gate_rel=(b, b, b),
-            gate_edge=np.array([[100.0]]), gate_recv=np.zeros((1, 1)),
-            gate_send=np.zeros((1, 1)),
+        params = GatedGcnParams(
+            self_weight=np.zeros((1, 1)), rel_weights=(b, b, b),
+            edge_weight=np.array([[100.0]]), recv_weight=np.zeros((1, 1)),
+            send_weight=np.zeros((1, 1)),
         )
         X = np.array([[1.0], [0.0]])
-        with_attr = mrs_gatedgcn(X, {(0, 1): np.array([1.0])}, mrg, params)
+        with_attr = mrs_gatedgcn(X, np.array([[1.0]]), mrg, params)
         without = mrs_gatedgcn(X, None, mrg, params)
         assert with_attr[1, 0] > without[1, 0]
 
@@ -524,7 +574,7 @@ class TestTiedReduction:
         w = rng.uniform(-1, 1, (3, 3))
         self._check(
             lambda mrg, p: mrs_gcn(X, mrg, p), split, whole, unsplit,
-            LayerParams(rel_weights=(w, w, w)), LayerParams(rel_weights=(w,)),
+            (w, w, w), (w,),
         )
 
     def test_sage(self):
@@ -532,8 +582,8 @@ class TestTiedReduction:
         w, s = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3))
         self._check(
             lambda mrg, p: mrs_sage(X, mrg, p), split, whole, unsplit,
-            LayerParams(rel_weights=(w, w, w), self_weight=s),
-            LayerParams(rel_weights=(w,), self_weight=s),
+            SageParams(rel_weights=(w, w, w), self_weight=s),
+            SageParams(rel_weights=(w,), self_weight=s),
         )
 
     def test_gat(self):
@@ -542,8 +592,8 @@ class TestTiedReduction:
         att = (rng.uniform(-1, 1, 6), rng.uniform(-1, 1, 6))
         self._check(
             lambda mrg, p: mrs_gat(X, mrg, p), split, whole, unsplit,
-            LayerParams(rel_weights=(w1, w1, w1, w2, w2, w2), att_vectors=att),
-            LayerParams(rel_weights=(w1, w2), att_vectors=att),
+            GatParams(head_weights=((w1, w1, w1), (w2, w2, w2)), att_vectors=att),
+            GatParams(head_weights=((w1,), (w2,)), att_vectors=att),
         )
 
     def test_gatedgcn(self):
@@ -551,11 +601,12 @@ class TestTiedReduction:
         b = rng.uniform(-1, 1, (3, 3))
         gates = {
             name: rng.uniform(-1, 1, (3, 3))
-            for name in ("gate_self", "gate_edge", "gate_recv", "gate_send")
+            for name in ("self_weight", "edge_weight", "recv_weight", "send_weight")
         }
         self._check(
             lambda mrg, p: mrs_gatedgcn(X, None, mrg, p), split, whole, unsplit,
-            LayerParams(gate_rel=(b, b, b), **gates), LayerParams(gate_rel=(b,), **gates),
+            GatedGcnParams(rel_weights=(b, b, b), **gates),
+            GatedGcnParams(rel_weights=(b,), **gates),
         )
 
     def test_gin(self):
@@ -565,8 +616,8 @@ class TestTiedReduction:
         mlp = (0.5, rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)))
         zero = (0.0, np.zeros((3, 3)), np.zeros((3, 3)))
         assert np.array_equal(
-            mrs_gin(X, whole, LayerParams(gin=(mlp,))),
-            mrs_gin(X, unsplit, LayerParams(gin=(zero, zero, mlp))),
+            mrs_gin(X, whole, (mlp,)),
+            mrs_gin(X, unsplit, (zero, zero, mlp)),
         )
 
 
@@ -579,7 +630,7 @@ class TestIterate:
         rng = np.random.default_rng(31)
         X = rng.uniform(-1, 1, (4, 3))
         for _ in range(longest_path_length(g) + 1):
-            X = mrs_linear_layer(X, ops, [rng.uniform(-1, 1, (3, 3))], relu)
+            X = relu(mrs_linear_layer(X, ops, [rng.uniform(-1, 1, (3, 3))]))
         assert np.abs(X).max() == 0.0
 
     def test_leaf_self_loop_keeps_leaf_alive(self):
@@ -587,5 +638,5 @@ class TestIterate:
         ops = [operator_for_graph(g, ROW_MEAN)]
         X = np.abs(np.random.default_rng(32).uniform(0.1, 1, (3, 2)))
         for _ in range(6):
-            X = mrs_linear_layer(X, ops, [np.eye(2)], relu)
+            X = relu(mrs_linear_layer(X, ops, [np.eye(2)]))
         assert np.linalg.norm(X[2]) > 0.0
