@@ -16,7 +16,7 @@ from typing import Optional
 
 from .diagnostics import run_full_suite
 from .graph import GraphError, load_edge_list
-from .ordering import order_by
+from .ordering import ORDERINGS, order_by
 from .split import split_edges, split_json
 from .trainer import ModelConfig, TaskParams, compare_base_vs_split, make_synthetic_task
 from .trajectories import DEFAULT_VARIANTS, TraceConfig, rod_trace
@@ -225,10 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--count", type=int, default=128)
     p_train.add_argument("--layers", type=int, default=4)
     p_train.add_argument("--dim", type=int, default=32)
-    p_train.add_argument(
-        "--ordering", choices=("random", "features", "ppr", "degree"),
-        default="degree",
-    )
+    p_train.add_argument("--ordering", choices=ORDERINGS, default="degree")
     p_train.add_argument("--residual", action="store_true")
     p_train.add_argument("--jk", choices=("none", "cat", "max"), default="none")
     p_train.add_argument("--lr", type=_lr, default=0.3)

@@ -153,12 +153,14 @@ def _checked_features(
     weights: Sequence[np.ndarray],
     *others: np.ndarray,
 ) -> np.ndarray:
-    """X as float64, once there is one transform in weights per operator,
-    every operator has one row per row of X, and every transform in weights
-    and others takes X's feature width."""
+    """X as float64, once X is 2-D, there is one transform in weights per
+    operator, every operator has one row per row of X, and every transform
+    in weights and others takes X's feature width."""
     if len(ops) != len(weights):
         raise ValueError(f"got {len(ops)} operators but {len(weights)} transforms")
     X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError(f"features of shape {X.shape}, expected (nodes, width)")
     for op in ops:
         if op.shape[0] != X.shape[0]:
             raise ValueError(
@@ -235,6 +237,8 @@ def _gat_head(
 ) -> np.ndarray:
     src, dst, rel = arcs
     n, d_out = X.shape[0], head_weights[0].shape[1]
+    if np.shape(att) != (2 * d_out,):
+        raise ValueError(f"attention vector of shape {np.shape(att)}, expected ({2 * d_out},)")
     transformed = np.stack([X @ w for w in head_weights])  # (relations, n, d_out)
     z = (transformed @ att[:d_out])[rel, dst] + (transformed @ att[d_out:])[rel, src]
     z = np.where(z >= 0.0, z, _GAT_ATT_SLOPE * z)
@@ -280,6 +284,11 @@ def mrs_gin(X: np.ndarray, mrg: MultiRelGraph, params: GinParams) -> np.ndarray:
     X = _checked_features(X, ops, [w_hidden for _, w_hidden, _ in params])
     total = None
     for op, (eps, w_hidden, w_out) in zip(ops, params):
+        if w_out.shape[0] != w_hidden.shape[1]:
+            raise ValueError(
+                f"W_out input dim {w_out.shape[0]} does not match "
+                f"W_hidden output dim {w_hidden.shape[1]}"
+            )
         s = (1.0 + eps) * X + op @ X
         h = relu(s @ w_hidden) @ w_out
         total = h if total is None else total + h

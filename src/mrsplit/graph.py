@@ -135,7 +135,11 @@ def graph_from_pairs(
     pairs: Iterable[tuple[int, int]] | Iterable[tuple[int, int, float]],
     undirected: bool = False,
 ) -> Graph:
-    """Convenience constructor accepting (src, dst) or (src, dst, weight)."""
+    """Convenience constructor accepting (src, dst) or (src, dst, weight).
+
+    undirected=True only sets the graph's flag: list both directions of each
+    edge. Unlike the loaders, this does not expand an undirected list.
+    """
     arcs = [(p[0], p[1], p[2] if len(p) == 3 else 1.0) for p in pairs]
     src, dst, w = zip(*arcs) if arcs else ((), (), ())
     return Graph(n=n, src=src, dst=dst, w=w, undirected=undirected)

@@ -19,6 +19,9 @@ PRECEDES = "precedes"
 SUCCEEDS = "succeeds"
 INCOMPARABLE = "incomparable"
 
+# The ordering methods order_by knows.
+ORDERINGS = ("random", "features", "ppr", "degree")
+
 
 @dataclass(frozen=True)
 class OrderingScores:
@@ -26,7 +29,6 @@ class OrderingScores:
 
     scores: tuple[float, ...]
     method: str
-    seed: Optional[int] = None
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -63,7 +65,7 @@ def order_random(n: int, seed: int) -> OrderingScores:
         state, value = _splitmix64(state)
         j = value % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
-    return OrderingScores(tuple(float(x) for x in perm), method="random", seed=seed)
+    return OrderingScores(tuple(float(x) for x in perm), method="random")
 
 
 def order_feature_sum(X: np.ndarray) -> OrderingScores:

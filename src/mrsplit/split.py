@@ -108,52 +108,42 @@ def split_edges(g: Graph, scores: OrderingScores) -> MultiRelGraph:
     return MultiRelGraph(base=g, relations=relations, ordering=scores)
 
 
-def _operator(
-    n: int,
-    src: np.ndarray,
-    dst: np.ndarray,
-    w: np.ndarray,
-    mode: str,
-    degrees: np.ndarray,
-) -> sparse.csr_matrix:
-    """Read-only receiver-row CSR operator of the arcs src -> dst, with the
-    0-convention for degree-0 rows."""
-    deg = degrees.astype(np.float64)
-    if mode == RAW:
-        vals = w
-    elif mode == ROW_MEAN:
-        vals = np.where(deg[dst] > 0, w / np.maximum(deg[dst], 1.0), 0.0)
-    elif mode == SYM_GCN:
-        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
-        vals = w * inv_sqrt[dst] * inv_sqrt[src]
-    else:
-        raise ValueError(f"unknown normalization mode: {mode!r}")
-    return read_only_operator(sparse.csr_matrix((vals, (dst, src)), shape=(n, n)))
-
-
-def normalize(
-    mrg: MultiRelGraph, mode: str = SYM_GCN
-) -> tuple[sparse.csr_matrix, ...]:
+def normalize(mrg: MultiRelGraph, mode: str) -> tuple[sparse.csr_matrix, ...]:
     """Normalized operators for E1, E2, E3 using *full base-graph* in-degrees.
 
     With sym_gcn the three operators sum entrywise to the classic symmetric
     GCN operator of the unsplit graph; the split only reweights which
-    transformation each message passes through. Each mode is built on its
-    first request and the same operators are returned on every later one.
+    transformation each message passes through. The mode's value of each
+    base arc is computed once, with a degree-0 node weighing 0, and each
+    relation's read-only receiver-row CSR operator takes its own arcs'
+    values. Each mode is built on its first request and the same operators
+    are returned on every later one.
     """
     ops = mrg._operators.get(mode)
     if ops is None:
         b = mrg.base
-        deg = in_degrees(b)
+        if mode == RAW:
+            vals = b.w
+        elif mode == ROW_MEAN:
+            deg = in_degrees(b).astype(np.float64)[b.dst]
+            vals = np.where(deg > 0, b.w / np.maximum(deg, 1.0), 0.0)
+        elif mode == SYM_GCN:
+            deg = in_degrees(b).astype(np.float64)
+            inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
+            vals = b.w * inv_sqrt[b.dst] * inv_sqrt[b.src]
+        else:
+            raise ValueError(f"unknown normalization mode: {mode!r}")
         ops = tuple(
-            _operator(b.n, b.src[arcs], b.dst[arcs], b.w[arcs], mode, deg)
+            read_only_operator(
+                sparse.csr_matrix((vals[arcs], (b.dst[arcs], b.src[arcs])), shape=(b.n, b.n))
+            )
             for arcs in mrg.relations
         )
         mrg._operators[mode] = ops
     return ops
 
 
-def operator_for_graph(g: Graph, mode: str = RAW) -> sparse.csr_matrix:
+def operator_for_graph(g: Graph, mode: str) -> sparse.csr_matrix:
     """Single-relation operator for a whole graph, degrees from g itself."""
     return normalize(whole_graph(g), mode)[0]
 

@@ -18,6 +18,7 @@ from . import autodiff as ad
 from .convolution import ACTIVATIONS, glorot
 from .ensembles import random_connected_graph
 from .graph import Graph, in_degrees
+from .ordering import ORDERINGS
 from .split import VARIANTS, read_only_operator, variant_operators
 
 
@@ -41,6 +42,8 @@ class ModelConfig:
             raise ValueError(f"unknown variant: {self.variant!r}")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation: {self.activation!r}")
+        if self.ordering not in ORDERINGS:
+            raise ValueError(f"unknown ordering: {self.ordering!r}")
         if self.jk not in ("none", "cat", "max"):
             raise ValueError(f"unknown jumping-knowledge mode: {self.jk!r}")
         if self.epochs < 0:

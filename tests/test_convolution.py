@@ -235,8 +235,8 @@ class TestActivation:
 
 
 def _fitting(X, ws):
-    """A transform from X's feature width to the output width of ws."""
-    return np.ones((X.shape[1], ws[0].shape[1]))
+    """A transform from X's last-axis width to the output width of ws."""
+    return np.ones((X.shape[-1], ws[0].shape[1]))
 
 
 class TestLinearLayer:
@@ -305,20 +305,50 @@ class TestLinearLayer:
         with pytest.raises(ValueError, match="operator size 3 does not match feature rows 4"):
             self.KERNELS[kernel](np.zeros((4, 1)), (np.eye(1),) * 3)
 
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("shape", [(3,), (3, 1, 1)], ids=["1d", "3d"])
+    def test_features_not_2d(self, kernel, shape):
+        with pytest.raises(ValueError, match=rf"features of shape \({shape[0]},"):
+            self.KERNELS[kernel](np.zeros(shape), (np.eye(1),) * 3)
+
+    # Each kernel at d = d' = 2 on the path split, with params drawn for it
+    # except that the named field holds `bad`: GIN's field is every W_out and
+    # GAT's is both heads' attention vectors.
+    WITH_BAD = {
+        "mrs_sage": lambda X, field, bad: mrs_sage(
+            X, path_split(), replace(sage_params(np.random.default_rng(0), 2, 2), **{field: bad})
+        ),
+        "mrs_gatedgcn": lambda X, field, bad: mrs_gatedgcn(
+            X, None, path_split(),
+            replace(gatedgcn_params(np.random.default_rng(0), 2, 2), **{field: bad}),
+        ),
+        "mrs_gin": lambda X, field, bad: mrs_gin(
+            X, path_split(),
+            tuple((eps, w, bad) for eps, w, _ in gin_params(np.random.default_rng(0), 2, 2)),
+        ),
+        "mrs_gat": lambda X, field, bad: mrs_gat(
+            X, path_split(),
+            replace(gat_params(np.random.default_rng(0), 2, 2), att_vectors=(bad, bad)),
+        ),
+    }
+
     @pytest.mark.parametrize(
         "kernel,field",
         [("mrs_sage", "self_weight")]
-        + [("mrs_gatedgcn", f) for f in ("self_weight", "recv_weight", "send_weight")],
+        + [("mrs_gatedgcn", f) for f in ("self_weight", "recv_weight", "send_weight")]
+        + [("mrs_gin", "w_out"), ("mrs_gat", "att_vectors")],
     )
     def test_extra_transform_dim_mismatch(self, kernel, field):
-        draw = sage_params if kernel == "mrs_sage" else gatedgcn_params
-        params = replace(draw(np.random.default_rng(0), 2, 2), **{field: np.eye(3)})
-        X = np.zeros((3, 2))
-        with pytest.raises(ValueError, match="transform input dim does not match"):
-            if kernel == "mrs_sage":
-                mrs_sage(X, path_split(), params)
-            else:
-                mrs_gatedgcn(X, None, path_split(), params)
+        cases = {
+            "mrs_gin": [(np.ones((3, 2)), "W_out input dim 3 does not match W_hidden output dim 2")],
+            "mrs_gat": [
+                (np.zeros(shape), rf"attention vector of shape \({shape[0]},.*expected \(4,\)")
+                for shape in [(3,), (5,), (2, 2)]
+            ],
+        }.get(kernel, [(np.eye(3), "transform input dim does not match")])
+        for bad, match in cases:
+            with pytest.raises(ValueError, match=match):
+                self.WITH_BAD[kernel](np.zeros((3, 2)), field, bad)
 
 
 class TestStackedRelationSum:

@@ -7,10 +7,12 @@ from hypothesis import given, strategies as st
 from mrsplit.graph import graph_from_pairs
 from mrsplit.ordering import (
     INCOMPARABLE,
+    ORDERINGS,
     PRECEDES,
     SUCCEEDS,
     _splitmix64,
     compare,
+    order_by,
     order_degree,
     order_feature_sum,
     order_ppr,
@@ -117,6 +119,16 @@ class TestOrderDegree:
     def test_directed_chain_uses_in_degree(self):
         g = graph_from_pairs(3, [(0, 1), (1, 2)])
         assert order_degree(g).scores == (0.0, 1.0, 1.0)
+
+
+class TestOrderBy:
+    def test_knows_every_named_ordering(self):
+        g = bidirected_triangle()
+        X = np.arange(6.0).reshape(3, 2)
+        for method in ORDERINGS:
+            assert order_by(method, g, 0, X).method == method
+        with pytest.raises(ValueError, match="unknown ordering method"):
+            order_by("bogus", g, 0, X)
 
 
 class TestCompare:

@@ -194,9 +194,16 @@ class TestWholeGraph:
     @given(graph_and_scores())
     def test_operator_for_graph_equals_direct_operator(self, gs):
         g, _ = gs
-        for mode in (RAW, ROW_MEAN, SYM_GCN):
+        deg = in_degrees(g).astype(np.float64)
+        inv_sqrt = np.divide(1.0, np.sqrt(deg), out=np.zeros(g.n), where=deg > 0)
+        direct = {
+            RAW: g.w,
+            ROW_MEAN: g.w / deg[g.dst],  # every arc's receiver has degree >= 1
+            SYM_GCN: g.w * inv_sqrt[g.dst] * inv_sqrt[g.src],
+        }
+        for mode, vals in direct.items():
             op = operator_for_graph(g, mode)
-            ref = split._operator(g.n, g.src, g.dst, g.w, mode, in_degrees(g))
+            ref = sparse.csr_matrix((vals, (g.dst, g.src)), shape=(g.n, g.n))
             assert op.shape == ref.shape
             for name in ("data", "indices", "indptr"):
                 got, want = getattr(op, name), getattr(ref, name)
@@ -303,12 +310,12 @@ class TestOperatorCache:
     def test_each_mode_built_once_across_kernels(self, monkeypatch):
         built = []
 
-        def counting(n, src, dst, w, mode, degrees):
-            built.append(mode)
-            return real(n, src, dst, w, mode, degrees)
+        def counting(mat):
+            built.append(mat)
+            return real(mat)
 
-        real = split._operator
-        monkeypatch.setattr(split, "_operator", counting)
+        real = split.read_only_operator
+        monkeypatch.setattr(split, "read_only_operator", counting)
         mrg = self._split()
         assert built == []  # split_edges builds no operator
         rng = np.random.default_rng(0)
@@ -319,7 +326,10 @@ class TestOperatorCache:
             convolution.mrs_gin(X, mrg, convolution.gin_params(rng, 2, 2))
             convolution.mrs_gat(X, mrg, convolution.gat_params(rng, 2, 2))
             convolution.mrs_gatedgcn(X, None, mrg, convolution.gatedgcn_params(rng, 2, 2))
-        assert sorted(built) == sorted([SYM_GCN, ROW_MEAN, RAW] * 3)
+        cached = [op for mode in (SYM_GCN, ROW_MEAN, RAW) for op in normalize(mrg, mode)]
+        # One build per relation and mode, each the operator normalize keeps.
+        assert len(built) == 9
+        assert {id(op) for op in built} == {id(op) for op in cached}
 
 
 class TestDarPair:

@@ -43,6 +43,10 @@ class TestConfigs:
         with pytest.raises(ValueError, match="activation"):
             ModelConfig(activation="foo")
 
+    def test_rejects_unknown_ordering(self):
+        with pytest.raises(ValueError, match="unknown ordering: 'bogus'"):
+            ModelConfig(variant="mrs_gcn", ordering="bogus")
+
     def test_rejects_zero_layers(self):
         with pytest.raises(ValueError):
             ModelConfig(layers=0)
