@@ -39,12 +39,16 @@ def _cast(values, dtype) -> np.ndarray:
         raise GraphError(f"arcs do not fit int64/float64 arrays: {exc}") from exc
 
 
+def _check_node_count(n) -> None:
+    if not 0 <= n < _MAX_NODES:
+        raise GraphError(f"node count must be in [0, 2**31), got {n}")
+
+
 def _index_arrays(n, src, dst) -> tuple[np.ndarray, np.ndarray]:
     """src and dst as new int64 arrays, checked in this order: the node
     count n, before any cast; no float, NaN or bool index; every index fits
     int64."""
-    if not 0 <= n < _MAX_NODES:
-        raise GraphError(f"node count must be in [0, 2**31), got {n}")
+    _check_node_count(n)
     for name, values in (("src", src), ("dst", dst)):
         if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
             continue
@@ -165,53 +169,183 @@ def load_edge_list(
     """
     if format not in ("tsv", "json"):
         raise GraphError(f"unknown edge list format: {format!r}")
-    text = source.read()
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = text.count(b"\n", 0, exc.start) + 1
-            raise GraphError(f"line {line}: invalid UTF-8 ({exc.reason})") from exc
-    return (_load_tsv if format == "tsv" else _load_json)(text, undirected)
+    data = source.read()
+    if format == "json":
+        return _load_json(_text(data), undirected)
+    if isinstance(data, str):
+        data = data.encode("utf-8", "surrogatepass")
+    else:
+        _text(data)  # only the check: the TSV parse reads the bytes
+    return _load_tsv(data, undirected)
 
 
-def _load_tsv(text: str, undirected: bool) -> Graph:
-    src, dst, w, lines = [], [], [], []
-    declared_n: Optional[int] = None
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if lineno == 1 and line.startswith("#n="):
-                try:
-                    declared_n = int(line[3:])
-                except ValueError:
-                    raise GraphError(f"line 1: malformed node count header {line!r}")
-                if declared_n < 0:
-                    raise GraphError(f"line 1: negative node count {declared_n}")
-            continue
-        parts = line.split("\t")
-        if len(parts) not in (2, 3):
-            raise GraphError(f"line {lineno}: expected 2 or 3 fields, got {len(parts)}")
-        try:
-            s, d = int(parts[0]), int(parts[1])
-            weight = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError as exc:
-            raise GraphError(f"line {lineno}: malformed edge {line!r}") from exc
-        if not math.isfinite(weight):
-            raise GraphError(f"line {lineno}: non-finite weight {parts[2]!r}")
-        if s < 0 or d < 0:
-            raise GraphError(f"line {lineno}: negative node index")
-        if declared_n is not None and (s >= declared_n or d >= declared_n):
-            raise GraphError(
-                f"line {lineno}: index out of declared range n={declared_n}"
-            )
-        src.append(s)
-        dst.append(d)
-        w.append(weight)
-        lines.append(lineno)
-    return _loaded_graph(src, dst, w, declared_n, undirected, lambda k: f"line {lines[k]}")
+def _text(data) -> str:
+    """data as str; bytes are decoded as UTF-8, and a fault names its line."""
+    if isinstance(data, str):
+        return data
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GraphError(f"line {line}: invalid UTF-8 ({exc.reason})") from exc
+
+
+def _load_tsv(raw: bytes, undirected: bool) -> Graph:
+    """Graph of a TSV edge list given as UTF-8 bytes, as if each line went
+    through _tsv_line in order.
+
+    The array pass (_strict_lines) reads every strict line, whose one
+    possible fault is an index outside a declared node count. Every other
+    line goes to _tsv_line, in line order, up to the first line the array
+    pass finds out of range, which goes to _tsv_line last. So _tsv_line
+    raises every parse message, and the first faulty line wins.
+    """
+    starts, ends, strict, src, dst, w = _strict_lines(raw)
+    rows = np.flatnonzero(strict)
+    declared_n = _tsv_header(raw[: ends[0]].decode("utf-8", "surrogatepass"))
+    stop = len(starts)
+    if declared_n is not None:
+        outside = rows[(src >= declared_n) | (dst >= declared_n)]
+        stop = int(outside[0]) if len(outside) else stop
+    irregular = np.flatnonzero(~strict[:stop])
+    if stop < len(starts):
+        irregular = np.append(irregular, stop)  # _tsv_line raises its range fault
+    at, edges = [], []
+    bounds = zip(starts[irregular].tolist(), ends[irregular].tolist())
+    for i, (a, b) in zip(irregular.tolist(), bounds):
+        edge = _tsv_line(raw[a:b].decode("utf-8", "surrogatepass"), i + 1, declared_n)
+        if edge is not None:
+            at.append(i)
+            edges.append(edge)
+
+    s, d, weights = zip(*edges) if edges else ((), (), ())
+    n = declared_n
+    if n is None:
+        top = int(max(src.max(initial=-1), dst.max(initial=-1)))
+        n = 1 + max(top, max(s, default=-1), max(d, default=-1))
+    _check_node_count(n)  # before an index _tsv_line parsed meets int64
+    if edges:  # merge the edges _tsv_line parsed into line order
+        order = np.argsort(np.concatenate((rows, at)))
+        rows = np.concatenate((rows, at))[order]
+        src = np.concatenate((src, s))[order]
+        dst = np.concatenate((dst, d))[order]
+        w = np.concatenate((w, weights))[order]
+    return _loaded_graph(src, dst, w, n, undirected, lambda k: f"line {rows[k] + 1}")
+
+
+# An index of at most 18 digits is below 2**63, so the array pass reads it
+# into int64 without overflow.
+_MAX_DIGITS = 18
+
+
+def _strict_lines(raw: bytes) -> tuple[np.ndarray, ...]:
+    """The array pass over the bytes of a TSV edge list.
+
+    Returns (starts, ends, strict, src, dst, w). Line i, as split at newline
+    bytes only, is raw[starts[i]:ends[i]]. strict[i] says whether it is
+    "<digits><TAB><digits>", with 1 to 18 ASCII digits in each index, then
+    optionally "<TAB><weight>" and one carriage return, where the weight is
+    printable ASCII with no space that float reads as a finite number. src,
+    dst and w hold the edges of the strict lines, in line order.
+    """
+    data = np.frombuffer(raw, dtype=np.uint8)
+    digits = data - 48  # viewed as unsigned, at most 9 on an ASCII digit only
+    nondigit = np.flatnonzero(digits > 9)
+    byte = data[nondigit]
+    is_sep = (byte == 9) | (byte == 10)
+    sep = np.append(nondigit[is_sep], len(data))
+    last = np.flatnonzero(np.append(byte[is_sep] == 10, True))  # the text's end ends a line
+    ends = sep[last]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    tabs = np.diff(last, prepend=-1) - 1
+    weighted = tabs == 2
+    cr = np.zeros(len(ends), dtype=bool)
+    filled = ends > starts
+    cr[filled] = data[ends[filled] - 1] == 13
+    stop = ends - cr  # where the line's fields end
+    tab = sep[last - tabs]  # the line's first tab, when it has one or two
+    tab2 = sep[last - 1]  # its second tab, when it has two
+    first = tab - starts  # digit run lengths
+    second = np.where(weighted, tab2, stop) - tab - 1
+    strict = ((tabs == 1) | weighted) & (first >= 1) & (second >= 1)
+    strict &= (first <= _MAX_DIGITS) & (second <= _MAX_DIGITS)
+    # A byte that is no digit, tab or newline must be the closing carriage
+    # return or a printable ASCII byte of the weight.
+    other = nondigit[~is_sep]
+    line = np.searchsorted(ends, other)
+    allowed = cr[line] & (other == stop[line])
+    printable = (byte[~is_sep] > 32) & (byte[~is_sep] < 127)
+    allowed |= weighted[line] & (other > tab2[line]) & (other < stop[line]) & printable
+    strict[line[~allowed]] = False
+    w = np.ones(len(starts))
+    heavy = np.flatnonzero(strict & weighted)
+    tokens = zip((tab2[heavy] + 1).tolist(), stop[heavy].tolist())
+    w[heavy] = [_weight(raw[a:b]) for a, b in tokens]
+    strict &= np.isfinite(w)
+    rows = np.flatnonzero(strict)
+    src = _digit_runs(digits, starts[rows], first[rows])
+    dst = _digit_runs(digits, tab[rows] + 1, second[rows])
+    return starts, ends, strict, src, dst, w[rows]
+
+
+def _weight(token: bytes) -> float:
+    """float(token), as _tsv_line reads a weight, or NaN if float cannot."""
+    try:
+        return float(token)
+    except ValueError:
+        return math.nan
+
+
+def _digit_runs(digits: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """int64 value of each run digits[start : start + length] of decimal
+    digit values, one vectorised step per digit position: the k-th digit
+    from the right of a run weighs 10**k, and 0 once k passes the run's
+    start."""
+    at = start + length
+    value = np.zeros(len(start), dtype=np.int64)
+    for k in range(int(length.max(initial=0))):
+        at -= 1
+        value += np.take(digits, at, mode="clip") * ((length > k) * 10**k)
+    return value
+
+
+def _tsv_header(line: str) -> Optional[int]:
+    """The node count that line 1 declares as "#n=<count>", else None."""
+    line = line.strip()
+    if not line.startswith("#n="):
+        return None
+    try:
+        declared_n = int(line[3:])
+    except ValueError:
+        raise GraphError(f"line 1: malformed node count header {line!r}")
+    if declared_n < 0:
+        raise GraphError(f"line 1: negative node count {declared_n}")
+    return declared_n
+
+
+def _tsv_line(
+    line: str, lineno: int, declared_n: Optional[int]
+) -> Optional[tuple[int, int, float]]:
+    """The (src, dst, weight) edge on one TSV line, or None for a blank or
+    comment line (a header included). Raises the line's fault, naming it."""
+    line = line.strip()
+    if not line or line.startswith("#"):
+        return None
+    parts = line.split("\t")
+    if len(parts) not in (2, 3):
+        raise GraphError(f"line {lineno}: expected 2 or 3 fields, got {len(parts)}")
+    try:
+        s, d = int(parts[0]), int(parts[1])
+        weight = float(parts[2]) if len(parts) == 3 else 1.0
+    except ValueError as exc:
+        raise GraphError(f"line {lineno}: malformed edge {line!r}") from exc
+    if not math.isfinite(weight):
+        raise GraphError(f"line {lineno}: non-finite weight {parts[2]!r}")
+    if s < 0 or d < 0:
+        raise GraphError(f"line {lineno}: negative node index")
+    if declared_n is not None and (s >= declared_n or d >= declared_n):
+        raise GraphError(f"line {lineno}: index out of declared range n={declared_n}")
+    return s, d, weight
 
 
 def _loaded_graph(

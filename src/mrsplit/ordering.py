@@ -65,7 +65,7 @@ def order_random(n: int, seed: int) -> OrderingScores:
         state, value = _splitmix64(state)
         j = value % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
-    return OrderingScores(tuple(float(x) for x in perm), method="random")
+    return OrderingScores(tuple(map(float, perm)), method="random")
 
 
 def order_feature_sum(X: np.ndarray) -> OrderingScores:
@@ -73,7 +73,7 @@ def order_feature_sum(X: np.ndarray) -> OrderingScores:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("feature matrix must be 2-dimensional")
-    return OrderingScores(tuple(float(s) for s in X.sum(axis=1)), method="features")
+    return OrderingScores(tuple(X.sum(axis=1).tolist()), method="features")
 
 
 def order_ppr(g: Graph, alpha: float = 0.1, iters: int = 15) -> OrderingScores:
@@ -96,7 +96,7 @@ def order_ppr(g: Graph, alpha: float = 0.1, iters: int = 15) -> OrderingScores:
             np.add.at(nxt, g.dst, p[g.src] / outs[g.src])
         nxt += p[dangling].sum() / n
         p = alpha * u + (1.0 - alpha) * nxt
-    return OrderingScores(tuple(float(x) for x in p), method="ppr")
+    return OrderingScores(tuple(p.tolist()), method="ppr")
 
 
 def order_degree(g: Graph) -> OrderingScores:
@@ -108,7 +108,7 @@ def order_degree(g: Graph) -> OrderingScores:
         scores = (ins + out_degrees(g).astype(np.float64)) / 2.0
     else:
         scores = ins
-    return OrderingScores(tuple(float(x) for x in scores), method="degree")
+    return OrderingScores(tuple(scores.tolist()), method="degree")
 
 
 def order_by(

@@ -199,15 +199,18 @@ def split_summary(mrg: MultiRelGraph) -> dict:
 
 
 _PAIR = "    [\n      %d,\n      %d\n    ]"
+# Arcs per fill of the pair template: the Python ints of one slice are all
+# that is alive at once, not those of a whole relation.
+_SLICE = 1 << 14
 
 
 def split_json(mrg: MultiRelGraph, seed: int) -> str:
     """A split as the text of json.dumps(split_summary(mrg) | {"seed": seed},
     indent=2, sort_keys=True) + "\n", built from the arc arrays.
 
-    Each relation fills one "%d" pair template per arc from its flat
-    (src, dst) index list; each score is written by float.__repr__, as json
-    writes floats. A non-finite score has no strict JSON form: ValueError.
+    Each relation fills one "%d" pair template per arc, over fixed slices of
+    its arcs; each score is written by float.__repr__, as json writes
+    floats. A non-finite score has no strict JSON form: ValueError.
     """
     if mrg.ordering is None:
         raise ValueError("split_json: the graph is not a split from split_edges")
@@ -220,17 +223,19 @@ def split_json(mrg: MultiRelGraph, seed: int) -> str:
             "which strict JSON cannot hold"
         )
     b = mrg.base
-    lines = ["{"]
+    parts = ["{\n"]
     for k, arcs in enumerate(mrg.relations):
-        body = "[]"
-        if len(arcs):
-            flat = np.stack([b.src[arcs], b.dst[arcs]], axis=1).ravel().tolist()
-            body = "[\n" + ",\n".join([_PAIR] * len(arcs)) % tuple(flat) + "\n  ]"
-        lines.append(f'  "E{k + 1}": {body},')
-    lines.append(f'  "ordering": {json.dumps(mrg.ordering.method)},')
+        parts.append(f'  "E{k + 1}": [')
+        for i in range(0, len(arcs), _SLICE):
+            part = arcs[i : i + _SLICE]
+            flat = np.column_stack((b.src[part], b.dst[part])).ravel().tolist()
+            parts.append(",\n" if i else "\n")
+            parts.append(",\n".join([_PAIR] * len(part)) % tuple(flat))
+        parts.append("\n  ],\n" if len(arcs) else "],\n")
+    parts.append(f'  "ordering": {json.dumps(mrg.ordering.method)},\n')
     body = "[]"
     if scores:
         body = "[\n    " + ",\n    ".join(map(float.__repr__, scores)) + "\n  ]"
-    lines.append(f'  "scores": {body},')
-    lines.append(f'  "seed": {seed}')
-    return "\n".join(lines) + "\n}\n"
+    parts.append(f'  "scores": {body},\n')
+    parts.append(f'  "seed": {seed}\n}}\n')
+    return "".join(parts)

@@ -3,10 +3,11 @@
 import io
 import json
 import math
+from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from mrsplit.ensembles import random_connected_dag
 from mrsplit.graph import (
@@ -16,6 +17,7 @@ from mrsplit.graph import (
     graph_from_pairs,
     in_degrees,
     is_dag,
+    _loaded_graph,
     load_edge_list,
     longest_path_length,
     out_degrees,
@@ -594,8 +596,9 @@ def edge_list_inputs(draw):
 
 
 def _outcome(loader, text, fmt, undirected):
+    stream = io.BytesIO(text) if isinstance(text, bytes) else io.StringIO(text)
     try:
-        return loader(io.StringIO(text), fmt, undirected), None
+        return loader(stream, fmt, undirected), None
     except GraphError as exc:
         return None, str(exc)
 
@@ -614,3 +617,108 @@ def test_loader_matches_dict_reference(case):
     if faults == 1:
         prefix = "" if range_edge is None else f"edge #{range_edge}: "
         assert got_error == prefix + want_error
+
+
+def reference_load_tsv(text: str, undirected: bool) -> Graph:
+    """The TSV loader as one Python step per line, before the array pass."""
+    src, dst, w, lines = [], [], [], []
+    declared_n: Optional[int] = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            if lineno == 1 and line.startswith("#n="):
+                try:
+                    declared_n = int(line[3:])
+                except ValueError:
+                    raise GraphError(f"line 1: malformed node count header {line!r}")
+                if declared_n < 0:
+                    raise GraphError(f"line 1: negative node count {declared_n}")
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (2, 3):
+            raise GraphError(f"line {lineno}: expected 2 or 3 fields, got {len(parts)}")
+        try:
+            s, d = int(parts[0]), int(parts[1])
+            weight = float(parts[2]) if len(parts) == 3 else 1.0
+        except ValueError as exc:
+            raise GraphError(f"line {lineno}: malformed edge {line!r}") from exc
+        if not math.isfinite(weight):
+            raise GraphError(f"line {lineno}: non-finite weight {parts[2]!r}")
+        if s < 0 or d < 0:
+            raise GraphError(f"line {lineno}: negative node index")
+        if declared_n is not None and (s >= declared_n or d >= declared_n):
+            raise GraphError(
+                f"line {lineno}: index out of declared range n={declared_n}"
+            )
+        src.append(s)
+        dst.append(d)
+        w.append(weight)
+        lines.append(lineno)
+    return _loaded_graph(src, dst, w, declared_n, undirected, lambda k: f"line {lines[k]}")
+
+
+# Tokens and lines for tsv_texts. The BAD_ lists hold parse faults; the
+# others parse. Plain indices are the ones the array pass reads, odd ones
+# int() reads but the array pass leaves to the per-line parse (sign,
+# underscore, Arabic-Indic and fullwidth digits, a 19-digit 2, a space),
+# and long ones (18, 19 and 25 digits) are beyond any node count.
+PLAIN_INDICES = [str(k) for k in range(30)] + ["007", "0" * 17 + "4"]
+ODD_INDICES = ["+3", "-0", "1_0", "\u0663", "\uff11", "0" * 18 + "2", " 2"]
+LONG_INDICES = ["9" * 18, "1" + "0" * 18, "9" * 19, "9" * 25]
+BAD_INDICES = ["-1", "x", ""]
+WEIGHTS = ["0.5", "2", "-1.5", "+2", "1E3", ".5", "1_5.0", " 3 "]
+BAD_WEIGHTS = ["inf", "-inf", "nan", "1e400", "0x1", "x", "\u00e9"]
+HEADER_COUNTS = ["30", "64", " 40", "+40", "4_0", "3", "0"]
+BAD_HEADER_COUNTS = ["x", "-2", "9" * 19]
+OTHER_LINES = ["", "  ", "\t", "# comment", "#n=2", "\t1\t2", "1\t2\t\t"]
+BAD_LINES = ["1", "1\t2\t3\t4"]
+
+
+@st.composite
+def tsv_texts(draw):
+    """TSV text whose lines mix what the array pass reads with everything it
+    leaves to the per-line parse. Half the texts draw no bad token or line,
+    so that a wrong parse is not hidden behind a later fault; indices out of
+    a declared range can still occur there, and long ones in a quarter."""
+    bad = draw(st.booleans())
+    long = draw(st.integers(0, 3)) == 0
+    index = st.sampled_from(
+        PLAIN_INDICES + ODD_INDICES * 2 + LONG_INDICES * long + BAD_INDICES * bad
+    )
+    weight = st.sampled_from([None] * 8 + WEIGHTS + BAD_WEIGHTS * bad)
+
+    @st.composite
+    def edge_line(draw):
+        w = draw(weight)
+        return "\t".join([draw(index), draw(index)] + ([] if w is None else [w]))
+
+    header = st.sampled_from(HEADER_COUNTS + BAD_HEADER_COUNTS * bad).map(lambda c: f"#n={c}")
+    others = st.sampled_from(OTHER_LINES + BAD_LINES * bad)
+    lines = draw(st.lists(st.one_of([edge_line()] * 6 + [header, others]), max_size=10))
+    if draw(st.booleans()):
+        lines.insert(0, draw(header))
+    lead = st.sampled_from(["", "", "", " "])
+    trail = st.sampled_from(["", "", "", " ", "\r", " \r"])  # "\r" makes a "\r\n" ending
+    text = "\n".join(draw(lead) + line + draw(trail) for line in lines)
+    if draw(st.booleans()):
+        text += "\n"  # else the last line ends without a newline
+    if bad and draw(st.integers(0, 2)) == 0:
+        text = "\ufeff" + text
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(tsv_texts(), st.booleans())
+@example("9" * 19 + "\t1\n", False)
+@example("#n=30\n1\t" + "9" * 19 + "\n2\t3\n", False)
+@example("0" * 18 + "7\t" + "9" * 18 + "\n", False)
+@example("1\t2\t0.5\r\n3\t4\r\n+3\t1\t2\n5\t-0\t2\n", True)
+def test_tsv_loader_matches_per_line_reference(text, undirected):
+    def reference(source, fmt, undirected):
+        return reference_load_tsv(source.read(), undirected)
+
+    want = _outcome(reference, text, "tsv", undirected)
+    assert _outcome(load_edge_list, text, "tsv", undirected) == want
+    assert _outcome(load_edge_list, text.encode("utf-8"), "tsv", undirected) == want

@@ -1,6 +1,7 @@
 """Edge-relation assignment and normalized relation operators."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -459,11 +460,12 @@ def split_cases(draw):
 
 class TestSplitJson:
     @settings(max_examples=200, deadline=None)
-    @given(split_cases())
-    def test_bytes_equal_indented_json_dumps(self, case):
+    @given(split_cases(), st.sampled_from([1, 2, 3, split._SLICE]))
+    def test_bytes_equal_indented_json_dumps(self, case, arcs_per_slice):
         mrg, seed = case
         oracle = split_summary(mrg) | {"seed": seed}
-        text = split_json(mrg, seed)
+        with mock.patch.object(split, "_SLICE", arcs_per_slice):
+            text = split_json(mrg, seed)
         assert text == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
         assert json.loads(text) == oracle
 
