@@ -5,7 +5,6 @@ guarantees with executable property checks."""
 from .graph import (
     Graph,
     GraphError,
-    add_leaf_self_loops,
     graph_from_pairs,
     is_dag,
     load_edge_list,
@@ -13,11 +12,7 @@ from .graph import (
     reverse,
 )
 from .ordering import (
-    INCOMPARABLE,
-    PRECEDES,
-    SUCCEEDS,
     OrderingScores,
-    compare,
     order_degree,
     order_feature_sum,
     order_ppr,

@@ -32,10 +32,6 @@ class Tensor:
         self._parents = parents
         self._backward = backward
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 def parameter(value) -> Tensor:
     return Tensor(value)

@@ -16,10 +16,10 @@ from typing import Optional
 
 from .diagnostics import run_full_suite
 from .graph import GraphError, load_edge_list
-from .ordering import ORDERINGS, order_by
+from .ordering import ORDERINGS, PPR_ALPHA, PPR_ITERS, order_by
 from .split import split_edges, split_json
 from .trainer import ModelConfig, TaskParams, compare_base_vs_split, make_synthetic_task
-from .trajectories import DEFAULT_VARIANTS, TraceConfig, rod_trace
+from .trajectories import DEFAULT_VARIANTS, TRACE_ORDERINGS, TraceConfig, rod_trace
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -191,12 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_split.add_argument("--format", choices=("tsv", "json"), default="tsv")
     p_split.add_argument("--undirected", action="store_true")
     # features needs a feature matrix, which an edge list does not carry.
-    p_split.add_argument(
-        "--ordering", choices=("random", "ppr", "degree"), default="degree"
-    )
+    split_orderings = tuple(m for m in ORDERINGS if m != "features")
+    p_split.add_argument("--ordering", choices=split_orderings, default="degree")
     p_split.add_argument("--seed", type=_non_negative_int, default=0)
-    p_split.add_argument("--ppr-alpha", type=_ppr_alpha, default=0.1)
-    p_split.add_argument("--ppr-iters", type=_non_negative_int, default=15)
+    p_split.add_argument("--ppr-alpha", type=_ppr_alpha, default=PPR_ALPHA)
+    p_split.add_argument("--ppr-iters", type=_non_negative_int, default=PPR_ITERS)
     p_split.add_argument("--output", default="-")
     p_split.set_defaults(func=cmd_split)
 
@@ -207,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--graphs", type=int, default=50)
     p_trace.add_argument("--layers", type=int, default=128)
     p_trace.add_argument("--dim", type=int, default=16)
-    p_trace.add_argument("--ordering", choices=("degree", "random"), default="degree")
+    p_trace.add_argument("--ordering", choices=TRACE_ORDERINGS, default="degree")
     p_trace.add_argument("--seed", type=_non_negative_int, default=0)
     p_trace.add_argument("--output", default="-")
     p_trace.set_defaults(func=cmd_rod_trace)

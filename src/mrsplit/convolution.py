@@ -327,7 +327,7 @@ def mrs_gatedgcn(
             # The operator stores arcs by receiver, then by sender.
             in_op_order = arcs[np.lexsort((b.src[arcs], b.dst[arcs]))]
             gate_pre += edge_attrs[in_op_order] @ params.edge_weight
-        gate = 1.0 / (1.0 + np.exp(-gate_pre))
+        gate = sigmoid(gate_pre)
         # Arcs are stored by receiver, so the operator's row pointers make
         # row i of this matrix sum the arcs that arrive at node i.
         segment = sparse.csr_matrix(

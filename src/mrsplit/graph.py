@@ -453,25 +453,6 @@ def is_dag(g: Graph) -> tuple[bool, Optional[list[int]]]:
     return order is not None, order
 
 
-def add_leaf_self_loops(g: Graph) -> Graph:
-    """Add a unit self-loop to every node with out-degree zero.
-
-    Requires an acyclic input; every nonempty DAG has at least one sink, so
-    the output always differs from the input.
-    """
-    acyclic, _ = is_dag(g)
-    if not acyclic:
-        raise GraphError("add_leaf_self_loops requires a DAG")
-    sinks = np.flatnonzero(out_degrees(g) == 0)
-    return Graph(
-        n=g.n,
-        src=np.concatenate([g.src, sinks]),
-        dst=np.concatenate([g.dst, sinks]),
-        w=np.concatenate([g.w, np.ones(len(sinks))]),
-        undirected=g.undirected,
-    )
-
-
 def longest_path_length(g: Graph) -> int:
     """Number of edges on the longest directed path of a DAG."""
     order, depth = _kahn(g)

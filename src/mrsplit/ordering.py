@@ -15,12 +15,12 @@ from .graph import Graph, in_degrees, out_degrees
 
 _MASK64 = (1 << 64) - 1
 
-PRECEDES = "precedes"
-SUCCEEDS = "succeeds"
-INCOMPARABLE = "incomparable"
-
 # The ordering methods order_by knows.
 ORDERINGS = ("random", "features", "ppr", "degree")
+
+# The restart probability and step count of order_ppr.
+PPR_ALPHA = 0.1
+PPR_ITERS = 15
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ def order_feature_sum(X: np.ndarray) -> OrderingScores:
     return OrderingScores(tuple(X.sum(axis=1).tolist()), method="features")
 
 
-def order_ppr(g: Graph, alpha: float = 0.1, iters: int = 15) -> OrderingScores:
+def order_ppr(g: Graph, alpha: float = PPR_ALPHA, iters: int = PPR_ITERS) -> OrderingScores:
     """Personalized PageRank scores with a uniform restart vector.
 
     Runs `iters` steps of p <- alpha*u + (1-alpha)*P^T p starting from the
@@ -116,8 +116,8 @@ def order_by(
     g: Graph,
     seed: int,
     X: Optional[np.ndarray] = None,
-    ppr_alpha: float = 0.1,
-    ppr_iters: int = 15,
+    ppr_alpha: float = PPR_ALPHA,
+    ppr_iters: int = PPR_ITERS,
 ) -> OrderingScores:
     """Scores for g from the named ordering method.
 
@@ -135,17 +135,3 @@ def order_by(
         return order_feature_sum(X)
     raise ValueError(f"unknown ordering method: {method!r}")
 
-
-def compare(scores: OrderingScores, i: int, j: int) -> str:
-    """Strict comparison under the induced partial order.
-
-    Equal scores (including i == j) are incomparable.
-    """
-    r = scores.scores
-    if not (0 <= i < len(r)) or not (0 <= j < len(r)):
-        raise IndexError(f"node pair ({i}, {j}) out of range for n={len(r)}")
-    if r[i] < r[j]:
-        return PRECEDES
-    if r[i] > r[j]:
-        return SUCCEEDS
-    return INCOMPARABLE

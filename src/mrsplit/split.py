@@ -69,10 +69,6 @@ class MultiRelGraph:
         default_factory=dict, init=False, compare=False, repr=False
     )
 
-    def relation_graph(self, k: int) -> Graph:
-        arcs, b = self.relations[k], self.base
-        return Graph(n=b.n, src=b.src[arcs], dst=b.dst[arcs], w=b.w[arcs])
-
 
 def _read_only(arcs: np.ndarray) -> np.ndarray:
     arcs.flags.writeable = False

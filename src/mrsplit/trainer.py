@@ -63,6 +63,8 @@ class TaskParams:
             raise ValueError("node-count range must start at 3 or more")
         if self.count < 1:
             raise ValueError("need at least one graph")
+        if self.buckets < 1:
+            raise ValueError(f"buckets must be at least 1, got {self.buckets}")
 
 
 @dataclass(frozen=True)

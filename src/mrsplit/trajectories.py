@@ -24,6 +24,9 @@ from .split import VARIANTS, read_only_operator, variant_operators
 # The variants a trace runs by default; a name added to VARIANTS does not join.
 DEFAULT_VARIANTS = ("gcn", "mrs_gcn", "sage", "mrs_sage")
 
+# The orderings a trace accepts.
+TRACE_ORDERINGS = ("degree", "random")
+
 
 @dataclass(frozen=True)
 class TraceConfig:
@@ -48,7 +51,7 @@ class TraceConfig:
         for variant in self.variants:
             if variant not in VARIANTS:
                 raise ValueError(f"unknown variant: {variant!r}")
-        if self.ordering not in ("degree", "random"):
+        if self.ordering not in TRACE_ORDERINGS:
             raise ValueError(f"unsupported trace ordering: {self.ordering!r}")
 
 

@@ -29,7 +29,7 @@ from mrsplit.convolution import (
     sage_params,
     sigmoid,
 )
-from mrsplit.graph import Graph, add_leaf_self_loops, graph_from_pairs, longest_path_length
+from mrsplit.graph import Graph, graph_from_pairs, longest_path_length
 from mrsplit.ordering import OrderingScores, order_degree
 from mrsplit.split import (
     RAW,
@@ -73,9 +73,15 @@ def permute_graph(g, perm):
     return Graph(n=g.n, src=perm[g.src], dst=perm[g.dst], w=g.w, undirected=g.undirected)
 
 
+def relation_graph(mrg, k):
+    """Relation k of mrg as a Graph on the base's nodes (the oracle)."""
+    arcs, b = mrg.relations[k], mrg.base
+    return Graph(n=b.n, src=b.src[arcs], dst=b.dst[arcs], w=b.w[arcs])
+
+
 def relation_arcs(mrg, k):
     """(src, dst) of relation k's arcs, one Python pair per arc."""
-    rel = mrg.relation_graph(k)
+    rel = relation_graph(mrg, k)
     return zip(rel.src.tolist(), rel.dst.tolist())
 
 
@@ -502,7 +508,7 @@ class TestMrsGin:
         zero = np.zeros((2, 2))
         params = ((0.5, w_h, w_o), (0.0, zero, zero), (0.0, zero, zero))
         X = rng.uniform(-1, 1, (3, 2))
-        adj = operator_for_graph(mrg.relation_graph(0), RAW).toarray()
+        adj = operator_for_graph(relation_graph(mrg, 0), RAW).toarray()
         expected = np.maximum((1.5 * X + adj @ X) @ w_h, 0.0) @ w_o
         assert np.allclose(mrs_gin(X, mrg, params), expected)
 
@@ -664,7 +670,7 @@ class TestIterate:
         assert np.abs(X).max() == 0.0
 
     def test_leaf_self_loop_keeps_leaf_alive(self):
-        g = add_leaf_self_loops(graph_from_pairs(3, [(0, 1), (1, 2)]))
+        g = graph_from_pairs(3, [(0, 1), (1, 2), (2, 2)])
         ops = [operator_for_graph(g, ROW_MEAN)]
         X = np.abs(np.random.default_rng(32).uniform(0.1, 1, (3, 2)))
         for _ in range(6):

@@ -13,7 +13,6 @@ from mrsplit.ensembles import random_connected_dag
 from mrsplit.graph import (
     Graph,
     GraphError,
-    add_leaf_self_loops,
     graph_from_pairs,
     in_degrees,
     is_dag,
@@ -359,27 +358,6 @@ class TestIsDag:
     def test_reverse_preserves_acyclicity(self):
         g = graph_from_pairs(4, [(0, 1), (1, 2), (0, 3)])
         assert is_dag(reverse(g))[0] == is_dag(g)[0]
-
-
-class TestAddLeafSelfLoops:
-    def test_chain_gains_sink_loop(self):
-        g = add_leaf_self_loops(chain(3))
-        assert pairs(g) == {(0, 1), (1, 2), (2, 2)}
-
-    def test_isolated_node(self):
-        g = add_leaf_self_loops(graph_from_pairs(1, []))
-        assert pairs(g) == {(0, 0)}
-
-    def test_requires_dag(self):
-        with pytest.raises(GraphError):
-            add_leaf_self_loops(graph_from_pairs(2, [(0, 1), (1, 0)]))
-
-    def test_changes_exactly_the_sinks(self):
-        g = graph_from_pairs(5, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        sinks = {i for i in range(g.n) if out_degrees(g)[i] == 0}
-        added = pairs(add_leaf_self_loops(g)) - pairs(g)
-        assert added == {(i, i) for i in sinks}
-        assert sinks == {3, 4}
 
 
 class TestLongestPath:

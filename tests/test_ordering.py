@@ -2,16 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from mrsplit.graph import graph_from_pairs
 from mrsplit.ordering import (
-    INCOMPARABLE,
     ORDERINGS,
-    PRECEDES,
-    SUCCEEDS,
     _splitmix64,
-    compare,
     order_by,
     order_degree,
     order_feature_sum,
@@ -71,7 +66,6 @@ class TestOrderFeatureSum:
     def test_all_zero_features(self):
         scores = order_feature_sum(np.zeros((3, 4)))
         assert scores.scores == (0.0, 0.0, 0.0)
-        assert compare(scores, 0, 2) == INCOMPARABLE
 
     def test_column_permutation_invariant(self):
         X = np.arange(12.0).reshape(4, 3)
@@ -129,40 +123,3 @@ class TestOrderBy:
             assert order_by(method, g, 0, X).method == method
         with pytest.raises(ValueError, match="unknown ordering method"):
             order_by("bogus", g, 0, X)
-
-
-class TestCompare:
-    def test_precedes(self):
-        scores = order_feature_sum(np.array([[1.0], [2.0]]))
-        assert compare(scores, 0, 1) == PRECEDES
-
-    def test_incomparable_on_tie(self):
-        scores = order_feature_sum(np.array([[2.0], [2.0]]))
-        assert compare(scores, 0, 1) == INCOMPARABLE
-
-    def test_self_comparison_incomparable(self):
-        scores = order_random(4, 3)
-        for i in range(4):
-            assert compare(scores, i, i) == INCOMPARABLE
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            compare(order_random(2, 0), 0, 5)
-
-    @given(st.lists(st.integers(0, 5), min_size=2, max_size=8), st.data())
-    def test_antisymmetry(self, values, data):
-        scores = order_feature_sum(np.array(values, dtype=float).reshape(-1, 1))
-        i = data.draw(st.integers(0, len(values) - 1))
-        j = data.draw(st.integers(0, len(values) - 1))
-        forward = compare(scores, i, j)
-        backward = compare(scores, j, i)
-        assert (forward == PRECEDES) == (backward == SUCCEEDS)
-        assert (forward == INCOMPARABLE) == (backward == INCOMPARABLE)
-
-    @given(st.lists(st.integers(-3, 3), min_size=3, max_size=6), st.data())
-    def test_transitivity(self, values, data):
-        scores = order_feature_sum(np.array(values, dtype=float).reshape(-1, 1))
-        idx = st.integers(0, len(values) - 1)
-        i, j, k = data.draw(idx), data.draw(idx), data.draw(idx)
-        if compare(scores, i, j) == PRECEDES and compare(scores, j, k) == PRECEDES:
-            assert compare(scores, i, k) == PRECEDES

@@ -55,6 +55,11 @@ class TestConfigs:
         with pytest.raises(ValueError):
             TaskParams(n_min=2, n_max=1)
 
+    @pytest.mark.parametrize("buckets", [0, -1])
+    def test_rejects_buckets_below_one(self, buckets):
+        with pytest.raises(ValueError, match="buckets"):
+            TaskParams(count=2, buckets=buckets)
+
 
 class TestSyntheticTask:
     def test_deterministic(self):
