@@ -90,10 +90,11 @@ def order_ppr(g: Graph, alpha: float = PPR_ALPHA, iters: int = PPR_ITERS) -> Ord
     outs = out_degrees(g).astype(np.float64)
     p = u.copy()
     dangling = outs == 0
+    src_outs = outs[g.src]
     for _ in range(iters):
         nxt = np.zeros(n)
         if g.num_edges:
-            np.add.at(nxt, g.dst, p[g.src] / outs[g.src])
+            np.add.at(nxt, g.dst, p[g.src] / src_outs)
         nxt += p[dangling].sum() / n
         p = alpha * u + (1.0 - alpha) * nxt
     return OrderingScores(tuple(p.tolist()), method="ppr")

@@ -194,19 +194,40 @@ def split_summary(mrg: MultiRelGraph) -> dict:
     }
 
 
-_PAIR = "    [\n      %d,\n      %d\n    ]"
-# Arcs per fill of the pair template: the Python ints of one slice are all
-# that is alive at once, not those of a whole relation.
-_SLICE = 1 << 14
+# The text of one arc is a record of fixed-width fields: a head, the source
+# digits, a middle, the target digits and a tail. Each digit field is as wide
+# as the largest node index and padded with NUL bytes, which no JSON text
+# holds, so deleting every NUL leaves the indented pair and its ",\n".
+_HEAD, _MID, _TAIL = b"    [\n      ", b",\n      ", b"\n    ],\n"
+# Arcs per slice: only one slice's records and text are alive at once, not
+# those of a whole relation.
+_SLICE = 1 << 16
+
+
+def _digit_table(n: int) -> np.ndarray:
+    """Item i: the ASCII digits of node index i, NUL-padded to the width of
+    n - 1, for i in range(n)."""
+    width = len(str(max(n - 1, 0)))
+    digits = np.empty((n, width), np.uint8)
+    rest = np.arange(n)
+    for j in reversed(range(width)):
+        digits[:, j] = rest % 10 + ord("0")
+        rest //= 10
+    # An index below 10**(width - 1 - j) has no digit in column j: pad it.
+    for j in range(width - 1):
+        digits[: 10 ** (width - 1 - j), j] = 0
+    return digits.view(f"S{width}").ravel()
 
 
 def split_json(mrg: MultiRelGraph, seed: int) -> str:
     """A split as the text of json.dumps(split_summary(mrg) | {"seed": seed},
     indent=2, sort_keys=True) + "\n", built from the arc arrays.
 
-    Each relation fills one "%d" pair template per arc, over fixed slices of
-    its arcs; each score is written by float.__repr__, as json writes
-    floats. A non-finite score has no strict JSON form: ValueError.
+    Each relation's arcs are written over fixed slices: numpy fills one
+    fixed-width byte record per arc from a table of every node index's
+    digits, and deleting the records' NUL padding gives the slice's text.
+    Each score is written by float.__repr__, as json writes floats. A
+    non-finite score has no strict JSON form: ValueError.
     """
     if mrg.ordering is None:
         raise ValueError("split_json: the graph is not a split from split_edges")
@@ -219,14 +240,26 @@ def split_json(mrg: MultiRelGraph, seed: int) -> str:
             "which strict JSON cannot hold"
         )
     b = mrg.base
+    table = _digit_table(b.n)
+    record = np.dtype([
+        ("head", f"S{len(_HEAD)}"), ("src", table.dtype), ("mid", f"S{len(_MID)}"),
+        ("dst", table.dtype), ("tail", f"S{len(_TAIL)}"),
+    ])
+    rows = np.empty(min(_SLICE, max(map(len, mrg.relations))), record)
+    rows["head"], rows["mid"], rows["tail"] = _HEAD, _MID, _TAIL
     parts = ["{\n"]
     for k, arcs in enumerate(mrg.relations):
         parts.append(f'  "E{k + 1}": [')
-        for i in range(0, len(arcs), _SLICE):
-            part = arcs[i : i + _SLICE]
-            flat = np.column_stack((b.src[part], b.dst[part])).ravel().tolist()
-            parts.append(",\n" if i else "\n")
-            parts.append(",\n".join([_PAIR] * len(part)) % tuple(flat))
+        if len(arcs):
+            parts.append("\n")
+            for i in range(0, len(arcs), _SLICE):
+                part = arcs[i : i + _SLICE]
+                recs = rows[: len(part)]
+                np.take(table, b.src[part], out=recs["src"])
+                np.take(table, b.dst[part], out=recs["dst"])
+                parts.append(recs.tobytes().replace(b"\0", b"").decode("ascii"))
+            # No "," follows a relation's last pair.
+            parts[-1] = parts[-1][:-2]
         parts.append("\n  ],\n" if len(arcs) else "],\n")
     parts.append(f'  "ordering": {json.dumps(mrg.ordering.method)},\n')
     body = "[]"

@@ -471,6 +471,36 @@ class TestSplitJson:
         assert text == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
         assert json.loads(text) == oracle
 
+    @staticmethod
+    def assert_matches_json_dumps(mrg, seed):
+        oracle = split_summary(mrg) | {"seed": seed}
+        assert split_json(mrg, seed) == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("n", [0, 1, 10, 11, 101, 1001])
+    def test_node_indices_at_digit_width_boundaries(self, n):
+        # Every arc among the indices where the digit count changes, the
+        # largest index and self-loops, so E1, E2 and E3 all hold some.
+        ids = sorted({i for i in (0, 9, 10, 99, 100, 999, 1000, n - 1) if 0 <= i < n})
+        g = graph_from_pairs(n, [(a, b) for a in ids for b in ids])
+        mrg = split_edges(g, order_by("random", g, 3))
+        assert n < 2 or all(len(arcs) for arcs in mrg.relations)
+        self.assert_matches_json_dumps(mrg, 3)
+
+    def test_self_loop_only_fills_e3(self):
+        g = graph_from_pairs(1, [(0, 0)])
+        mrg = split_edges(g, order_degree(g))
+        assert [len(arcs) for arcs in mrg.relations] == [0, 0, 1]
+        self.assert_matches_json_dumps(mrg, 0)
+
+    def test_relation_longer_than_one_slice(self):
+        # A path along increasing scores puts more than _SLICE arcs in E1.
+        n = split._SLICE + 1_000
+        pairs = [(i, i + 1) for i in range(n - 1)] + [(5, 2), (n - 1, 0), (7, 7)]
+        g = graph_from_pairs(n, pairs)
+        mrg = split_edges(g, scores_of(range(n)))
+        assert len(mrg.relations[0]) > split._SLICE
+        self.assert_matches_json_dumps(mrg, 1)
+
     @pytest.mark.parametrize(
         "rows, node, shown",
         [
