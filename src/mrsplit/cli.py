@@ -24,6 +24,10 @@ from .trajectories import DEFAULT_VARIANTS, TRACE_ORDERINGS, TraceConfig, rod_tr
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
+# Characters per write of split's text: a text stream encodes each write
+# into a new bytes object, so one write of the whole text would hold a
+# second full copy of it.
+_SLICE = 1 << 20
 
 
 def _open_output(path: str):
@@ -50,7 +54,8 @@ def cmd_split(args: argparse.Namespace) -> int:
     )
     text = split_json(split_edges(g, scores), args.seed)
     with _open_output(args.output) as fh:
-        fh.write(text)
+        for i in range(0, len(text), _SLICE):
+            fh.write(text[i : i + _SLICE])
     return EXIT_OK
 
 

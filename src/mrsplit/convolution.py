@@ -222,13 +222,6 @@ def mrs_sage(X: np.ndarray, mrg: MultiRelGraph, params: SageParams) -> np.ndarra
     return relation_sum(X, ops, params.rel_weights, params.self_weight)
 
 
-def _arc_ends(op: sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """(src, dst) of every arc a raw operator stores, grouped by receiver
-    (row = receiver, column = sender)."""
-    receivers = np.arange(op.shape[0])
-    return op.indices.astype(np.int64), np.repeat(receivers, np.diff(op.indptr))
-
-
 def _gat_head(
     X: np.ndarray,
     arcs: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -261,11 +254,12 @@ def mrs_gat(X: np.ndarray, mrg: MultiRelGraph, params: GatParams) -> np.ndarray:
     set is undefined).
     """
     ops = normalize(mrg, RAW)
-    ends = [_arc_ends(op) for op in ops]
+    by_receiver = mrg.arcs_by_receiver
+    order = np.concatenate(by_receiver)
     arcs = (
-        np.concatenate([src for src, _ in ends]),
-        np.concatenate([dst for _, dst in ends]),
-        np.repeat(np.arange(len(ops)), [len(src) for src, _ in ends]),
+        mrg.base.src[order],
+        mrg.base.dst[order],
+        np.repeat(np.arange(len(ops)), [len(a) for a in by_receiver]),
     )
     outs = []
     for weights, att in zip(params.head_weights, params.att_vectors, strict=True):
@@ -320,13 +314,12 @@ def mrs_gatedgcn(
             )
     recv, send = X @ params.recv_weight, X @ params.send_weight
     num = den = np.zeros((b.n, recv.shape[1]))
-    for op, arcs, w in zip(ops, mrg.relations, params.rel_weights):
-        src, dst = _arc_ends(op)
+    for op, arcs, w in zip(ops, mrg.arcs_by_receiver, params.rel_weights):
+        # arcs is in the operator's order: by receiver, then by sender.
+        src, dst = b.src[arcs], b.dst[arcs]
         gate_pre = recv[dst] + send[src]
         if edge_attrs is not None:
-            # The operator stores arcs by receiver, then by sender.
-            in_op_order = arcs[np.lexsort((b.src[arcs], b.dst[arcs]))]
-            gate_pre += edge_attrs[in_op_order] @ params.edge_weight
+            gate_pre += edge_attrs[arcs] @ params.edge_weight
         gate = sigmoid(gate_pre)
         # Arcs are stored by receiver, so the operator's row pointers make
         # row i of this matrix sum the arcs that arrive at node i.

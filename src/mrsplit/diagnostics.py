@@ -37,10 +37,21 @@ VERIFY_DIM = 8
 
 def in_degree_matrix(ops: Sequence[sparse.csr_matrix]) -> np.ndarray:
     """n x l matrix whose row i stacks node i's weighted in-degrees: the
-    exact per-relation row sums of the given operators."""
+    exact per-relation row sums of the given operators.
+
+    Each nonempty row's stored entries are summed by np.add.reduceat and
+    then added to 0.0, which turns a -0.0 sum into 0.0. That is how scipy's
+    op.sum(axis=1) sums them, so the sums are bit-equal to it.
+    """
+    if len(ops) == 0:
+        raise ValueError("the in-degree matrix needs at least one operator")
     if len({op.shape for op in ops}) > 1:
         raise ValueError("operators must share the same node count")
-    return np.stack([np.asarray(op.sum(axis=1)).ravel() for op in ops], axis=1)
+    E = np.zeros((ops[0].shape[0], len(ops)))
+    for k, op in enumerate(ops):
+        rows = np.flatnonzero(np.diff(op.indptr))
+        E[rows, k] = np.add.reduceat(op.data, op.indptr[rows])
+    return E + 0.0
 
 
 def _ranks(M: np.ndarray, rel_tol: float) -> np.ndarray:
@@ -271,11 +282,11 @@ def verify_independence_theorem(
 ) -> VerificationReport:
     """Structurally independent node pairs yield linearly independent output
     rows in every trial. Nothing is asserted for dependent pairs."""
+    E = in_degree_matrix(ops)
     i, j = pair
-    n = ops[0].shape[0]
+    n = E.shape[0]
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"pair {pair} out of range for n={n}")
-    E = in_degree_matrix(ops)
     independent = structurally_independent(E[i], E[j])
     report = _run_suite(
         "independent_pair_rows",

@@ -20,12 +20,12 @@ def random_connected_graph(
     """
     if n < 1:
         raise ValueError("need at least one node")
-    pairs: set[tuple[int, int]] = set()
     order = rng.permutation(n)
-    for idx in range(1, n):
-        a = int(order[idx])
-        b = int(order[rng.integers(0, idx)])
-        pairs.add((min(a, b), max(a, b)))
+    # Node order[idx] hangs from a uniform earlier node order[parent]. One
+    # draw of all n - 1 parents gives the values of, and leaves the generator
+    # as, one integers(0, idx) call per idx in turn.
+    a, b = order[1:], order[rng.integers(0, np.arange(1, n))]
+    pairs = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
     attempts = 0
     target = len(pairs) + extra_edges
     while len(pairs) < target and attempts < 50 * (extra_edges + 1):

@@ -249,6 +249,31 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def test_split_text_is_written_in_slices(monkeypatch, tmp_path):
+    """With the slice far below the text length, split writes slices of at
+    most cli._SLICE characters, and they join into the golden bytes, on
+    stdout and in a file."""
+    golden = Path(__file__).with_name("golden")
+    argv = ["split", "--input", str(golden / "graph.tsv"), "--undirected", "--ordering", "degree"]
+    want = (golden / "split_degree.out").read_text()
+    monkeypatch.setattr(cli, "_SLICE", 7)
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    out = Recording()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == EXIT_OK
+    assert out.getvalue() == want and len(want) > 7
+    assert len(writes) == -(-len(want) // 7) and max(map(len, writes)) == 7
+    path = tmp_path / "split.json"
+    assert main([*argv, "--output", str(path)]) == EXIT_OK
+    assert path.read_bytes() == want.encode()
+
+
 TINY_TRAIN = ["train", "--count", "2", "--layers", "1", "--dim", "2", "--epochs", "1"]
 # An existing input, so a bad PPR flag is the only reason to exit 2.
 PPR_SPLIT = [

@@ -74,6 +74,35 @@ class TestInDegreeMatrix:
         with pytest.raises(ValueError):
             in_degree_matrix(rel_ops(2, [[(0, 1)]]) + rel_ops(3, [[(0, 1)]]))
 
+    @pytest.mark.parametrize(
+        "call",
+        [in_degree_matrix, verify_rank_theorem, lambda ops: verify_independence_theorem(ops, (0, 0))],
+        ids=["in_degree_matrix", "verify_rank_theorem", "verify_independence_theorem"],
+    )
+    def test_no_operator(self, call):
+        with pytest.raises(ValueError, match="at least one operator"):
+            call([])
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_bit_equal_to_scipy_row_sums_on_any_csr(self, data):
+        # Entries in any order, with repeated (row, column) pairs, rows of 8
+        # and more entries and values of very different size, so a different
+        # summation order shows.
+        n = data.draw(st.integers(0, 6))
+        nnz = data.draw(st.integers(0, 24)) if n else 0
+        index = st.integers(0, max(n - 1, 0))
+        value = st.sampled_from([0.1, 0.2, -0.3, 1e16, -1e16, 3.0, -0.0])
+        rows = np.sort(np.array(data.draw(st.lists(index, min_size=nnz, max_size=nnz)), dtype=int))
+        cols = data.draw(st.lists(index, min_size=nnz, max_size=nnz))
+        vals = data.draw(st.lists(value, min_size=nnz, max_size=nnz))
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+        op = sparse.csr_matrix((vals, cols, indptr), shape=(n, n))
+        ops = [op, operator_for_graph(graph_from_pairs(n, []), RAW)]
+        E = in_degree_matrix(ops)
+        for k, mat in enumerate(ops):
+            assert E[:, k].tobytes() == np.asarray(mat.sum(axis=1)).ravel().tobytes()
+
     def test_returns_array_of_operator_row_sums(self):
         ops = star_ops([(3, 2), (2, 1), (0, 4)])
         E = in_degree_matrix(ops)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from mrsplit.ensembles import random_connected_dag
+from mrsplit.ensembles import random_connected_dag, random_connected_graph
 from mrsplit.graph import (
     Graph,
     GraphError,
@@ -411,6 +411,39 @@ class TestDegrees:
         g = chain(3)
         assert list(in_degrees(g)) == [0, 1, 1]
         assert list(out_degrees(g)) == [1, 1, 0]
+
+
+def reference_random_connected_graph(rng, n, extra_edges):
+    """random_connected_graph with one integers() call per tree parent."""
+    pairs = set()
+    order = rng.permutation(n)
+    for idx in range(1, n):
+        a = int(order[idx])
+        b = int(order[rng.integers(0, idx)])
+        pairs.add((min(a, b), max(a, b)))
+    attempts = 0
+    target = len(pairs) + extra_edges
+    while len(pairs) < target and attempts < 50 * (extra_edges + 1):
+        a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
+        if a != b:
+            pairs.add((min(a, b), max(a, b)))
+        attempts += 1
+    src, dst = [], []
+    for a, b in sorted(pairs):
+        src += [a, b]
+        dst += [b, a]
+    return Graph(n=n, src=src, dst=dst, w=np.ones(len(src)), undirected=True)
+
+
+class TestRandomConnectedGraph:
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32), st.integers(1, 40), st.integers(0, 45))
+    def test_equals_scalar_loop_and_leaves_the_same_generator_state(self, seed, n, extra):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_connected_graph(rng, n, extra) == reference_random_connected_graph(
+            ref_rng, n, extra
+        )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def reference_load_edge_list(source, format="tsv", undirected=False):

@@ -205,13 +205,8 @@ class TestWholeGraph:
             SYM_GCN: g.w * inv_sqrt[g.dst] * inv_sqrt[g.src],
         }
         for mode, vals in direct.items():
-            op = operator_for_graph(g, mode)
             ref = sparse.csr_matrix((vals, (g.dst, g.src)), shape=(g.n, g.n))
-            assert op.shape == ref.shape
-            for name in ("data", "indices", "indptr"):
-                got, want = getattr(op, name), getattr(ref, name)
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
+            assert_same_csr(operator_for_graph(g, mode), ref)
 
 
 class TestNormalize:
@@ -268,6 +263,86 @@ class TestNormalize:
         g = undirected_path()
         with pytest.raises(ValueError, match="normalization"):
             normalize(split_edges(g, order_degree(g)), "bogus")
+
+
+def coo_operators(mrg, mode):
+    """The oracle of normalize: each relation's per-arc mode values through
+    scipy's COO-to-CSR conversion, which sorts each row by column."""
+    b = mrg.base
+    if mode == RAW:
+        vals = b.w
+    elif mode == ROW_MEAN:
+        deg = in_degrees(b).astype(np.float64)[b.dst]
+        vals = np.where(deg > 0, b.w / np.maximum(deg, 1.0), 0.0)
+    else:
+        deg = in_degrees(b).astype(np.float64)
+        inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
+        vals = b.w * inv_sqrt[b.dst] * inv_sqrt[b.src]
+    return [
+        sparse.csr_matrix((vals[arcs], (b.dst[arcs], b.src[arcs])), shape=(b.n, b.n))
+        for arcs in mrg.relations
+    ]
+
+
+def assert_same_csr(op, ref):
+    """op and ref hold the same data, indices and indptr, in equal dtypes."""
+    assert type(op) is type(ref) and op.shape == ref.shape
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(op, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+class TestDirectBuild:
+    """normalize builds each CSR from the relation's arcs by receiver."""
+
+    @settings(max_examples=60)
+    @given(graph_and_scores(), st.data())
+    def test_every_mode_equals_the_coo_oracle(self, gs, data):
+        g, scores = gs
+        weights = st.floats(-4.0, 4.0, allow_nan=False)
+        w = data.draw(st.lists(weights, min_size=g.num_edges, max_size=g.num_edges))
+        g = Graph(n=g.n, src=g.src, dst=g.dst, w=np.array(w, dtype=np.float64))
+        for mrg in (split_edges(g, scores), whole_graph(g)):
+            for mode in (RAW, ROW_MEAN, SYM_GCN):
+                for op, ref in zip(normalize(mrg, mode), coo_operators(mrg, mode), strict=True):
+                    assert_same_csr(op, ref)
+
+    @settings(max_examples=40)
+    @given(graph_and_scores())
+    def test_arcs_by_receiver_is_each_relation_lexsorted(self, gs):
+        g, scores = gs
+        for mrg in (split_edges(g, scores), whole_graph(g)):
+            assert len(mrg.arcs_by_receiver) == len(mrg.relations)
+            for arcs, by_receiver in zip(mrg.relations, mrg.arcs_by_receiver):
+                want = arcs[np.lexsort((g.src[arcs], g.dst[arcs]))]
+                assert np.array_equal(by_receiver, want)
+                with pytest.raises(ValueError, match="read-only"):
+                    by_receiver[...] = 0
+            assert mrg.arcs_by_receiver is mrg.arcs_by_receiver
+
+    def test_relations_that_share_arcs(self):
+        g = bidirected_triangle()
+        every_arc = np.arange(g.num_edges)
+        mrg = split.MultiRelGraph(g, (every_arc, every_arc[::2], every_arc), None)
+        for mode in (RAW, ROW_MEAN, SYM_GCN):
+            for op, ref in zip(normalize(mrg, mode), coo_operators(mrg, mode), strict=True):
+                assert_same_csr(op, ref)
+
+    @pytest.mark.parametrize(
+        "n, nnz, want",
+        [
+            (0, 0, np.int32),
+            (2**31 - 1, 0, np.int32),
+            (2**31, 0, np.int64),
+            (1, 2**31 - 1, np.int32),
+            (1, 2**31, np.int64),
+            (2**31 - 1, 2**31 - 1, np.int32),
+        ],
+    )
+    def test_index_dtype_boundary(self, n, nnz, want):
+        assert split._index_dtype(n, nnz) is want
+        assert sparse.get_index_dtype(maxval=max(n, nnz)) is want
 
 
 class TestOperatorCache:
