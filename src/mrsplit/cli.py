@@ -134,6 +134,8 @@ def cmd_train(args: argparse.Namespace) -> int:
             )
         split_wins = all(split.final_mae < base.final_mae for base, split in pairs)
         winner = pairs[0][1].config.variant if split_wins else "mixed"
+        if config.epochs == 0:
+            winner = "none"  # untrained models name no winner
         finals = [
             f"seed {base.config.seed}: {base.config.variant}={base.final_mae!r} "
             f"{split.config.variant}={split.final_mae!r}"

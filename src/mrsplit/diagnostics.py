@@ -22,6 +22,7 @@ from .ordering import order_random
 from .split import (
     RAW,
     ROW_MEAN,
+    block_diagonal,
     dar_pair_from_dag,
     normalize,
     operator_for_graph,
@@ -54,21 +55,21 @@ def in_degree_matrix(ops: Sequence[sparse.csr_matrix]) -> np.ndarray:
     return E + 0.0
 
 
-def _ranks(M: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Rank of each nonempty finite matrix in the stack M (..., r, c): the
-    count of singular values above rel_tol * sigma_max, 0 for a zero matrix."""
+def _ranks(M: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """Rank of each matrix in the stack M (..., r, c): the count of singular
+    values above rel_tol * sigma_max, 0 for a zero or empty matrix. A
+    non-finite entry is a ValueError."""
+    if M.size == 0:
+        return np.zeros(M.shape[:-2], dtype=np.intp)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("matrix must have finite entries")
     svals = np.linalg.svd(M, compute_uv=False)
     return np.sum(svals > rel_tol * svals[..., :1], axis=-1)
 
 
 def numeric_rank(M: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> int:
     """Count of singular values above rel_tol * sigma_max (0 for the zero matrix)."""
-    M = np.asarray(M, dtype=np.float64)
-    if M.size == 0:
-        return 0
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix must have finite entries")
-    return int(_ranks(M, rel_tol))
+    return int(_ranks(np.asarray(M, dtype=np.float64), rel_tol))
 
 
 def exact_rank_small(M) -> int:
@@ -118,12 +119,13 @@ def structurally_independent(d_i, d_j) -> bool:
     return numeric_rank(np.stack([a, b])) == 2
 
 
-def _independent_pair_count(E: np.ndarray) -> int:
-    """Number of node pairs i < j whose finite rows E[i], E[j] are
-    structurally independent, from one batched rank over all pairs."""
-    i, j = np.triu_indices(len(E), k=1)
-    pairs = np.stack([E[i], E[j]], axis=1)  # (pairs, 2, l)
-    return int(np.count_nonzero(_ranks(pairs, DEFAULT_RANK_TOL) == 2))
+def _independent_pair_count(E: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack E (..., n, l), the number of node pairs i < j
+    whose finite rows i and j are structurally independent, from one
+    batched rank over all pairs."""
+    i, j = np.triu_indices(E.shape[-2], k=1)
+    pairs = np.stack([E[..., i, :], E[..., j, :]], axis=-2)  # (..., pairs, 2, l)
+    return np.count_nonzero(_ranks(pairs) == 2, axis=-1)
 
 
 def _nuclear_norms(X: np.ndarray) -> np.ndarray:
@@ -208,24 +210,78 @@ class VerificationReport:
 
 _SIGMAS = (identity, leaky_relu)
 
+# Most state rows one block system holds. A node-count group with more rows
+# steps in chunks, so a suite over large operators never stacks many copies.
+_BLOCK_ROWS = 4096
+# Most trials whose instances are alive at once: a suite draws and steps its
+# trials this many at a time.
+_DRAW_WINDOW = 2048
+
+# One trial's checks: one (margin, note) pair per check, where a note that is
+# not None marks a failed check.
+_Checks = list[tuple[float, Optional[str]]]
+
+
+@dataclass
+class _Trial:
+    """A drawn trial: its index, its generator and its instance, the relation
+    operators it steps on and an integer the suite reads (a rank target or a
+    depth)."""
+
+    t: int
+    rng: np.random.Generator
+    ops: Sequence[sparse.csr_matrix]
+    target: int
+
+    @property
+    def n(self) -> int:
+        return self.ops[0].shape[0]
+
+
+# A step takes one group of trials of one node count and its block-diagonal
+# operators, one per relation slot, and gives each trial's checks.
+_Step = Callable[[list[_Trial], list[sparse.csr_matrix]], list[_Checks]]
+
 
 def _run_suite(
     theorem: str,
     trials: int,
     seed: int,
-    trial: Callable[[np.random.Generator, int], list[tuple[float, Optional[str]]]],
+    draw: Callable[[np.random.Generator, int], tuple[Sequence[sparse.csr_matrix], int]],
+    step: _Step,
 ) -> VerificationReport:
-    """Run trial(rng, t) for t < trials, each with its own seeded generator.
+    """Draw every trial's instance, then step the trials in groups.
 
-    A trial returns one (margin, note) pair per check; the check failed when
-    note is not None. min_margin is the smallest margin seen, 0.0 when no
-    check ran. The first ten failure notes are kept.
+    draw(rng, t) gives trial t's (operators, target), drawing from its own
+    generator default_rng([seed, t]). The trials of one node count then step
+    as one block system, at most _BLOCK_ROWS rows at a time: step(group,
+    blocks) gets the group and one block-diagonal operator per relation slot,
+    and gives each trial's checks. A step draws from each trial's generator
+    in the trial's own order, and each block steps as its trial would alone,
+    so the grouping changes nothing. Trials are drawn and stepped
+    _DRAW_WINDOW at a time, so memory does not grow with the trial count.
+    The checks are folded in trial order: min_margin is the smallest margin
+    seen, 0.0 when no check ran, and the first ten failure notes are kept.
     """
     failures = 0
     min_margin = np.inf
     notes: list[str] = []
-    for t in range(trials):
-        for margin, note in trial(np.random.default_rng([seed, t]), t):
+    for start in range(0, trials, _DRAW_WINDOW):
+        window = range(start, min(start + _DRAW_WINDOW, trials))
+        groups: dict[int, list[_Trial]] = {}
+        for t in window:
+            rng = np.random.default_rng([seed, t])
+            trial = _Trial(t, rng, *draw(rng, t))
+            groups.setdefault(trial.n, []).append(trial)
+        checks: dict[int, _Checks] = {}
+        for n, group in sorted(groups.items()):
+            size = max(1, _BLOCK_ROWS // max(n, 1))
+            for i in range(0, len(group), size):
+                chunk = group[i : i + size]
+                blocks = [block_diagonal(ops) for ops in zip(*(tr.ops for tr in chunk))]
+                for trial, result in zip(chunk, step(chunk, blocks), strict=True):
+                    checks[trial.t] = result
+        for margin, note in (check for t in window for check in checks[t]):
             min_margin = min(min_margin, margin)
             if note is not None:
                 failures += 1
@@ -240,24 +296,46 @@ def _run_suite(
     )
 
 
-def _rank_checks(
-    rng: np.random.Generator,
-    t: int,
-    ops: Sequence[sparse.csr_matrix],
-    rows,
-    target: int,
-) -> list[tuple[float, Optional[str]]]:
-    """Per activation: rank of the selected output rows of one split
-    convolution of a random rank-one input, minus the target rank."""
-    X = np.outer(rng.uniform(-1, 1, ops[0].shape[0]), rng.uniform(-1, 1, VERIFY_DIM))
-    weights = [rng.uniform(-1, 1, (VERIFY_DIM, VERIFY_DIM)) for _ in ops]
-    pre = relation_sum(X, ops, weights)
-    checks = []
-    for sigma in _SIGMAS:
-        rank = numeric_rank(sigma(pre)[rows])
-        note = f"trial {t} ({sigma.__name__}): rank {rank} < {target}"
-        checks.append((rank - target, note if rank < target else None))
-    return checks
+def _states(group: list[_Trial]) -> np.ndarray:
+    """A (trials, n, VERIFY_DIM) stack of uniform states, one per trial's
+    generator."""
+    return np.stack([tr.rng.uniform(-1, 1, (tr.n, VERIFY_DIM)) for tr in group])
+
+
+def _transforms(group: list[_Trial], slots: int) -> np.ndarray:
+    """A (slots, trials, VERIFY_DIM, VERIFY_DIM) stack of uniform transforms:
+    per trial, one draw that gives what one draw per slot would."""
+    return np.stack(
+        [tr.rng.uniform(-1, 1, (slots, VERIFY_DIM, VERIFY_DIM)) for tr in group], axis=1
+    )
+
+
+def _in_degree_stack(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> np.ndarray:
+    """The (trials, n, slots) stack of the group's in-degree matrices: a row
+    of a block-diagonal operator sums as the block's row does."""
+    return in_degree_matrix(blocks).reshape(len(group), group[0].n, len(blocks))
+
+
+def _rank_checks(rows) -> _Step:
+    """Step that checks, per activation, the rank of the selected output rows
+    of one split convolution of a random rank-one input against each
+    trial's target rank."""
+
+    def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
+        X = np.stack([
+            np.outer(tr.rng.uniform(-1, 1, tr.n), tr.rng.uniform(-1, 1, VERIFY_DIM))
+            for tr in group
+        ])
+        pre = relation_sum(X, blocks, _transforms(group, len(blocks)))
+        checks: list[_Checks] = [[] for _ in group]
+        for sigma in _SIGMAS:
+            for b, rank in enumerate(_ranks(sigma(pre)[:, rows]).tolist()):
+                t, target = group[b].t, group[b].target
+                note = f"trial {t} ({sigma.__name__}): rank {rank} < {target}"
+                checks[b].append((rank - target, note if rank < target else None))
+        return checks
+
+    return step
 
 
 def verify_rank_theorem(
@@ -270,7 +348,8 @@ def verify_rank_theorem(
         "rank_lower_bound",
         trials,
         seed,
-        lambda rng, t: _rank_checks(rng, t, ops, slice(None), rank_e),
+        lambda rng, t: (ops, rank_e),
+        _rank_checks(slice(None)),
     )
 
 
@@ -292,7 +371,8 @@ def verify_independence_theorem(
         "independent_pair_rows",
         trials,
         seed,
-        lambda rng, t: _rank_checks(rng, t, ops, [i, j], 2) if independent else [],
+        lambda rng, t: (ops, 2),
+        _rank_checks([i, j]) if independent else lambda group, blocks: [[] for _ in group],
     )
     if not independent:
         report.notes.append("pair is structurally dependent; no assertion made")
@@ -303,18 +383,26 @@ def verify_zero_convergence(trials: int = 100, seed: int = 0) -> VerificationRep
     """Mean aggregation on a DAG without leaf self-loops drives every state
     to exactly zero after longest-path-length + 1 steps."""
 
-    def trial(rng: np.random.Generator, t: int):
+    def draw(rng: np.random.Generator, t: int):
         g = random_connected_dag(rng, int(rng.integers(5, 21)))
-        mats = [operator_for_graph(g, ROW_MEAN)]
-        depth = longest_path_length(g) + 1
-        X = rng.uniform(-1, 1, (g.n, VERIFY_DIM))
-        for _ in range(depth):
-            X = relu(relation_sum(X, mats, [rng.uniform(-1, 1, (VERIFY_DIM, VERIFY_DIM))]))
-        peak = float(np.abs(X).max())
-        note = f"trial {t}: residual magnitude {peak}"
-        return [(-peak, note if peak != 0.0 else None)]
+        return [operator_for_graph(g, ROW_MEAN)], longest_path_length(g) + 1
 
-    return _run_suite("dag_zero_convergence", trials, seed, trial)
+    def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
+        X = _states(group)
+        weights = np.zeros((1, len(group), VERIFY_DIM, VERIFY_DIM))
+        depths = np.array([tr.target for tr in group])
+        for it in range(depths.max()):
+            # A trial past its depth draws no more and keeps its state.
+            active = np.flatnonzero(it < depths)
+            weights[:, active] = _transforms([group[b] for b in active], 1)
+            X[active] = relu(relation_sum(X, blocks, weights))[active]
+        peaks = np.abs(X).max(axis=(1, 2)).tolist()
+        return [
+            [(-peak, f"trial {tr.t}: residual magnitude {peak}" if peak != 0.0 else None)]
+            for tr, peak in zip(group, peaks)
+        ]
+
+    return _run_suite("dag_zero_convergence", trials, seed, draw, step)
 
 
 def verify_dag_pair_rank(
@@ -325,31 +413,40 @@ def verify_dag_pair_rank(
 
     States are rescaled to unit Frobenius norm between steps; the layer is
     positively homogeneous, so this only changes scale, never rank or
-    row-wise nonzeroness. A state that reaches exact zero stops there and
-    fails both conditions.
+    row-wise nonzeroness. A state that reaches exact zero stops drawing and
+    stays zero, and fails both conditions.
     """
 
-    def trial(rng: np.random.Generator, t: int):
-        g = random_connected_dag(rng, int(rng.integers(6, 25)))
-        mats = dar_pair_from_dag(g)
-        checks = []
+    def draw(rng: np.random.Generator, t: int):
+        return dar_pair_from_dag(random_connected_dag(rng, int(rng.integers(6, 25)))), 0
+
+    def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
+        checks: list[_Checks] = [[] for _ in group]
         for sigma in _SIGMAS:
-            X = rng.uniform(-1, 1, (g.n, VERIFY_DIM))
+            X = _states(group)
+            weights = np.zeros((len(blocks), len(group), VERIFY_DIM, VERIFY_DIM))
+            live = np.ones(len(group), dtype=bool)
             for _ in range(depth):
-                weights = [rng.uniform(-1, 1, (VERIFY_DIM, VERIFY_DIM)) for _ in mats]
-                X = sigma(relation_sum(X, mats, weights))
-                norm = np.linalg.norm(X)
-                if norm == 0.0:
+                # A collapsed state draws no more; its zero rows stay zero
+                # under the transforms it drew last.
+                alive = np.flatnonzero(live)
+                weights[:, alive] = _transforms([group[b] for b in alive], len(blocks))
+                X = sigma(relation_sum(X, blocks, weights))
+                flat = X.reshape(len(group), -1)
+                norm = np.sqrt(np.vecdot(flat, flat))
+                live = norm != 0.0
+                # Dividing a collapsed state by inf leaves it exact zero rows.
+                X = X / np.where(live, norm, np.inf)[:, None, None]
+                if not live.any():
                     break
-                X = X / norm
-            row_min = float(np.linalg.norm(X, axis=1).min())
-            rank = numeric_rank(X)
-            failed = row_min <= ROW_ZERO_TOL or rank < 2
-            note = f"trial {t} ({sigma.__name__}): rank {rank}, min row {row_min:.2e}"
-            checks.append((min(rank - 2, row_min - ROW_ZERO_TOL), note if failed else None))
+            row_mins = np.linalg.norm(X, axis=-1).min(axis=-1).tolist()
+            for b, (tr, rank, row_min) in enumerate(zip(group, _ranks(X).tolist(), row_mins)):
+                failed = row_min <= ROW_ZERO_TOL or rank < 2
+                note = f"trial {tr.t} ({sigma.__name__}): rank {rank}, min row {row_min:.2e}"
+                checks[b].append((min(rank - 2, row_min - ROW_ZERO_TOL), note if failed else None))
         return checks
 
-    return _run_suite("dag_pair_rank_preserved", trials, seed, trial)
+    return _run_suite("dag_pair_rank_preserved", trials, seed, draw, step)
 
 
 def _ergodic_instance(idx: int) -> list[sparse.csr_matrix]:
@@ -365,12 +462,16 @@ def verify_ergodic_rank_one(instances: int = 20, seed: int = 0) -> VerificationR
     """Mean-normalized ergodic relation sets give a rank-one in-degree matrix,
     so no node pair is structurally independent."""
 
-    def trial(rng: np.random.Generator, idx: int):
-        rank_e = numeric_rank(in_degree_matrix(_ergodic_instance(idx)))
-        note = f"instance {idx}: rank(E)={rank_e}"
-        return [(1 - rank_e, note if rank_e != 1 else None)]
+    def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
+        ranks = _ranks(_in_degree_stack(group, blocks)).tolist()
+        return [
+            [(1 - rank, f"instance {tr.t}: rank(E)={rank}" if rank != 1 else None)]
+            for tr, rank in zip(group, ranks)
+        ]
 
-    return _run_suite("ergodic_rank_one", instances, seed, trial)
+    return _run_suite(
+        "ergodic_rank_one", instances, seed, lambda rng, idx: (_ergodic_instance(idx), 0), step
+    )
 
 
 def verify_dar_independent_pairs(
@@ -380,15 +481,19 @@ def verify_dar_independent_pairs(
     contain at least one structurally independent node pair (checked by
     exhaustive pair scan)."""
 
-    def trial(rng: np.random.Generator, t: int):
+    def draw(rng: np.random.Generator, t: int):
         g = molecule_like_graph(rng, 8, 24)
         scores = order_random(g.n, int(rng.integers(0, 2**63)))
-        mrg = split_edges(g, scores)
-        found = _independent_pair_count(in_degree_matrix(normalize(mrg, RAW)[:2]))
-        note = f"trial {t}: no structurally independent pair"
-        return [(found - 1, note if found == 0 else None)]
+        return normalize(split_edges(g, scores), RAW)[:2], 0
 
-    return _run_suite("dar_pair_independent_exists", trials, seed, trial)
+    def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
+        found = _independent_pair_count(_in_degree_stack(group, blocks)).tolist()
+        return [
+            [(k - 1, f"trial {tr.t}: no structurally independent pair" if k == 0 else None)]
+            for tr, k in zip(group, found)
+        ]
+
+    return _run_suite("dar_pair_independent_exists", trials, seed, draw, step)
 
 
 def verify_rank_theorem_random_splits(
@@ -396,18 +501,17 @@ def verify_rank_theorem_random_splits(
 ) -> VerificationReport:
     """Rank lower bound over freshly sampled split graphs per trial."""
 
-    def trial(rng: np.random.Generator, t: int):
+    def draw(rng: np.random.Generator, t: int):
         g = molecule_like_graph(rng, 8, 30)
         ops = variant_operators(g, "mrs_gcn", "random", int(rng.integers(0, 2**63)))
-        rank_e = numeric_rank(in_degree_matrix(ops))
-        return _rank_checks(rng, t, ops, slice(None), rank_e)
+        return ops, numeric_rank(in_degree_matrix(ops))
 
-    return _run_suite("rank_lower_bound_random_splits", trials, seed, trial)
+    return _run_suite(
+        "rank_lower_bound_random_splits", trials, seed, draw, _rank_checks(slice(None))
+    )
 
 
-def _independent_pair_instance(
-    rng: np.random.Generator,
-) -> tuple[list[sparse.csr_matrix], tuple[int, int]]:
+def _independent_pair_instance(rng: np.random.Generator) -> list[sparse.csr_matrix]:
     """Two-relation graph where nodes 0 and 1 have linearly independent
     integer in-degree vectors fed by disjoint source nodes."""
     while True:
@@ -422,8 +526,7 @@ def _independent_pair_instance(
         for rel, k in enumerate(counts):
             arcs[rel].extend((sender, node) for sender in range(nxt, nxt + k))
             nxt += k
-    ops = [operator_for_graph(graph_from_pairs(nxt, pairs), RAW) for pairs in arcs]
-    return ops, (0, 1)
+    return [operator_for_graph(graph_from_pairs(nxt, pairs), RAW) for pairs in arcs]
 
 
 def verify_independence_on_constructions(
@@ -431,12 +534,13 @@ def verify_independence_on_constructions(
 ) -> VerificationReport:
     """Constructed structurally independent pairs always yield rank-2 output
     row pairs; one freshly built instance per trial."""
-
-    def trial(rng: np.random.Generator, t: int):
-        ops, pair = _independent_pair_instance(rng)
-        return _rank_checks(rng, t, ops, list(pair), 2)
-
-    return _run_suite("constructed_independent_pairs", trials, seed, trial)
+    return _run_suite(
+        "constructed_independent_pairs",
+        trials,
+        seed,
+        lambda rng, t: (_independent_pair_instance(rng), 2),
+        _rank_checks([0, 1]),
+    )
 
 
 def run_full_suite(seed: int = 0, trials: int = 500) -> list[VerificationReport]:

@@ -28,11 +28,15 @@ def random_connected_graph(
     pairs = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
     attempts = 0
     target = len(pairs) + extra_edges
-    while len(pairs) < target and attempts < 50 * (extra_edges + 1):
-        a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
-        if a != b:
-            pairs.add((min(a, b), max(a, b)))
-        attempts += 1
+    cap = 50 * (extra_edges + 1)
+    while len(pairs) < target and attempts < cap:
+        # Each attempt adds at most one edge, so one attempt at a time would
+        # make at least k more: drawing their 2k endpoints in one call gives
+        # the same values and leaves the generator in the same state.
+        k = min(target - len(pairs), cap - attempts)
+        ends = rng.integers(0, np.full(2 * k, n)).reshape(k, 2)
+        pairs.update(map(tuple, np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1).tolist()))
+        attempts += k
     # Edge a < b becomes arc (a, b) followed by (b, a), edges in sorted order.
     a, b = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
     src, dst = np.stack([a, b], axis=1).ravel(), np.stack([b, a], axis=1).ravel()

@@ -92,10 +92,10 @@ def order_ppr(g: Graph, alpha: float = PPR_ALPHA, iters: int = PPR_ITERS) -> Ord
     dangling = outs == 0
     src_outs = outs[g.src]
     for _ in range(iters):
-        nxt = np.zeros(n)
-        if g.num_edges:
-            np.add.at(nxt, g.dst, p[g.src] / src_outs)
-        nxt += p[dangling].sum() / n
+        # bincount adds the weights in arc order from 0.0, as np.add.at does;
+        # with no arc it gives integer zeros, which the dangling share adds to.
+        nxt = np.bincount(g.dst, weights=p[g.src] / src_outs, minlength=n)
+        nxt = nxt + p[dangling].sum() / n
         p = alpha * u + (1.0 - alpha) * nxt
     return OrderingScores(tuple(p.tolist()), method="ppr")
 

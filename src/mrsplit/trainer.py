@@ -19,7 +19,7 @@ from .convolution import ACTIVATIONS, glorot
 from .ensembles import random_connected_graph
 from .graph import Graph, in_degrees
 from .ordering import ORDERINGS
-from .split import VARIANTS, read_only_operator, variant_operators
+from .split import VARIANTS, block_diagonal, read_only_operator, variant_operators
 
 
 @dataclass(frozen=True)
@@ -127,10 +127,7 @@ def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
         variant_operators(g, config.variant, config.ordering, task.params.seed + idx, X)
         for idx, (g, X) in enumerate(zip(task.graphs, task.features))
     ]
-    rel_ops = [
-        read_only_operator(sparse.block_diag(ops, format="csr"))
-        for ops in zip(*per_graph)
-    ]
+    rel_ops = [block_diagonal(ops) for ops in zip(*per_graph)]
     sizes = np.array([g.n for g in task.graphs])
     rows = np.repeat(np.arange(len(sizes)), sizes)
     pool = sparse.csr_matrix(

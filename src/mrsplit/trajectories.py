@@ -18,7 +18,7 @@ from .convolution import glorot, relation_sum, relu
 from .diagnostics import dirichlet_energy, rod
 from .ensembles import molecule_like_graph
 from .graph import Graph
-from .split import VARIANTS, read_only_operator, variant_operators
+from .split import VARIANTS, block_diagonal, variant_operators
 
 
 # The variants a trace runs by default; a name added to VARIANTS does not join.
@@ -129,10 +129,7 @@ def _trace_same_size(
         for g in graphs
         for name, spec in zip(names, specs)
     ]
-    blocks = [
-        read_only_operator(sparse.block_diag(ops, format="csr"))
-        for ops in zip(*per_pair)
-    ]
+    blocks = [block_diagonal(ops) for ops in zip(*per_pair)]
     weights = np.zeros((slots + has_self, len(rngs), d, d))
     live = np.ones(len(rngs), dtype=bool)
     rods = np.zeros((len(rngs), layers))

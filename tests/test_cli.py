@@ -179,7 +179,10 @@ class TestTrainCommand:
         lines = out.read_text().strip().splitlines()
         data = [ln for ln in lines if not ln.startswith(("variant", "#"))]
         assert len(data) == 2  # one initial loss per variant
-        assert lines[-1].startswith("# summary:")
+        assert lines[-1].startswith("# summary: winner=none; seed 0: gcn=")
+        # Untrained models name no winner, whichever initial loss is lower.
+        finals = [ln.split(",")[3] for ln in data]
+        assert lines[-1].endswith(f"gcn={finals[0]} mrs_gcn={finals[1]}")
 
     def test_diverged_run_exits_usage_without_output(self):
         code, out, err = _run(

@@ -6,7 +6,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from mrsplit import diagnostics
+from mrsplit.convolution import identity, leaky_relu, relation_sum, relu
 from mrsplit.diagnostics import (
+    ROW_ZERO_TOL,
+    VERIFY_DIM,
     VerificationReport,
     dirichlet_energy,
     exact_rank_small,
@@ -17,15 +20,26 @@ from mrsplit.diagnostics import (
     verify_dag_pair_rank,
     verify_dar_independent_pairs,
     verify_ergodic_rank_one,
+    verify_independence_on_constructions,
     verify_independence_theorem,
     verify_rank_theorem,
+    verify_rank_theorem_random_splits,
     verify_zero_convergence,
     run_full_suite,
 )
-from mrsplit.ensembles import molecule_like_graph
-from mrsplit.graph import graph_from_pairs
+from mrsplit.ensembles import molecule_like_graph, random_connected_dag
+from mrsplit.graph import graph_from_pairs, longest_path_length
 from mrsplit.ordering import order_random
-from mrsplit.split import RAW, ROW_MEAN, normalize, operator_for_graph, split_edges
+from mrsplit.split import (
+    RAW,
+    ROW_MEAN,
+    SYM_GCN,
+    dar_pair_from_dag,
+    normalize,
+    operator_for_graph,
+    split_edges,
+    variant_operators,
+)
 
 
 def rel_ops(n, edges_per_relation):
@@ -464,3 +478,217 @@ class TestSuites:
         names = {r.theorem for r in reports}
         assert "rank_lower_bound_random_splits" in names
         assert all(r.passed for r in reports)
+
+
+# The suites as they ran before their trials stepped as block systems: one
+# trial at a time, each on its own operators, the oracle for the grouped
+# runner. Each trial builds its instance with the library's own helpers, so
+# only the stepping, the draws and the folding are under test.
+
+
+def sequential_suite(theorem, trials, seed, trial):
+    failures, min_margin, notes = 0, np.inf, []
+    for t in range(trials):
+        for margin, note in trial(np.random.default_rng([seed, t]), t):
+            min_margin = min(min_margin, margin)
+            if note is not None:
+                failures += 1
+                notes.append(note)
+    return VerificationReport(
+        theorem, trials, failures,
+        float(min_margin) if np.isfinite(min_margin) else 0.0, seed, notes[:10],
+    )
+
+
+def sequential_rank_checks(rng, t, ops, rows, target):
+    X = np.outer(rng.uniform(-1, 1, ops[0].shape[0]), rng.uniform(-1, 1, VERIFY_DIM))
+    weights = [rng.uniform(-1, 1, (VERIFY_DIM, VERIFY_DIM)) for _ in ops]
+    pre = relation_sum(X, ops, weights)
+    checks = []
+    for sigma in (identity, leaky_relu):
+        rank = numeric_rank(sigma(pre)[rows])
+        note = f"trial {t} ({sigma.__name__}): rank {rank} < {target}"
+        checks.append((rank - target, note if rank < target else None))
+    return checks
+
+
+def sequential_rank_theorem(ops, trials, seed):
+    rank_e = numeric_rank(in_degree_matrix(ops))
+    return sequential_suite(
+        "rank_lower_bound", trials, seed,
+        lambda rng, t: sequential_rank_checks(rng, t, ops, slice(None), rank_e),
+    )
+
+
+def sequential_independence_theorem(ops, pair, trials, seed):
+    E = in_degree_matrix(ops)
+    i, j = pair
+    independent = structurally_independent(E[i], E[j])
+    report = sequential_suite(
+        "independent_pair_rows", trials, seed,
+        lambda rng, t: sequential_rank_checks(rng, t, ops, [i, j], 2) if independent else [],
+    )
+    if not independent:
+        report.notes.append("pair is structurally dependent; no assertion made")
+    return report
+
+
+def sequential_zero_convergence(trials, seed):
+    def trial(rng, t):
+        g = random_connected_dag(rng, int(rng.integers(5, 21)))
+        mats = [operator_for_graph(g, ROW_MEAN)]
+        X = rng.uniform(-1, 1, (g.n, VERIFY_DIM))
+        for _ in range(longest_path_length(g) + 1):
+            X = relu(relation_sum(X, mats, [rng.uniform(-1, 1, (VERIFY_DIM, VERIFY_DIM))]))
+        peak = float(np.abs(X).max())
+        return [(-peak, f"trial {t}: residual magnitude {peak}" if peak != 0.0 else None)]
+
+    return sequential_suite("dag_zero_convergence", trials, seed, trial)
+
+
+def sequential_dag_pair_rank(trials, seed, depth=16):
+    def trial(rng, t):
+        g = random_connected_dag(rng, int(rng.integers(6, 25)))
+        mats = diagnostics.dar_pair_from_dag(g)
+        checks = []
+        for sigma in (identity, leaky_relu):
+            X = rng.uniform(-1, 1, (g.n, VERIFY_DIM))
+            for _ in range(depth):
+                weights = [rng.uniform(-1, 1, (VERIFY_DIM, VERIFY_DIM)) for _ in mats]
+                X = sigma(relation_sum(X, mats, weights))
+                norm = np.linalg.norm(X)
+                if norm == 0.0:
+                    break
+                X = X / norm
+            row_min = float(np.linalg.norm(X, axis=1).min())
+            rank = numeric_rank(X)
+            failed = row_min <= ROW_ZERO_TOL or rank < 2
+            note = f"trial {t} ({sigma.__name__}): rank {rank}, min row {row_min:.2e}"
+            checks.append((min(rank - 2, row_min - ROW_ZERO_TOL), note if failed else None))
+        return checks
+
+    return sequential_suite("dag_pair_rank_preserved", trials, seed, trial)
+
+
+def sequential_ergodic_rank_one(instances, seed):
+    def trial(rng, idx):
+        rank_e = numeric_rank(in_degree_matrix(diagnostics._ergodic_instance(idx)))
+        return [(1 - rank_e, f"instance {idx}: rank(E)={rank_e}" if rank_e != 1 else None)]
+
+    return sequential_suite("ergodic_rank_one", instances, seed, trial)
+
+
+def sequential_dar_independent_pairs(trials, seed):
+    def trial(rng, t):
+        g = molecule_like_graph(rng, 8, 24)
+        mrg = split_edges(g, order_random(g.n, int(rng.integers(0, 2**63))))
+        found = independent_pairs_by_loop(in_degree_matrix(normalize(mrg, RAW)[:2]))
+        note = f"trial {t}: no structurally independent pair"
+        return [(found - 1, note if found == 0 else None)]
+
+    return sequential_suite("dar_pair_independent_exists", trials, seed, trial)
+
+
+def sequential_rank_theorem_random_splits(trials, seed):
+    def trial(rng, t):
+        g = molecule_like_graph(rng, 8, 30)
+        ops = variant_operators(g, "mrs_gcn", "random", int(rng.integers(0, 2**63)))
+        rank_e = numeric_rank(in_degree_matrix(ops))
+        return sequential_rank_checks(rng, t, ops, slice(None), rank_e)
+
+    return sequential_suite("rank_lower_bound_random_splits", trials, seed, trial)
+
+
+def sequential_independence_on_constructions(trials, seed):
+    def trial(rng, t):
+        ops = diagnostics._independent_pair_instance(rng)
+        return sequential_rank_checks(rng, t, ops, [0, 1], 2)
+
+    return sequential_suite("constructed_independent_pairs", trials, seed, trial)
+
+
+# name: (grouped suite, its sequential oracle, trials)
+SUITES = {
+    "random_splits": (
+        verify_rank_theorem_random_splits, sequential_rank_theorem_random_splits, 200
+    ),
+    "constructions": (
+        verify_independence_on_constructions, sequential_independence_on_constructions, 200
+    ),
+    "zero_convergence": (verify_zero_convergence, sequential_zero_convergence, 60),
+    "dag_pair": (verify_dag_pair_rank, sequential_dag_pair_rank, 60),
+    "ergodic": (verify_ergodic_rank_one, sequential_ergodic_rank_one, 20),
+    "dar_pairs": (verify_dar_independent_pairs, sequential_dar_independent_pairs, 60),
+}
+
+
+def fixed_operator_cases():
+    """(name, ops, pair) cases for the two theorem functions that take
+    operators: an independent star pair, a dependent one, an ergodic
+    triangle and a 40-node split whose rank target exceeds 2."""
+    tri = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
+    g = molecule_like_graph(np.random.default_rng(5), 40, 40)
+    return [
+        ("star_independent", star_ops([(3, 2), (2, 1)]), (0, 1)),
+        ("star_dependent", star_ops([(4, 2), (2, 1)]), (0, 1)),
+        ("ergodic_triangle", [
+            operator_for_graph(graph_from_pairs(3, tri), ROW_MEAN),
+            operator_for_graph(graph_from_pairs(3, [(a, b) for b, a in tri]), ROW_MEAN),
+        ], (1, 2)),
+        ("split_40", list(normalize(split_edges(g, order_random(g.n, 3)), SYM_GCN)), (0, 39)),
+    ]
+
+
+class TestGroupedRunnerEqualsSequentialOracle:
+    """Every suite, stepped in node-count groups, reports exactly what it
+    reported when each trial ran alone."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("suite", sorted(SUITES))
+    def test_suite(self, suite, seed):
+        grouped, sequential, trials = SUITES[suite]
+        assert grouped(trials, seed=seed).to_dict() == sequential(trials, seed).to_dict()
+
+    @pytest.mark.parametrize("seed", [0, 4, 9])
+    @pytest.mark.parametrize("case", range(4))
+    def test_theorem_functions_on_fixed_operators(self, case, seed):
+        name, ops, pair = fixed_operator_cases()[case]
+        assert (
+            verify_rank_theorem(ops, trials=40, seed=seed).to_dict()
+            == sequential_rank_theorem(ops, 40, seed).to_dict()
+        )
+        assert (
+            verify_independence_theorem(ops, pair, trials=40, seed=seed).to_dict()
+            == sequential_independence_theorem(ops, pair, 40, seed).to_dict()
+        )
+
+    @pytest.mark.parametrize("rows, window", [(1, 2048), (25, 7), (64, 1), (4096, 13)])
+    def test_chunk_and_window_boundaries(self, monkeypatch, rows, window):
+        # With a row bound below some node counts, a group splits into
+        # chunks of one or a few trials, and a trial larger than the bound
+        # steps alone; a small draw window splits the trials before grouping.
+        monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", rows)
+        monkeypatch.setattr(diagnostics, "_DRAW_WINDOW", window)
+        for suite in ("random_splits", "dag_pair", "zero_convergence", "dar_pairs"):
+            grouped, sequential, _ = SUITES[suite]
+            assert grouped(30, seed=2).to_dict() == sequential(30, 2).to_dict(), suite
+        _, ops, pair = fixed_operator_cases()[3]
+        assert (
+            verify_rank_theorem(ops, trials=7, seed=1).to_dict()
+            == sequential_rank_theorem(ops, 7, 1).to_dict()
+        )
+
+    def test_collapsed_states_match_the_oracle(self, monkeypatch):
+        # A DAG whose arc senders sum to an odd number keeps only its forward
+        # relation, under which its state reaches exact zero within the depth
+        # and stops drawing, while other trials of its node count keep their
+        # pair and go on.
+        def pair_or_dag_alone(g):
+            ops = dar_pair_from_dag(g)
+            return (ops[0], sparse.csr_matrix((g.n, g.n))) if int(g.src.sum()) % 2 else ops
+
+        monkeypatch.setattr(diagnostics, "dar_pair_from_dag", pair_or_dag_alone)
+        grouped = verify_dag_pair_rank(trials=40, seed=5, depth=30)
+        assert grouped.to_dict() == sequential_dag_pair_rank(40, 5, depth=30).to_dict()
+        assert 0 < grouped.failures < 80
+        assert "rank 0, min row 0.00e+00" in grouped.notes[0]

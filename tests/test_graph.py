@@ -445,6 +445,18 @@ class TestRandomConnectedGraph:
         )
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("n, extra", [(1, 3), (2, 5), (3, 4), (4, 30), (6, 40)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_attempt_cap_when_extra_edges_exceed_the_free_pairs(self, n, extra, seed):
+        # The tree leaves fewer than `extra` free pairs, so both loops stop at
+        # the attempt cap of 50 * (extra + 1) draws, not at the edge target.
+        assert n * (n - 1) // 2 - (n - 1) < extra
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_connected_graph(rng, n, extra) == reference_random_connected_graph(
+            ref_rng, n, extra
+        )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 def reference_load_edge_list(source, format="tsv", undirected=False):
     """The loader as it was before Graph became its only duplicate check: a

@@ -6,6 +6,8 @@ import pytest
 from mrsplit.graph import graph_from_pairs
 from mrsplit.ordering import (
     ORDERINGS,
+    PPR_ALPHA,
+    PPR_ITERS,
     _splitmix64,
     order_by,
     order_degree,
@@ -100,6 +102,31 @@ class TestOrderPpr:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             order_ppr(graph_from_pairs(0, []))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bit_equal_to_add_at_oracle(self, seed):
+        # Random digraphs with dangling nodes; seed 0 has no arc at all.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 30))
+        arcs = 0 if seed == 0 else int(rng.integers(0, 3 * n))
+        pairs = {tuple(p) for p in rng.integers(0, n, (arcs, 2)).tolist()}
+        g = graph_from_pairs(n, sorted(pairs))
+        assert order_ppr(g).scores == ppr_by_add_at(g)
+
+
+def ppr_by_add_at(g, alpha=PPR_ALPHA, iters=PPR_ITERS):
+    """order_ppr's power iteration, with np.add.at summing each node's
+    incoming shares."""
+    u = np.full(g.n, 1.0 / g.n)
+    outs = np.bincount(g.src, minlength=g.n).astype(np.float64)
+    p = u.copy()
+    for _ in range(iters):
+        nxt = np.zeros(g.n)
+        if g.num_edges:
+            np.add.at(nxt, g.dst, p[g.src] / outs[g.src])
+        nxt += p[outs == 0].sum() / g.n
+        p = alpha * u + (1.0 - alpha) * nxt
+    return tuple(p.tolist())
 
 
 class TestOrderDegree:

@@ -29,6 +29,7 @@ from mrsplit.split import (
     RAW,
     ROW_MEAN,
     SYM_GCN,
+    block_diagonal,
     dar_pair_from_dag,
     normalize,
     operator_for_graph,
@@ -343,6 +344,38 @@ class TestDirectBuild:
     def test_index_dtype_boundary(self, n, nnz, want):
         assert split._index_dtype(n, nnz) is want
         assert sparse.get_index_dtype(maxval=max(n, nnz)) is want
+
+
+class TestBlockDiagonal:
+    """block_diagonal equals scipy's block_diag in its CSR arrays and dtypes."""
+
+    @settings(max_examples=60)
+    @given(
+        st.lists(graph_and_scores(), min_size=1, max_size=4),
+        st.sampled_from([RAW, ROW_MEAN, SYM_GCN]),
+    )
+    def test_equals_scipy_block_diag(self, cases, mode):
+        per_graph = [normalize(split_edges(g, scores), mode) for g, scores in cases]
+        for ops in zip(*per_graph):
+            assert_same_csr(block_diagonal(ops), sparse.block_diag(ops, format="csr"))
+
+    def test_empty_blocks_and_the_all_empty_padding_slot(self):
+        g = undirected_path()
+        ops = normalize(split_edges(g, order_degree(g)), RAW)
+        empty = sparse.csr_matrix((g.n, g.n))
+        no_arcs = operator_for_graph(graph_from_pairs(2, []), RAW)
+        cases = ([ops[0], empty, ops[1]], [empty] * 3, [no_arcs, ops[2], no_arcs], [ops[0]])
+        for blocks in cases:
+            got = block_diagonal(blocks)
+            assert_same_csr(got, sparse.block_diag(blocks, format="csr"))
+            assert got.indices.dtype == got.indptr.dtype == np.int32
+
+    def test_result_is_read_only(self):
+        g = bidirected_triangle()
+        got = block_diagonal(normalize(whole_graph(g), SYM_GCN) * 2)
+        for arr in (got.data, got.indices, got.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
 
 
 class TestOperatorCache:
