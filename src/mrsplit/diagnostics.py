@@ -22,12 +22,14 @@ from .ordering import order_random
 from .split import (
     RAW,
     ROW_MEAN,
+    SYM_GCN,
+    MultiRelGraph,
     block_diagonal,
     dar_pair_from_dag,
     normalize,
-    operator_for_graph,
     split_edges,
-    variant_operators,
+    union,
+    whole_graph,
 )
 
 DEFAULT_RANK_TOL = 1e-8
@@ -221,21 +223,24 @@ _DRAW_WINDOW = 2048
 # not None marks a failed check.
 _Checks = list[tuple[float, Optional[str]]]
 
+# A trial's relation slot: an operator, or relation k of a MultiRelGraph as
+# a (graph, k) pair to be normalized in the suite's mode.
+_Slot = sparse.csr_matrix | tuple[MultiRelGraph, int]
+
 
 @dataclass
 class _Trial:
-    """A drawn trial: its index, its generator and its instance, the relation
-    operators it steps on and an integer the suite reads (a rank target or a
-    depth)."""
+    """A drawn trial: its index, its generator and the relation slots of its
+    instance."""
 
     t: int
     rng: np.random.Generator
-    ops: Sequence[sparse.csr_matrix]
-    target: int
+    slots: Sequence[_Slot]
 
     @property
     def n(self) -> int:
-        return self.ops[0].shape[0]
+        first = self.slots[0]
+        return first[0].base.n if isinstance(first, tuple) else first.shape[0]
 
 
 # A step takes one group of trials of one node count and its block-diagonal
@@ -243,25 +248,50 @@ class _Trial:
 _Step = Callable[[list[_Trial], list[sparse.csr_matrix]], list[_Checks]]
 
 
+def _block_operators(chunk: list[_Trial], mode: Optional[str]) -> list[sparse.csr_matrix]:
+    """One block-diagonal operator per relation slot of the chunk's trials.
+
+    Operator slots are glued by block_diagonal. Slots of (graph, k) pairs,
+    whose k is the same in every trial, take relation k of one normalized
+    union of the trials' graphs, which is that block system itself; slots
+    that name the same graphs, such as a split's relations, share one union.
+    """
+    slots = zip(*(tr.slots for tr in chunk))
+    if mode is None:
+        return [block_diagonal(ops) for ops in slots]
+    built: dict[tuple[int, ...], tuple[sparse.csr_matrix, ...]] = {}
+    blocks = []
+    for slot in slots:
+        parts = [mrg for mrg, _ in slot]
+        key = tuple(map(id, parts))
+        if key not in built:
+            built[key] = normalize(union(parts), mode)
+        blocks.append(built[key][slot[0][1]])
+    return blocks
+
+
 def _run_suite(
     theorem: str,
     trials: int,
     seed: int,
-    draw: Callable[[np.random.Generator, int], tuple[Sequence[sparse.csr_matrix], int]],
+    draw: Callable[[np.random.Generator, int], Sequence[_Slot]],
     step: _Step,
+    mode: Optional[str] = None,
 ) -> VerificationReport:
     """Draw every trial's instance, then step the trials in groups.
 
-    draw(rng, t) gives trial t's (operators, target), drawing from its own
-    generator default_rng([seed, t]). The trials of one node count then step
-    as one block system, at most _BLOCK_ROWS rows at a time: step(group,
-    blocks) gets the group and one block-diagonal operator per relation slot,
-    and gives each trial's checks. A step draws from each trial's generator
-    in the trial's own order, and each block steps as its trial would alone,
-    so the grouping changes nothing. Trials are drawn and stepped
-    _DRAW_WINDOW at a time, so memory does not grow with the trial count.
-    The checks are folded in trial order: min_margin is the smallest margin
-    seen, 0.0 when no check ran, and the first ten failure notes are kept.
+    draw(rng, t) gives trial t's relation slots, drawing from its own
+    generator default_rng([seed, t]): operators, or with a normalization
+    mode, (graph, relation index) pairs. The trials of one node count then
+    step as one block system, at most _BLOCK_ROWS rows at a time:
+    step(group, blocks) gets the group and one block-diagonal operator per
+    relation slot, and gives each trial's checks. A step draws from each
+    trial's generator in the trial's own order, and each block steps as its
+    trial would alone, so the grouping changes nothing. Trials are drawn and
+    stepped _DRAW_WINDOW at a time, so memory does not grow with the trial
+    count. The checks are folded in trial order: min_margin is the smallest
+    margin seen, 0.0 when no check ran, and the first ten failure notes are
+    kept.
     """
     failures = 0
     min_margin = np.inf
@@ -271,14 +301,14 @@ def _run_suite(
         groups: dict[int, list[_Trial]] = {}
         for t in window:
             rng = np.random.default_rng([seed, t])
-            trial = _Trial(t, rng, *draw(rng, t))
+            trial = _Trial(t, rng, draw(rng, t))
             groups.setdefault(trial.n, []).append(trial)
         checks: dict[int, _Checks] = {}
         for n, group in sorted(groups.items()):
             size = max(1, _BLOCK_ROWS // max(n, 1))
             for i in range(0, len(group), size):
                 chunk = group[i : i + size]
-                blocks = [block_diagonal(ops) for ops in zip(*(tr.ops for tr in chunk))]
+                blocks = _block_operators(chunk, mode)
                 for trial, result in zip(chunk, step(chunk, blocks), strict=True):
                     checks[trial.t] = result
         for margin, note in (check for t in window for check in checks[t]):
@@ -294,6 +324,16 @@ def _run_suite(
         seed=seed,
         notes=notes[:10],
     )
+
+
+def _unit_states(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stack X (states, n, d) with each state scaled to unit Frobenius
+    norm, and the mask of states that are not exact zero. Dividing a
+    collapsed state by inf leaves it exact zero rows."""
+    flat = X.reshape(len(X), -1)
+    norm = np.sqrt(np.vecdot(flat, flat))
+    live = norm != 0.0
+    return X / np.where(live, norm, np.inf)[:, None, None], live
 
 
 def _states(group: list[_Trial]) -> np.ndarray:
@@ -316,10 +356,15 @@ def _in_degree_stack(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> np
     return in_degree_matrix(blocks).reshape(len(group), group[0].n, len(blocks))
 
 
-def _rank_checks(rows) -> _Step:
+def _whole_slots(graphs: Sequence[Graph]) -> list[tuple[MultiRelGraph, int]]:
+    """One relation slot per graph: the graph unsplit."""
+    return [(whole_graph(g), 0) for g in graphs]
+
+
+def _rank_checks(rows, target: Optional[int] = None) -> _Step:
     """Step that checks, per activation, the rank of the selected output rows
-    of one split convolution of a random rank-one input against each
-    trial's target rank."""
+    of one split convolution of a random rank-one input against a target
+    rank: the given one, or each trial's rank(E) when target is None."""
 
     def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         X = np.stack([
@@ -327,12 +372,16 @@ def _rank_checks(rows) -> _Step:
             for tr in group
         ])
         pre = relation_sum(X, blocks, _transforms(group, len(blocks)))
+        if target is None:
+            targets = _ranks(_in_degree_stack(group, blocks)).tolist()
+        else:
+            targets = [target] * len(group)
         checks: list[_Checks] = [[] for _ in group]
         for sigma in _SIGMAS:
             for b, rank in enumerate(_ranks(sigma(pre)[:, rows]).tolist()):
-                t, target = group[b].t, group[b].target
-                note = f"trial {t} ({sigma.__name__}): rank {rank} < {target}"
-                checks[b].append((rank - target, note if rank < target else None))
+                t, want = group[b].t, targets[b]
+                note = f"trial {t} ({sigma.__name__}): rank {rank} < {want}"
+                checks[b].append((rank - want, note if rank < want else None))
         return checks
 
     return step
@@ -345,11 +394,7 @@ def verify_rank_theorem(
     weighted in-degree matrix, for rank-one inputs and generic transforms."""
     rank_e = numeric_rank(in_degree_matrix(ops))
     return _run_suite(
-        "rank_lower_bound",
-        trials,
-        seed,
-        lambda rng, t: (ops, rank_e),
-        _rank_checks(slice(None)),
+        "rank_lower_bound", trials, seed, lambda rng, t: ops, _rank_checks(slice(None), rank_e)
     )
 
 
@@ -371,8 +416,8 @@ def verify_independence_theorem(
         "independent_pair_rows",
         trials,
         seed,
-        lambda rng, t: (ops, 2),
-        _rank_checks([i, j]) if independent else lambda group, blocks: [[] for _ in group],
+        lambda rng, t: ops,
+        _rank_checks([i, j], 2) if independent else lambda group, blocks: [[] for _ in group],
     )
     if not independent:
         report.notes.append("pair is structurally dependent; no assertion made")
@@ -384,13 +429,12 @@ def verify_zero_convergence(trials: int = 100, seed: int = 0) -> VerificationRep
     to exactly zero after longest-path-length + 1 steps."""
 
     def draw(rng: np.random.Generator, t: int):
-        g = random_connected_dag(rng, int(rng.integers(5, 21)))
-        return [operator_for_graph(g, ROW_MEAN)], longest_path_length(g) + 1
+        return _whole_slots([random_connected_dag(rng, int(rng.integers(5, 21)))])
 
     def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         X = _states(group)
         weights = np.zeros((1, len(group), VERIFY_DIM, VERIFY_DIM))
-        depths = np.array([tr.target for tr in group])
+        depths = np.array([longest_path_length(tr.slots[0][0].base) + 1 for tr in group])
         for it in range(depths.max()):
             # A trial past its depth draws no more and keeps its state.
             active = np.flatnonzero(it < depths)
@@ -402,7 +446,7 @@ def verify_zero_convergence(trials: int = 100, seed: int = 0) -> VerificationRep
             for tr, peak in zip(group, peaks)
         ]
 
-    return _run_suite("dag_zero_convergence", trials, seed, draw, step)
+    return _run_suite("dag_zero_convergence", trials, seed, draw, step, ROW_MEAN)
 
 
 def verify_dag_pair_rank(
@@ -418,7 +462,7 @@ def verify_dag_pair_rank(
     """
 
     def draw(rng: np.random.Generator, t: int):
-        return dar_pair_from_dag(random_connected_dag(rng, int(rng.integers(6, 25)))), 0
+        return dar_pair_from_dag(random_connected_dag(rng, int(rng.integers(6, 25))))
 
     def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         checks: list[_Checks] = [[] for _ in group]
@@ -431,12 +475,7 @@ def verify_dag_pair_rank(
                 # under the transforms it drew last.
                 alive = np.flatnonzero(live)
                 weights[:, alive] = _transforms([group[b] for b in alive], len(blocks))
-                X = sigma(relation_sum(X, blocks, weights))
-                flat = X.reshape(len(group), -1)
-                norm = np.sqrt(np.vecdot(flat, flat))
-                live = norm != 0.0
-                # Dividing a collapsed state by inf leaves it exact zero rows.
-                X = X / np.where(live, norm, np.inf)[:, None, None]
+                X, live = _unit_states(sigma(relation_sum(X, blocks, weights)))
                 if not live.any():
                     break
             row_mins = np.linalg.norm(X, axis=-1).min(axis=-1).tolist()
@@ -449,13 +488,13 @@ def verify_dag_pair_rank(
     return _run_suite("dag_pair_rank_preserved", trials, seed, draw, step)
 
 
-def _ergodic_instance(idx: int) -> list[sparse.csr_matrix]:
-    """Two cycle relations over n nodes, each mean-normalized row-wise."""
+def _ergodic_instance(idx: int) -> list[Graph]:
+    """Two cycle relations over n nodes, each to be mean-normalized row-wise."""
     n = 4 + idx
     step = 2 + (idx % max(1, n - 3))
     rel1 = graph_from_pairs(n, [(i, (i + 1) % n) for i in range(n)])
     rel2 = graph_from_pairs(n, [(i, (i + step) % n) for i in range(n)])
-    return [operator_for_graph(rel1, ROW_MEAN), operator_for_graph(rel2, ROW_MEAN)]
+    return [rel1, rel2]
 
 
 def verify_ergodic_rank_one(instances: int = 20, seed: int = 0) -> VerificationReport:
@@ -470,7 +509,12 @@ def verify_ergodic_rank_one(instances: int = 20, seed: int = 0) -> VerificationR
         ]
 
     return _run_suite(
-        "ergodic_rank_one", instances, seed, lambda rng, idx: (_ergodic_instance(idx), 0), step
+        "ergodic_rank_one",
+        instances,
+        seed,
+        lambda rng, idx: _whole_slots(_ergodic_instance(idx)),
+        step,
+        ROW_MEAN,
     )
 
 
@@ -483,8 +527,8 @@ def verify_dar_independent_pairs(
 
     def draw(rng: np.random.Generator, t: int):
         g = molecule_like_graph(rng, 8, 24)
-        scores = order_random(g.n, int(rng.integers(0, 2**63)))
-        return normalize(split_edges(g, scores), RAW)[:2], 0
+        mrg = split_edges(g, order_random(g.n, int(rng.integers(0, 2**63))))
+        return [(mrg, 0), (mrg, 1)]
 
     def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         found = _independent_pair_count(_in_degree_stack(group, blocks)).tolist()
@@ -493,7 +537,7 @@ def verify_dar_independent_pairs(
             for tr, k in zip(group, found)
         ]
 
-    return _run_suite("dar_pair_independent_exists", trials, seed, draw, step)
+    return _run_suite("dar_pair_independent_exists", trials, seed, draw, step, RAW)
 
 
 def verify_rank_theorem_random_splits(
@@ -503,17 +547,18 @@ def verify_rank_theorem_random_splits(
 
     def draw(rng: np.random.Generator, t: int):
         g = molecule_like_graph(rng, 8, 30)
-        ops = variant_operators(g, "mrs_gcn", "random", int(rng.integers(0, 2**63)))
-        return ops, numeric_rank(in_degree_matrix(ops))
+        mrg = split_edges(g, order_random(g.n, int(rng.integers(0, 2**63))))
+        return [(mrg, 0), (mrg, 1), (mrg, 2)]
 
     return _run_suite(
-        "rank_lower_bound_random_splits", trials, seed, draw, _rank_checks(slice(None))
+        "rank_lower_bound_random_splits", trials, seed, draw, _rank_checks(slice(None)), SYM_GCN
     )
 
 
-def _independent_pair_instance(rng: np.random.Generator) -> list[sparse.csr_matrix]:
-    """Two-relation graph where nodes 0 and 1 have linearly independent
-    integer in-degree vectors fed by disjoint source nodes."""
+def _independent_pair_instance(rng: np.random.Generator) -> list[Graph]:
+    """Two relation graphs, to be taken raw, where nodes 0 and 1 have
+    linearly independent integer in-degree vectors fed by disjoint source
+    nodes."""
     while True:
         a, b = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         c, e = int(rng.integers(1, 5)), int(rng.integers(1, 5))
@@ -526,7 +571,7 @@ def _independent_pair_instance(rng: np.random.Generator) -> list[sparse.csr_matr
         for rel, k in enumerate(counts):
             arcs[rel].extend((sender, node) for sender in range(nxt, nxt + k))
             nxt += k
-    return [operator_for_graph(graph_from_pairs(nxt, pairs), RAW) for pairs in arcs]
+    return [graph_from_pairs(nxt, pairs) for pairs in arcs]
 
 
 def verify_independence_on_constructions(
@@ -538,8 +583,9 @@ def verify_independence_on_constructions(
         "constructed_independent_pairs",
         trials,
         seed,
-        lambda rng, t: (_independent_pair_instance(rng), 2),
-        _rank_checks([0, 1]),
+        lambda rng, t: _whole_slots(_independent_pair_instance(rng)),
+        _rank_checks([0, 1], 2),
+        RAW,
     )
 
 

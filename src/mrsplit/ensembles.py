@@ -25,21 +25,28 @@ def random_connected_graph(
     # draw of all n - 1 parents gives the values of, and leaves the generator
     # as, one integers(0, idx) call per idx in turn.
     a, b = order[1:], order[rng.integers(0, np.arange(1, n))]
-    pairs = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+    # Edge a < b is the key a * n + b, so sorted keys list the edges in
+    # (a, b) order. A tree's edges are distinct.
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
     attempts = 0
-    target = len(pairs) + extra_edges
+    target = len(keys) + extra_edges
     cap = 50 * (extra_edges + 1)
-    while len(pairs) < target and attempts < cap:
+    while len(keys) < target and attempts < cap:
         # Each attempt adds at most one edge, so one attempt at a time would
         # make at least k more: drawing their 2k endpoints in one call gives
         # the same values and leaves the generator in the same state.
-        k = min(target - len(pairs), cap - attempts)
-        ends = rng.integers(0, np.full(2 * k, n)).reshape(k, 2)
-        pairs.update(map(tuple, np.sort(ends[ends[:, 0] != ends[:, 1]], axis=1).tolist()))
+        k = min(target - len(keys), cap - attempts)
+        u, v = rng.integers(0, np.full(2 * k, n)).reshape(k, 2).T
+        keys = np.concatenate((keys, (np.minimum(u, v) * n + np.maximum(u, v))[u != v]))
+        # Sorted, a repeated edge is next to its twin.
+        keys.sort()
+        first = np.ones(len(keys), dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        keys = keys[first]
         attempts += k
     # Edge a < b becomes arc (a, b) followed by (b, a), edges in sorted order.
-    a, b = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
-    src, dst = np.stack([a, b], axis=1).ravel(), np.stack([b, a], axis=1).ravel()
+    ab = np.stack(np.divmod(keys, n), axis=1)
+    src, dst = ab.ravel(), ab[:, ::-1].ravel()
     return Graph(n=n, src=src, dst=dst, w=np.ones(len(src)), undirected=True)
 
 

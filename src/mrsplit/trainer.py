@@ -19,7 +19,7 @@ from .convolution import ACTIVATIONS, glorot
 from .ensembles import random_connected_graph
 from .graph import Graph, in_degrees
 from .ordering import ORDERINGS
-from .split import VARIANTS, block_diagonal, read_only_operator, variant_operators
+from .split import VARIANTS, normalize, read_only_operator, union, variant_graph
 
 
 @dataclass(frozen=True)
@@ -123,11 +123,13 @@ class CompiledTask:
 
 
 def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
-    per_graph = [
-        variant_operators(g, config.variant, config.ordering, task.params.seed + idx, X)
+    # The operators of the graphs' disjoint union are the block-diagonal ones
+    # of each graph's operators.
+    whole = union([
+        variant_graph(g, config.variant, config.ordering, task.params.seed + idx, X)
         for idx, (g, X) in enumerate(zip(task.graphs, task.features))
-    ]
-    rel_ops = [block_diagonal(ops) for ops in zip(*per_graph)]
+    ])
+    rel_ops = list(normalize(whole, VARIANTS[config.variant].mode))
     sizes = np.array([g.n for g in task.graphs])
     rows = np.repeat(np.arange(len(sizes)), sizes)
     pool = sparse.csr_matrix(

@@ -15,7 +15,7 @@ import numpy as np
 from scipy import sparse
 
 from .convolution import glorot, relation_sum, relu
-from .diagnostics import dirichlet_energy, rod
+from .diagnostics import _unit_states, dirichlet_energy, rod
 from .ensembles import molecule_like_graph
 from .graph import Graph
 from .split import VARIANTS, block_diagonal, variant_operators
@@ -143,11 +143,7 @@ def _trace_same_size(
         X = relu(relation_sum(
             states, blocks, weights[:slots], weights[slots] if has_self else None
         ))
-        flat = X.reshape(len(rngs), -1)
-        norm = np.sqrt(np.vecdot(flat, flat))
-        live = norm != 0.0
-        # Dividing a collapsed state by inf leaves it exact zero rows.
-        states = X / np.where(live, norm, np.inf)[:, None, None]
+        states, live = _unit_states(X)
         if not live.any():
             break
         rods[live, it] = rod(states[live])

@@ -572,7 +572,8 @@ def sequential_dag_pair_rank(trials, seed, depth=16):
 
 def sequential_ergodic_rank_one(instances, seed):
     def trial(rng, idx):
-        rank_e = numeric_rank(in_degree_matrix(diagnostics._ergodic_instance(idx)))
+        ops = [operator_for_graph(g, ROW_MEAN) for g in diagnostics._ergodic_instance(idx)]
+        rank_e = numeric_rank(in_degree_matrix(ops))
         return [(1 - rank_e, f"instance {idx}: rank(E)={rank_e}" if rank_e != 1 else None)]
 
     return sequential_suite("ergodic_rank_one", instances, seed, trial)
@@ -601,7 +602,7 @@ def sequential_rank_theorem_random_splits(trials, seed):
 
 def sequential_independence_on_constructions(trials, seed):
     def trial(rng, t):
-        ops = diagnostics._independent_pair_instance(rng)
+        ops = [operator_for_graph(g, RAW) for g in diagnostics._independent_pair_instance(rng)]
         return sequential_rank_checks(rng, t, ops, [0, 1], 2)
 
     return sequential_suite("constructed_independent_pairs", trials, seed, trial)

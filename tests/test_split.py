@@ -36,6 +36,7 @@ from mrsplit.split import (
     split_edges,
     split_json,
     split_summary,
+    union,
     whole_graph,
 )
 
@@ -376,6 +377,72 @@ class TestBlockDiagonal:
         for arr in (got.data, got.indices, got.indptr):
             with pytest.raises(ValueError, match="read-only"):
                 arr[...] = 0
+
+
+@st.composite
+def union_parts(draw, split):
+    """One part of a union: a graph of 1 to 8 nodes, possibly with no arcs,
+    split under drawn scores (ties leave relations empty) or whole."""
+    n = draw(st.integers(1, 8))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
+    weights = draw(st.lists(st.sampled_from([1.0, 0.5, -2.0, 3.0]), min_size=len(pairs), max_size=len(pairs)))
+    g = graph_from_pairs(n, [(a, b, w) for (a, b), w in zip(sorted(pairs), weights)])
+    if not split:
+        return whole_graph(g)
+    return split_edges(g, scores_of(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+
+
+class TestUnion:
+    """A union of parts is the block system of the parts' operators."""
+
+    @settings(max_examples=120)
+    @given(st.data(), st.booleans(), st.sampled_from([RAW, ROW_MEAN, SYM_GCN]))
+    def test_normalize_equals_block_diagonal_of_the_parts(self, data, split, mode):
+        parts = data.draw(st.lists(union_parts(split), min_size=1, max_size=4))
+        ops = normalize(union(parts), mode)
+        assert len(ops) == len(parts[0].relations)
+        for k, op in enumerate(ops):
+            assert_same_csr(op, block_diagonal([normalize(p, mode)[k] for p in parts]))
+
+    def test_single_nodes_no_arcs_and_empty_relations(self):
+        lone = graph_from_pairs(1, [])
+        loop = graph_from_pairs(1, [(0, 0)])
+        g = bidirected_triangle()
+        parts = [
+            split_edges(lone, scores_of([0])),
+            split_edges(loop, scores_of([1])),
+            split_edges(g, order_degree(g)),
+            split_edges(undirected_path(), scores_of([0, 1, 2])),
+        ]
+        whole = union(parts)
+        assert whole.base.n == 1 + 1 + 3 + 3 and whole.base.num_edges == 1 + 6 + 4
+        assert [len(arcs) for arcs in whole.relations] == [2, 2, 7]
+        for mode in (RAW, ROW_MEAN, SYM_GCN):
+            for k, op in enumerate(normalize(whole, mode)):
+                assert_same_csr(op, block_diagonal([normalize(p, mode)[k] for p in parts]))
+
+    def test_offsets_arcs_relations_and_keeps_each_part_s_scores(self):
+        g = undirected_path()
+        first, second = split_edges(g, scores_of([0, 1, 2])), split_edges(g, scores_of([2, 1, 1]))
+        whole = union([first, second])
+        assert arcs(whole.base) == arcs(g) + [(s + 3, d + 3, w) for s, d, w in arcs(g)]
+        assert whole.base.undirected
+        for k in range(3):
+            want = first.relations[k].tolist() + (second.relations[k] + 4).tolist()
+            assert whole.relations[k].tolist() == want
+            with pytest.raises(ValueError, match="read-only"):
+                whole.relations[k][...] = 0
+        assert whole.ordering == OrderingScores((0.0, 1.0, 2.0, 2.0, 1.0, 1.0), "features")
+        assert union([whole_graph(g), whole_graph(g)]).ordering is None
+        mixed = union([first, split_edges(g, order_degree(g))])
+        assert mixed.ordering is None
+
+    def test_rejects_unequal_relation_counts_and_no_parts(self):
+        g = undirected_path()
+        with pytest.raises(ValueError, match="equal relation counts"):
+            union([split_edges(g, order_degree(g)), whole_graph(g)])
+        with pytest.raises(ValueError, match="at least one part"):
+            union([])
 
 
 class TestOperatorCache:

@@ -6,6 +6,7 @@ from scipy import sparse
 
 from mrsplit import autodiff as ad
 from mrsplit.graph import graph_from_pairs
+from mrsplit.split import block_diagonal, variant_operators
 from mrsplit.trainer import (
     ModelConfig,
     TaskParams,
@@ -20,6 +21,7 @@ from mrsplit.trainer import (
     train,
 )
 from test_autodiff import chained_relation_sum
+from test_split import assert_same_csr
 
 TINY_TASK = TaskParams(count=6, n_min=5, n_max=9, seed=0)
 
@@ -115,6 +117,29 @@ class TestCompileAndForward:
         for mat in (*compiled.rel_ops, *compiled.rel_ops_t, compiled.pool):
             for arr in (mat.data, mat.indices, mat.indptr):
                 assert not arr.flags.writeable
+
+    @pytest.mark.parametrize(
+        "variant, ordering",
+        [("gcn", "degree"), ("sage", "degree"), ("mrs_gcn", "degree"),
+         ("mrs_sage", "ppr"), ("mrs_gcn", "features"), ("mrs_gcn", "random")],
+    )
+    def test_rel_ops_equal_the_per_graph_block_diagonal_build(self, variant, ordering):
+        # The build the union replaced: each graph's own operators, glued
+        # block after block.
+        task = make_synthetic_task(TINY_TASK)
+        config = tiny_config(variant=variant, ordering=ordering)
+        per_graph = [
+            variant_operators(g, variant, ordering, task.params.seed + idx, X)
+            for idx, (g, X) in enumerate(zip(task.graphs, task.features))
+        ]
+        want = [block_diagonal(ops) for ops in zip(*per_graph)]
+        got = compile_task(task, config).rel_ops
+        assert len(got) == len(want)
+        for op, ref in zip(got, want):
+            assert_same_csr(op, ref)
+            for arr in (op.data, op.indices, op.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
 
     def test_base_variant_single_operator(self):
         task = make_synthetic_task(TINY_TASK)
