@@ -37,11 +37,13 @@ def parameter(value) -> Tensor:
     return Tensor(value)
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # The first gradient is copied: g may be another node's grad (add passes
-    # its own through), which later += calls would otherwise alias.
+def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
+    # A first gradient is kept as is when the caller computed it and no other
+    # node holds it. A shared g (add and add_rowvec pass their own grad
+    # through, concat_cols passes views of it) is copied, or later += calls
+    # would write through the alias.
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64)
+        t.grad = np.array(g, dtype=np.float64) if shared else g
     else:
         t.grad += g
 
@@ -50,8 +52,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.value + b.value, parents=(a, b))
 
     def back(g):
-        _accumulate(a, g)
-        _accumulate(b, g)
+        _accumulate(a, g, shared=True)
+        _accumulate(b, g, shared=True)
 
     out._backward = back
     return out
@@ -112,7 +114,7 @@ def add_rowvec(x: Tensor, b: Tensor) -> Tensor:
     out = Tensor(x.value + b.value, parents=(x, b))
 
     def back(g):
-        _accumulate(x, g)
+        _accumulate(x, g, shared=True)
         _accumulate(b, g.sum(axis=0, keepdims=True))
 
     out._backward = back
@@ -152,7 +154,7 @@ def concat_cols(xs: Sequence[Tensor]) -> Tensor:
     def back(g):
         offset = 0
         for x, w in zip(xs, widths):
-            _accumulate(x, g[:, offset : offset + w])
+            _accumulate(x, g[:, offset : offset + w], shared=True)
             offset += w
 
     out._backward = back

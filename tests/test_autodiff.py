@@ -180,6 +180,26 @@ class TestConventions:
         assert a.grad[0, 0] == 2.0
         assert b.grad[0, 0] == 1.0
 
+    def test_concat_and_add_gradients_do_not_alias(self):
+        # matmul hands its fresh product to e uncopied; add passes e's grad
+        # on whole, and concat_cols passes views of c's and c2's. Every
+        # gradient must still own its memory.
+        rng = np.random.default_rng(14)
+        x = ad.parameter(rng.uniform(-1, 1, (3, 2)))
+        y = ad.parameter(rng.uniform(-1, 1, (3, 2)))
+        w = ad.parameter(rng.uniform(-1, 1, (4, 1)))
+        c, c2 = ad.concat_cols([x, y]), ad.concat_cols([y, x])
+        e = ad.add(c, c2)
+        ad.backward(ad.matmul(e, w))
+        grads = [t.grad for t in (x, y, w, c, c2, e)]
+        for i, a in enumerate(grads):
+            for b in grads[i + 1 :]:
+                assert not np.shares_memory(a, b)
+        col = np.ones((3, 1)) @ w.value.T
+        assert np.array_equal(e.grad, col)
+        assert np.array_equal(x.grad, col[:, :2] + col[:, 2:])
+        assert np.array_equal(y.grad, col[:, 2:] + col[:, :2])
+
     def test_relu_forward_bitwise_equals_where(self):
         specials = np.array(
             [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf,

@@ -530,3 +530,61 @@ def test_split_ppr_alpha_property(module_path_graph_file, alpha):
         assert 0.0 <= alpha <= 1.0
         payload = json.loads(out, parse_constant=_reject_constant)
         assert len(payload["scores"]) == 3
+
+
+class _FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+        def mallopt(param, value):
+            self.calls.append((param, value))
+            return 1
+
+        self.mallopt = mallopt
+
+
+class TestAllocatorPolicy:
+    def test_sets_mmap_then_trim_threshold(self, monkeypatch):
+        libc = _FakeLibc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._set_allocator_policy()
+        assert libc.calls == [(-3, 2 << 20), (-1, 32 << 20)]
+        assert libc.mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int)
+
+    @pytest.mark.parametrize("error", [OSError, TypeError])
+    def test_no_op_when_the_library_cannot_load(self, monkeypatch, error):
+        def cdll(name):
+            raise error("no C library")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", cdll)
+        cli._set_allocator_policy()
+
+    def test_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        cli._set_allocator_policy()
+
+    def test_main_sets_it_before_parsing(self, monkeypatch):
+        libc = _FakeLibc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        assert main(["fit"]) == EXIT_USAGE
+        assert len(libc.calls) == 2
+
+    def test_import_leaves_the_allocator_alone(self):
+        src = str(Path(mrsplit.__file__).resolve().parents[1])
+        code = (
+            "import ctypes\n"
+            "real = ctypes.CDLL\n"
+            "class Guard:\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        self._lib = real(*args, **kwargs)\n"
+            "    def __getattr__(self, name):\n"
+            "        assert name != 'mallopt', 'mallopt looked up on import'\n"
+            "        return getattr(self._lib, name)\n"
+            "ctypes.CDLL = Guard\n"
+            "import mrsplit, mrsplit.cli\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from mrsplit.convolution import (
@@ -676,3 +677,79 @@ class TestIterate:
         for _ in range(6):
             X = relu(mrs_linear_layer(X, ops, [np.eye(2)]))
         assert np.linalg.norm(X[2]) > 0.0
+
+
+def gin_expression(X, mrg, params):
+    """mrs_gin with one expression per relation, the form it had before it
+    worked in place: the oracle of its bytes."""
+    total = None
+    for op, (eps, w_hidden, w_out) in zip(normalize(mrg, RAW), params):
+        s = (1.0 + eps) * X + op @ X
+        h = relu(s @ w_hidden) @ w_out
+        total = h if total is None else total + h
+    return total
+
+
+def gatedgcn_expression(X, edge_attrs, mrg, params):
+    """mrs_gatedgcn with one expression per step, the form it had before it
+    worked in place: the oracle of its bytes."""
+    b = mrg.base
+    recv, send = X @ params.recv_weight, X @ params.send_weight
+    num = den = np.zeros((b.n, recv.shape[1]))
+    for op, arcs, w in zip(normalize(mrg, RAW), mrg.arcs_by_receiver, params.rel_weights):
+        src, dst = b.src[arcs], b.dst[arcs]
+        gate_pre = recv[dst] + send[src]
+        if edge_attrs is not None:
+            gate_pre += edge_attrs[arcs] @ params.edge_weight
+        gate = sigmoid(gate_pre)
+        segment = sparse.csr_matrix(
+            (np.ones(len(src)), np.arange(len(src)), op.indptr),
+            shape=(b.n, len(src)),
+        )
+        num = num + segment @ (gate * (X @ w)[src])
+        den = den + segment @ gate
+    return X @ params.self_weight + num / (den + GATE_EPS)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A weighted directed split with score ties, in which node 0 receives
+    no arc, plus features, a seed for parameters and optional attributes."""
+    n = draw(st.integers(1, 9))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=30))
+    pairs = sorted((a, b) for a, b in pairs if b != 0)
+    weights = draw(st.lists(st.floats(0.25, 2.0), min_size=len(pairs), max_size=len(pairs)))
+    g = graph_from_pairs(n, [(a, b, w) for (a, b), w in zip(pairs, weights)])
+    scores = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    mrg = split_edges(g, OrderingScores(tuple(map(float, scores)), method="features"))
+    d_in, d_out = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.uniform(-1, 1, (n, d_in))
+    edge_attrs = rng.uniform(-1, 1, (g.num_edges, d_in)) if draw(st.booleans()) else None
+    eps = tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    return rng, mrg, X, edge_attrs, eps, d_out
+
+
+class TestInPlaceKernelsEqualExpressions:
+    """mrs_gin and mrs_gatedgcn reuse their temporaries; their bytes equal
+    the plain expressions they replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_gin(self, case):
+        rng, mrg, X, _, eps, d_out = case
+        params = tuple(
+            (e, w_hidden, w_out)
+            for e, (_, w_hidden, w_out) in zip(eps, gin_params(rng, X.shape[1], d_out))
+        )
+        got = mrs_gin(X, mrg, params)
+        assert got.tobytes() == gin_expression(X, mrg, params).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_gatedgcn(self, case):
+        rng, mrg, X, edge_attrs, _, d_out = case
+        params = gatedgcn_params(rng, X.shape[1], d_out)
+        got = mrs_gatedgcn(X, edge_attrs, mrg, params)
+        want = gatedgcn_expression(X, edge_attrs, mrg, params)
+        assert got.tobytes() == want.tobytes()
