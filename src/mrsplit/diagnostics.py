@@ -17,18 +17,16 @@ from scipy import sparse
 
 from .convolution import identity, leaky_relu, relation_sum, relu
 from .ensembles import molecule_like_graph, random_connected_dag
-from .graph import Graph, graph_from_pairs, longest_path_length
-from .ordering import order_random
+from .graph import Graph, disjoint_union, graph_from_pairs, longest_path_length
+from .ordering import OrderingScores, order_random
 from .split import (
     RAW,
     ROW_MEAN,
     SYM_GCN,
-    MultiRelGraph,
     block_diagonal,
     dar_pair_from_dag,
     normalize,
     split_edges,
-    union,
     whole_graph,
 )
 
@@ -223,9 +221,10 @@ _DRAW_WINDOW = 2048
 # not None marks a failed check.
 _Checks = list[tuple[float, Optional[str]]]
 
-# A trial's relation slot: an operator, or relation k of a MultiRelGraph as
-# a (graph, k) pair to be normalized in the suite's mode.
-_Slot = sparse.csr_matrix | tuple[MultiRelGraph, int]
+# A trial's relation slot: an operator, or a (graph, scores, k) triple for
+# relation k of the graph split under its scores, or of the graph whole when
+# scores is None.
+_Slot = sparse.csr_matrix | tuple[Graph, Optional[OrderingScores], int]
 
 
 @dataclass
@@ -240,34 +239,50 @@ class _Trial:
     @property
     def n(self) -> int:
         first = self.slots[0]
-        return first[0].base.n if isinstance(first, tuple) else first.shape[0]
+        return first[0].n if isinstance(first, tuple) else first.shape[0]
 
 
 # A step takes one group of trials of one node count and its block-diagonal
-# operators, one per relation slot, and gives each trial's checks.
+# operators, and gives each trial's checks.
 _Step = Callable[[list[_Trial], list[sparse.csr_matrix]], list[_Checks]]
+# A build gives one group's block-diagonal operators.
+_Build = Callable[[list[_Trial]], list[sparse.csr_matrix]]
 
 
-def _block_operators(chunk: list[_Trial], mode: Optional[str]) -> list[sparse.csr_matrix]:
-    """One block-diagonal operator per relation slot of the chunk's trials.
+def _glued(chunk: list[_Trial]) -> list[sparse.csr_matrix]:
+    """One block_diagonal operator per operator slot of the chunk's trials."""
+    return [block_diagonal(ops) for ops in zip(*(tr.slots for tr in chunk))]
 
-    Operator slots are glued by block_diagonal. Slots of (graph, k) pairs,
-    whose k is the same in every trial, take relation k of one normalized
-    union of the trials' graphs, which is that block system itself; slots
-    that name the same graphs, such as a split's relations, share one union.
+
+def _normalized(mode: str) -> _Build:
+    """Build that gives, per (graph, scores, k) slot of the chunk's trials,
+    relation k of the disjoint union of their graphs, split under their
+    concatenated scores or whole, normalized in mode.
+
+    An arc's relation depends only on its endpoints' scores, and the mode
+    reads only per-node degrees, so that is the block system of the trials'
+    own operators. Slots that name the same graphs and scores, such as a
+    split's relations, share one union, split and normalize.
     """
-    slots = zip(*(tr.slots for tr in chunk))
-    if mode is None:
-        return [block_diagonal(ops) for ops in slots]
-    built: dict[tuple[int, ...], tuple[sparse.csr_matrix, ...]] = {}
-    blocks = []
-    for slot in slots:
-        parts = [mrg for mrg, _ in slot]
-        key = tuple(map(id, parts))
-        if key not in built:
-            built[key] = normalize(union(parts), mode)
-        blocks.append(built[key][slot[0][1]])
-    return blocks
+
+    def build(chunk: list[_Trial]) -> list[sparse.csr_matrix]:
+        built: dict[tuple, tuple[sparse.csr_matrix, ...]] = {}
+        blocks = []
+        for slot in zip(*(tr.slots for tr in chunk)):
+            graphs, scores, ks = zip(*slot)
+            key = tuple(map(id, graphs + scores))
+            if key not in built:
+                g = disjoint_union(graphs)
+                if scores[0] is None:
+                    mrg = whole_graph(g)
+                else:
+                    joined = tuple(r for part in scores for r in part.scores)
+                    mrg = split_edges(g, OrderingScores(joined, scores[0].method))
+                built[key] = normalize(mrg, mode)
+            blocks.append(built[key][ks[0]])
+        return blocks
+
+    return build
 
 
 def _run_suite(
@@ -276,16 +291,15 @@ def _run_suite(
     seed: int,
     draw: Callable[[np.random.Generator, int], Sequence[_Slot]],
     step: _Step,
-    mode: Optional[str] = None,
+    build: _Build = _glued,
 ) -> VerificationReport:
     """Draw every trial's instance, then step the trials in groups.
 
     draw(rng, t) gives trial t's relation slots, drawing from its own
-    generator default_rng([seed, t]): operators, or with a normalization
-    mode, (graph, relation index) pairs. The trials of one node count then
+    generator default_rng([seed, t]). The trials of one node count then
     step as one block system, at most _BLOCK_ROWS rows at a time:
-    step(group, blocks) gets the group and one block-diagonal operator per
-    relation slot, and gives each trial's checks. A step draws from each
+    build(chunk) gives the chunk's block-diagonal operators, and
+    step(chunk, blocks) gives each trial's checks. A step draws from each
     trial's generator in the trial's own order, and each block steps as its
     trial would alone, so the grouping changes nothing. Trials are drawn and
     stepped _DRAW_WINDOW at a time, so memory does not grow with the trial
@@ -308,7 +322,7 @@ def _run_suite(
             size = max(1, _BLOCK_ROWS // max(n, 1))
             for i in range(0, len(group), size):
                 chunk = group[i : i + size]
-                blocks = _block_operators(chunk, mode)
+                blocks = build(chunk)
                 for trial, result in zip(chunk, step(chunk, blocks), strict=True):
                     checks[trial.t] = result
         for margin, note in (check for t in window for check in checks[t]):
@@ -356,9 +370,9 @@ def _in_degree_stack(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> np
     return in_degree_matrix(blocks).reshape(len(group), group[0].n, len(blocks))
 
 
-def _whole_slots(graphs: Sequence[Graph]) -> list[tuple[MultiRelGraph, int]]:
+def _whole_slots(graphs: Sequence[Graph]) -> list[tuple[Graph, None, int]]:
     """One relation slot per graph: the graph unsplit."""
-    return [(whole_graph(g), 0) for g in graphs]
+    return [(g, None, 0) for g in graphs]
 
 
 def _rank_checks(rows, target: Optional[int] = None) -> _Step:
@@ -434,7 +448,7 @@ def verify_zero_convergence(trials: int = 100, seed: int = 0) -> VerificationRep
     def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         X = _states(group)
         weights = np.zeros((1, len(group), VERIFY_DIM, VERIFY_DIM))
-        depths = np.array([longest_path_length(tr.slots[0][0].base) + 1 for tr in group])
+        depths = np.array([longest_path_length(tr.slots[0][0]) + 1 for tr in group])
         for it in range(depths.max()):
             # A trial past its depth draws no more and keeps its state.
             active = np.flatnonzero(it < depths)
@@ -446,7 +460,7 @@ def verify_zero_convergence(trials: int = 100, seed: int = 0) -> VerificationRep
             for tr, peak in zip(group, peaks)
         ]
 
-    return _run_suite("dag_zero_convergence", trials, seed, draw, step, ROW_MEAN)
+    return _run_suite("dag_zero_convergence", trials, seed, draw, step, _normalized(ROW_MEAN))
 
 
 def verify_dag_pair_rank(
@@ -458,11 +472,16 @@ def verify_dag_pair_rank(
     States are rescaled to unit Frobenius norm between steps; the layer is
     positively homogeneous, so this only changes scale, never rank or
     row-wise nonzeroness. A state that reaches exact zero stops drawing and
-    stays zero, and fails both conditions.
+    stays zero, and fails both conditions. A chunk's operator pair is the
+    pair of the disjoint union of its DAGs, whose acyclicity and coverage
+    checks hold exactly when every DAG's do.
     """
 
     def draw(rng: np.random.Generator, t: int):
-        return dar_pair_from_dag(random_connected_dag(rng, int(rng.integers(6, 25))))
+        return _whole_slots([random_connected_dag(rng, int(rng.integers(6, 25)))])
+
+    def build(chunk: list[_Trial]) -> list[sparse.csr_matrix]:
+        return list(dar_pair_from_dag(disjoint_union([tr.slots[0][0] for tr in chunk])))
 
     def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         checks: list[_Checks] = [[] for _ in group]
@@ -485,7 +504,7 @@ def verify_dag_pair_rank(
                 checks[b].append((min(rank - 2, row_min - ROW_ZERO_TOL), note if failed else None))
         return checks
 
-    return _run_suite("dag_pair_rank_preserved", trials, seed, draw, step)
+    return _run_suite("dag_pair_rank_preserved", trials, seed, draw, step, build)
 
 
 def _ergodic_instance(idx: int) -> list[Graph]:
@@ -514,7 +533,7 @@ def verify_ergodic_rank_one(instances: int = 20, seed: int = 0) -> VerificationR
         seed,
         lambda rng, idx: _whole_slots(_ergodic_instance(idx)),
         step,
-        ROW_MEAN,
+        _normalized(ROW_MEAN),
     )
 
 
@@ -527,8 +546,8 @@ def verify_dar_independent_pairs(
 
     def draw(rng: np.random.Generator, t: int):
         g = molecule_like_graph(rng, 8, 24)
-        mrg = split_edges(g, order_random(g.n, int(rng.integers(0, 2**63))))
-        return [(mrg, 0), (mrg, 1)]
+        scores = order_random(g.n, int(rng.integers(0, 2**63)))
+        return [(g, scores, 0), (g, scores, 1)]
 
     def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         found = _independent_pair_count(_in_degree_stack(group, blocks)).tolist()
@@ -537,7 +556,7 @@ def verify_dar_independent_pairs(
             for tr, k in zip(group, found)
         ]
 
-    return _run_suite("dar_pair_independent_exists", trials, seed, draw, step, RAW)
+    return _run_suite("dar_pair_independent_exists", trials, seed, draw, step, _normalized(RAW))
 
 
 def verify_rank_theorem_random_splits(
@@ -547,12 +566,11 @@ def verify_rank_theorem_random_splits(
 
     def draw(rng: np.random.Generator, t: int):
         g = molecule_like_graph(rng, 8, 30)
-        mrg = split_edges(g, order_random(g.n, int(rng.integers(0, 2**63))))
-        return [(mrg, 0), (mrg, 1), (mrg, 2)]
+        scores = order_random(g.n, int(rng.integers(0, 2**63)))
+        return [(g, scores, 0), (g, scores, 1), (g, scores, 2)]
 
-    return _run_suite(
-        "rank_lower_bound_random_splits", trials, seed, draw, _rank_checks(slice(None)), SYM_GCN
-    )
+    step, build = _rank_checks(slice(None)), _normalized(SYM_GCN)
+    return _run_suite("rank_lower_bound_random_splits", trials, seed, draw, step, build)
 
 
 def _independent_pair_instance(rng: np.random.Generator) -> list[Graph]:
@@ -564,14 +582,14 @@ def _independent_pair_instance(rng: np.random.Generator) -> list[Graph]:
         c, e = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         if a * e - b * c != 0:
             break
-    # Each count k of node i's relation is k arcs into i from k new senders.
-    arcs: tuple[list, list] = ([], [])
-    nxt = 2
-    for node, counts in enumerate([(a, b), (c, e)]):
-        for rel, k in enumerate(counts):
-            arcs[rel].extend((sender, node) for sender in range(nxt, nxt + k))
-            nxt += k
-    return [graph_from_pairs(nxt, pairs) for pairs in arcs]
+    # Each count k of node i's relation is k arcs into i from k new senders,
+    # node 0's counts first, each node's relation 0 before its relation 1.
+    counts = [a, b, c, e]
+    n = 2 + sum(counts)
+    senders, receivers = np.arange(2, n), np.repeat([0, 0, 1, 1], counts)
+    relation = np.repeat([0, 1, 0, 1], counts)
+    rels = (relation == 0, relation == 1)
+    return [Graph(n, senders[m], receivers[m], np.ones(np.count_nonzero(m))) for m in rels]
 
 
 def verify_independence_on_constructions(
@@ -585,7 +603,7 @@ def verify_independence_on_constructions(
         seed,
         lambda rng, t: _whole_slots(_independent_pair_instance(rng)),
         _rank_checks([0, 1], 2),
-        RAW,
+        _normalized(RAW),
     )
 
 

@@ -18,6 +18,15 @@ def random_connected_graph(
     Stored as symmetric arc pairs; with extra_edges ~ n the undirected edge
     count is close to 2n, matching small molecule-like graphs.
     """
+    src, dst = _connected_arcs(rng, n, extra_edges)
+    return Graph(n=n, src=src, dst=dst, w=np.ones(len(src)), undirected=True)
+
+
+def _connected_arcs(
+    rng: np.random.Generator, n: int, extra_edges: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (src, dst) arcs of random_connected_graph(rng, n, extra_edges),
+    drawn as it draws them."""
     if n < 1:
         raise ValueError("need at least one node")
     order = rng.permutation(n)
@@ -46,19 +55,18 @@ def random_connected_graph(
         attempts += k
     # Edge a < b becomes arc (a, b) followed by (b, a), edges in sorted order.
     ab = np.stack(np.divmod(keys, n), axis=1)
-    src, dst = ab.ravel(), ab[:, ::-1].ravel()
-    return Graph(n=n, src=src, dst=dst, w=np.ones(len(src)), undirected=True)
+    return ab.ravel(), ab[:, ::-1].ravel()
 
 
 def random_connected_dag(rng: np.random.Generator, n: int) -> Graph:
     """DAG whose underlying undirected graph is connected: orient the edges
     of a random connected graph along a random node permutation."""
-    base = random_connected_graph(rng, n, extra_edges=max(1, n // 8))
+    src, dst = _connected_arcs(rng, n, extra_edges=max(1, n // 8))
     rank = rng.permutation(n)
     pos = np.empty(n, dtype=np.int64)
     pos[rank] = np.arange(n)
-    keep = pos[base.src] < pos[base.dst]
-    return Graph(n=n, src=base.src[keep], dst=base.dst[keep], w=base.w[keep])
+    keep = pos[src] < pos[dst]
+    return Graph(n=n, src=src[keep], dst=dst[keep], w=np.ones(np.count_nonzero(keep)))
 
 
 def molecule_like_graph(rng: np.random.Generator, n_lo: int, n_hi: int) -> Graph:

@@ -126,47 +126,6 @@ def block_diagonal(ops: Sequence[sparse.csr_matrix]) -> sparse.csr_matrix:
     return read_only_operator(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
 
 
-def union(mrgs: Sequence[MultiRelGraph]) -> MultiRelGraph:
-    """The disjoint union of the parts, in order: part i's nodes and arcs
-    follow those of the parts before it, and relation k holds every part's
-    relation k. Each part keeps its own scores, so the union's ordering is
-    their concatenation, or None unless every part has one of one method:
-    scores are not recomputed over the union, whose PPR would differ from
-    the parts'.
-
-    Every normalization mode reads only per-node degrees, and each relation's
-    arcs by receiver list block after block, so normalize(union(parts),
-    mode)[k] equals block_diagonal of the parts' normalize(part, mode)[k] in
-    data, indices, indptr and their dtypes.
-    """
-    if not mrgs:
-        raise ValueError("a union needs at least one part")
-    if len({len(m.relations) for m in mrgs}) > 1:
-        raise ValueError("the parts of a union must have equal relation counts")
-    bases = [m.base for m in mrgs]
-    sizes = np.array([b.n for b in bases])
-    counts = np.array([b.num_edges for b in bases])
-    node_at = np.repeat(np.cumsum(sizes) - sizes, counts)
-    arc_at = np.cumsum(counts) - counts
-    g = Graph(
-        n=int(sizes.sum()),
-        src=np.concatenate([b.src for b in bases]) + node_at,
-        dst=np.concatenate([b.dst for b in bases]) + node_at,
-        w=np.concatenate([b.w for b in bases]),
-        undirected=all(b.undirected for b in bases),
-    )
-    relations = tuple(
-        _read_only(np.concatenate([arcs + at for arcs, at in zip(part, arc_at)]))
-        for part in zip(*(m.relations for m in mrgs))
-    )
-    orderings = [m.ordering for m in mrgs]
-    ordering = None
-    if None not in orderings and len({o.method for o in orderings}) == 1:
-        scores = tuple(r for o in orderings for r in o.scores)
-        ordering = OrderingScores(scores, orderings[0].method)
-    return MultiRelGraph(base=g, relations=relations, ordering=ordering)
-
-
 def whole_graph(g: Graph) -> MultiRelGraph:
     """g unsplit: one relation that holds every arc (a base convolution)."""
     every_arc = _read_only(np.arange(g.num_edges))
@@ -234,20 +193,6 @@ def operator_for_graph(g: Graph, mode: str) -> sparse.csr_matrix:
     return normalize(whole_graph(g), mode)[0]
 
 
-def variant_graph(
-    g: Graph,
-    variant: str,
-    ordering: str,
-    seed: int,
-    X: Optional[np.ndarray] = None,
-) -> MultiRelGraph:
-    """The relations a variant aggregates over on g: the whole graph, or its
-    split under the named ordering."""
-    if VARIANTS[variant].split:
-        return split_edges(g, order_by(ordering, g, seed, X))
-    return whole_graph(g)
-
-
 def variant_operators(
     g: Graph,
     variant: str,
@@ -257,7 +202,9 @@ def variant_operators(
 ) -> tuple[sparse.csr_matrix, ...]:
     """The relation operators a variant aggregates over on g: one whole-graph
     operator, or the three split operators under the named ordering."""
-    return normalize(variant_graph(g, variant, ordering, seed, X), VARIANTS[variant].mode)
+    if VARIANTS[variant].split:
+        return normalize(split_edges(g, order_by(ordering, g, seed, X)), VARIANTS[variant].mode)
+    return normalize(whole_graph(g), VARIANTS[variant].mode)
 
 
 def dar_pair_from_dag(g: Graph) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:

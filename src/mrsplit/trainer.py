@@ -17,9 +17,9 @@ from scipy import sparse
 from . import autodiff as ad
 from .convolution import ACTIVATIONS, glorot
 from .ensembles import random_connected_graph
-from .graph import Graph, in_degrees
-from .ordering import ORDERINGS
-from .split import VARIANTS, normalize, read_only_operator, union, variant_graph
+from .graph import Graph, disjoint_union, in_degrees
+from .ordering import ORDERINGS, OrderingScores, order_by
+from .split import VARIANTS, normalize, read_only_operator, split_edges, whole_graph
 
 
 @dataclass(frozen=True)
@@ -123,13 +123,19 @@ class CompiledTask:
 
 
 def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
-    # The operators of the graphs' disjoint union are the block-diagonal ones
-    # of each graph's operators.
-    whole = union([
-        variant_graph(g, config.variant, config.ordering, task.params.seed + idx, X)
-        for idx, (g, X) in enumerate(zip(task.graphs, task.features))
-    ])
-    rel_ops = list(normalize(whole, VARIANTS[config.variant].mode))
+    # The operators of the graphs' disjoint union, split under each graph's
+    # own scores, are the block-diagonal ones of each graph's operators.
+    variant, g = VARIANTS[config.variant], disjoint_union(task.graphs)
+    if variant.split:
+        scores = tuple(
+            r
+            for idx, (part, X) in enumerate(zip(task.graphs, task.features))
+            for r in order_by(config.ordering, part, task.params.seed + idx, X).scores
+        )
+        mrg = split_edges(g, OrderingScores(scores, config.ordering))
+    else:
+        mrg = whole_graph(g)
+    rel_ops = list(normalize(mrg, variant.mode))
     sizes = np.array([g.n for g in task.graphs])
     rows = np.repeat(np.arange(len(sizes)), sizes)
     pool = sparse.csr_matrix(

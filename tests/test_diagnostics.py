@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from mrsplit import diagnostics
 from mrsplit.convolution import identity, leaky_relu, relation_sum, relu
@@ -459,6 +460,8 @@ class TestSuites:
         assert verify_dar_independent_pairs(trials=10, seed=0).passed
 
     def test_dag_pair_zero_state_reported_not_raised(self, monkeypatch):
+        # The suite builds each chunk's pair from the union of its DAGs, so
+        # a zero pair of the union is a zero pair for each of its trials.
         def zero_pair(g):
             zero = sparse.csr_matrix((g.n, g.n))
             return zero, zero
@@ -478,6 +481,61 @@ class TestSuites:
         names = {r.theorem for r in reports}
         assert "rank_lower_bound_random_splits" in names
         assert all(r.passed for r in reports)
+
+
+def pair_or_dag_alone(g):
+    """dar_pair_from_dag(g), with the reverse operator's rows zeroed in each
+    weakly connected component whose arc senders, counted from the
+    component's first node, sum to an odd number."""
+    fwd, bwd = dar_pair_from_dag(g)
+    count, labels = connected_components(fwd, connection="weak")
+    first = np.full(count, g.n)
+    np.minimum.at(first, labels, np.arange(g.n))
+    senders = np.bincount(labels[g.src], g.src - first[labels[g.src]], minlength=count)
+    kept = (senders.astype(np.int64) % 2 == 0)[labels]
+    bwd = (sparse.diags(kept.astype(np.float64)) @ bwd).tocsr()
+    bwd.eliminate_zeros()
+    bwd.sort_indices()
+    return fwd, bwd
+
+
+def reference_independent_pair_instance(rng):
+    """_independent_pair_instance built from lists of (sender, receiver)
+    tuples, one new sender per arc."""
+    while True:
+        a, b = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        c, e = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        if a * e - b * c != 0:
+            break
+    arcs = ([], [])
+    nxt = 2
+    for node, counts in enumerate([(a, b), (c, e)]):
+        for rel, k in enumerate(counts):
+            arcs[rel].extend((sender, node) for sender in range(nxt, nxt + k))
+            nxt += k
+    return [graph_from_pairs(nxt, pairs) for pairs in arcs]
+
+
+class TestIndependentPairInstance:
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32), st.integers(1, 12))
+    def test_equals_the_tuple_list_build_and_leaves_the_same_generator_state(self, seed, draws):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(draws):
+            got = diagnostics._independent_pair_instance(rng)
+            assert got == reference_independent_pair_instance(ref_rng)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_every_count_pattern(self):
+        # The counts range over 1-4 and a * e != b * c rules out four equal
+        # counts, so the node count ranges over 7-17.
+        sizes = set()
+        for seed in range(300):
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = diagnostics._independent_pair_instance(rng)
+            assert got == reference_independent_pair_instance(ref_rng)
+            sizes.add(got[0].n)
+        assert sizes == set(range(7, 18))
 
 
 # The suites as they ran before their trials stepped as block systems: one
@@ -683,11 +741,10 @@ class TestGroupedRunnerEqualsSequentialOracle:
         # A DAG whose arc senders sum to an odd number keeps only its forward
         # relation, under which its state reaches exact zero within the depth
         # and stops drawing, while other trials of its node count keep their
-        # pair and go on.
-        def pair_or_dag_alone(g):
-            ops = dar_pair_from_dag(g)
-            return (ops[0], sparse.csr_matrix((g.n, g.n))) if int(g.src.sum()) % 2 else ops
-
+        # pair and go on. The suite asks for the pair of a chunk's union of
+        # DAGs and the oracle for one DAG's: each drawn DAG is weakly
+        # connected, so each of its blocks is one component of the union,
+        # and its senders are counted from the block's first node.
         monkeypatch.setattr(diagnostics, "dar_pair_from_dag", pair_or_dag_alone)
         grouped = verify_dag_pair_rank(trials=40, seed=5, depth=30)
         assert grouped.to_dict() == sequential_dag_pair_rank(40, 5, depth=30).to_dict()

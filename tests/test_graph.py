@@ -13,6 +13,7 @@ from mrsplit.ensembles import random_connected_dag, random_connected_graph
 from mrsplit.graph import (
     Graph,
     GraphError,
+    disjoint_union,
     graph_from_pairs,
     in_degrees,
     is_dag,
@@ -331,6 +332,42 @@ class TestReverse:
         assert reverse(reverse(g)) == g
 
 
+class TestDisjointUnion:
+    def test_offsets_each_part_s_nodes_and_keeps_arc_order(self):
+        first = graph_from_pairs(3, [(0, 1, 2.0), (2, 1, -1.0), (1, 1, 0.5)])
+        lone = graph_from_pairs(1, [])
+        last = chain(4)
+        g = disjoint_union([first, lone, last, first])
+        assert g.n == 3 + 1 + 4 + 3
+        want = arcs(first) + [(s + 4, d + 4, w) for s, d, w in arcs(last)]
+        want += [(s + 8, d + 8, w) for s, d, w in arcs(first)]
+        assert arcs(g) == want
+        assert g.src.dtype == g.dst.dtype == np.int64 and g.w.dtype == np.float64
+
+    def test_one_part_is_the_part(self):
+        g = graph_from_pairs(3, [(0, 1), (1, 0)], undirected=True)
+        assert disjoint_union([g]) == g
+
+    def test_undirected_only_when_every_part_is(self):
+        sym = graph_from_pairs(2, [(0, 1), (1, 0)], undirected=True)
+        assert disjoint_union([sym, sym]).undirected
+        assert not disjoint_union([sym, chain(2)]).undirected
+
+    def test_no_parts_and_edgeless_parts(self):
+        with pytest.raises(ValueError):
+            disjoint_union([])
+        g = disjoint_union([graph_from_pairs(0, []), graph_from_pairs(2, [])])
+        assert g.n == 2 and g.num_edges == 0
+
+    def test_is_dag_and_longest_path_of_the_parts(self):
+        rng = np.random.default_rng(3)
+        dags = [random_connected_dag(rng, int(rng.integers(2, 12))) for _ in range(6)]
+        g = disjoint_union(dags)
+        assert is_dag(g)[0]
+        assert longest_path_length(g) == max(map(longest_path_length, dags))
+        assert not is_dag(disjoint_union(dags + [graph_from_pairs(1, [(0, 0)])]))[0]
+
+
 class TestIsDag:
     def test_chain_topo_order(self):
         assert is_dag(chain(3)) == (True, [0, 1, 2])
@@ -433,6 +470,34 @@ def reference_random_connected_graph(rng, n, extra_edges):
         src += [a, b]
         dst += [b, a]
     return Graph(n=n, src=src, dst=dst, w=np.ones(len(src)), undirected=True)
+
+
+def reference_random_connected_dag(rng, n):
+    """random_connected_dag as a random connected graph whose arcs are then
+    kept along a random node permutation in a second Graph."""
+    base = random_connected_graph(rng, n, extra_edges=max(1, n // 8))
+    rank = rng.permutation(n)
+    pos = np.empty(n, dtype=np.int64)
+    pos[rank] = np.arange(n)
+    keep = pos[base.src] < pos[base.dst]
+    return Graph(n=n, src=base.src[keep], dst=base.dst[keep], w=base.w[keep])
+
+
+class TestRandomConnectedDag:
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32), st.integers(1, 60))
+    def test_equals_the_two_graph_build_and_leaves_the_same_generator_state(self, seed, n):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert random_connected_dag(rng, n) == reference_random_connected_dag(ref_rng, n)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_run_of_draws_from_one_generator(self, seed):
+        # The verify suites draw many DAGs from one generator in turn.
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for n in (1, 2, 6, 24, 5, 20, 100):
+            assert random_connected_dag(rng, n) == reference_random_connected_dag(ref_rng, n)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestRandomConnectedGraph:

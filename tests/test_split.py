@@ -13,6 +13,7 @@ from mrsplit.ensembles import random_connected_dag
 from mrsplit.graph import (
     Graph,
     GraphError,
+    disjoint_union,
     graph_from_pairs,
     in_degrees,
     is_dag,
@@ -36,7 +37,6 @@ from mrsplit.split import (
     split_edges,
     split_json,
     split_summary,
-    union,
     whole_graph,
 )
 
@@ -380,51 +380,60 @@ class TestBlockDiagonal:
 
 
 @st.composite
-def union_parts(draw, split):
+def union_parts(draw):
     """One part of a union: a graph of 1 to 8 nodes, possibly with no arcs,
-    split under drawn scores (ties leave relations empty) or whole."""
+    and its scores, whose ties leave relations of its split empty."""
     n = draw(st.integers(1, 8))
     pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12))
     weights = draw(st.lists(st.sampled_from([1.0, 0.5, -2.0, 3.0]), min_size=len(pairs), max_size=len(pairs)))
     g = graph_from_pairs(n, [(a, b, w) for (a, b), w in zip(sorted(pairs), weights)])
-    if not split:
-        return whole_graph(g)
-    return split_edges(g, scores_of(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n))))
+    return g, scores_of(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+
+
+def union_relations(parts, split):
+    """The disjoint union of the parts' graphs, split under their scores
+    concatenated or whole, and each part's own split or whole graph."""
+    graphs, scores = zip(*parts)
+    g = disjoint_union(graphs)
+    if split:
+        joined = OrderingScores(tuple(r for s in scores for r in s.scores), scores[0].method)
+        return split_edges(g, joined), [split_edges(*p) for p in parts]
+    return whole_graph(g), [whole_graph(p) for p in graphs]
 
 
 class TestUnion:
-    """A union of parts is the block system of the parts' operators."""
+    """The split of a disjoint union under the parts' own scores, or the
+    union whole, is the block system of the parts' operators."""
 
     @settings(max_examples=120)
     @given(st.data(), st.booleans(), st.sampled_from([RAW, ROW_MEAN, SYM_GCN]))
     def test_normalize_equals_block_diagonal_of_the_parts(self, data, split, mode):
-        parts = data.draw(st.lists(union_parts(split), min_size=1, max_size=4))
-        ops = normalize(union(parts), mode)
-        assert len(ops) == len(parts[0].relations)
+        parts = data.draw(st.lists(union_parts(), min_size=1, max_size=4))
+        whole, own = union_relations(parts, split)
+        ops = normalize(whole, mode)
+        assert len(ops) == len(own[0].relations)
         for k, op in enumerate(ops):
-            assert_same_csr(op, block_diagonal([normalize(p, mode)[k] for p in parts]))
+            assert_same_csr(op, block_diagonal([normalize(p, mode)[k] for p in own]))
 
     def test_single_nodes_no_arcs_and_empty_relations(self):
-        lone = graph_from_pairs(1, [])
-        loop = graph_from_pairs(1, [(0, 0)])
         g = bidirected_triangle()
         parts = [
-            split_edges(lone, scores_of([0])),
-            split_edges(loop, scores_of([1])),
-            split_edges(g, order_degree(g)),
-            split_edges(undirected_path(), scores_of([0, 1, 2])),
+            (graph_from_pairs(1, []), scores_of([0])),
+            (graph_from_pairs(1, [(0, 0)]), scores_of([1])),
+            (g, order_degree(g)),
+            (undirected_path(), scores_of([0, 1, 2])),
         ]
-        whole = union(parts)
+        whole, own = union_relations(parts, split=True)
         assert whole.base.n == 1 + 1 + 3 + 3 and whole.base.num_edges == 1 + 6 + 4
         assert [len(arcs) for arcs in whole.relations] == [2, 2, 7]
         for mode in (RAW, ROW_MEAN, SYM_GCN):
             for k, op in enumerate(normalize(whole, mode)):
-                assert_same_csr(op, block_diagonal([normalize(p, mode)[k] for p in parts]))
+                assert_same_csr(op, block_diagonal([normalize(p, mode)[k] for p in own]))
 
     def test_offsets_arcs_relations_and_keeps_each_part_s_scores(self):
         g = undirected_path()
-        first, second = split_edges(g, scores_of([0, 1, 2])), split_edges(g, scores_of([2, 1, 1]))
-        whole = union([first, second])
+        parts = [(g, scores_of([0, 1, 2])), (g, scores_of([2, 1, 1]))]
+        whole, (first, second) = union_relations(parts, split=True)
         assert arcs(whole.base) == arcs(g) + [(s + 3, d + 3, w) for s, d, w in arcs(g)]
         assert whole.base.undirected
         for k in range(3):
@@ -433,16 +442,7 @@ class TestUnion:
             with pytest.raises(ValueError, match="read-only"):
                 whole.relations[k][...] = 0
         assert whole.ordering == OrderingScores((0.0, 1.0, 2.0, 2.0, 1.0, 1.0), "features")
-        assert union([whole_graph(g), whole_graph(g)]).ordering is None
-        mixed = union([first, split_edges(g, order_degree(g))])
-        assert mixed.ordering is None
-
-    def test_rejects_unequal_relation_counts_and_no_parts(self):
-        g = undirected_path()
-        with pytest.raises(ValueError, match="equal relation counts"):
-            union([split_edges(g, order_degree(g)), whole_graph(g)])
-        with pytest.raises(ValueError, match="at least one part"):
-            union([])
+        assert union_relations(parts, split=False)[0].ordering is None
 
 
 class TestOperatorCache:
@@ -582,6 +582,41 @@ class TestOperatorsAreCsr:
             assert op.shape == ref.shape
             for name in ("data", "indices", "indptr"):
                 assert np.array_equal(getattr(op, name), getattr(ref, name))
+
+
+def dag_unions():
+    """Lists of DAGs to join: the fixed ones, one alone, and random ones of
+    mixed and equal node counts."""
+    rng = np.random.default_rng(11)
+    dags = _dags()
+    return [dags, dags[:1], dags[2:] + dags[:2]] + [
+        [random_connected_dag(rng, int(rng.integers(2, 25))) for _ in range(k)]
+        for k in (1, 3, 8, 20)
+    ] + [[random_connected_dag(rng, 9) for _ in range(12)]]
+
+
+class TestDarPairOfUnion:
+    @pytest.mark.parametrize("case", range(len(dag_unions())))
+    def test_equals_the_blockwise_pairs(self, case):
+        dags = dag_unions()[case]
+        pairs = [dar_pair_from_dag(g) for g in dags]
+        for op, blocks in zip(dar_pair_from_dag(disjoint_union(dags)), zip(*pairs), strict=True):
+            assert_same_csr(op, block_diagonal(blocks))
+
+    @pytest.mark.parametrize("at", range(3))
+    def test_raises_when_any_part_has_a_cycle(self, at):
+        dags = _dags()[:3]
+        dags[at] = graph_from_pairs(3, [(0, 1), (1, 2), (2, 0)])
+        with pytest.raises(GraphError, match="requires a DAG"):
+            dar_pair_from_dag(disjoint_union(dags))
+
+    @pytest.mark.parametrize("at", range(3))
+    def test_raises_when_any_part_has_an_uncovered_node(self, at):
+        dags = _dags()[:3]
+        dags[at] = graph_from_pairs(3, [(0, 1)])
+        node = sum(g.n for g in dags[:at]) + 2
+        with pytest.raises(GraphError, match=f"node {node} has no incoming edge"):
+            dar_pair_from_dag(disjoint_union(dags))
 
 
 class TestSplitSummary:
