@@ -1,0 +1,73 @@
+"""Map independent units of work over forked worker processes.
+
+A unit is a pure function of its item that draws only from its own seeded
+generators, so the results, and every byte printed from them, do not depend
+on how many workers ran them.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import os
+import signal
+import sys
+import threading
+from typing import Callable, Iterable
+
+# prctl option (linux/prctl.h): the signal a process gets when its parent dies.
+_PR_SET_PDEATHSIG = 1
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+def _die_with_parent(parent: int) -> None:
+    """Pool initializer: have the kernel SIGKILL this worker when its parent
+    dies, and exit now if the parent is already gone. A C library without
+    prctl is left alone."""
+    try:
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+    except (OSError, AttributeError, TypeError):
+        pass
+    if os.getppid() != parent:
+        os._exit(1)
+
+
+def _fork_map(fn: Callable, items: Iterable) -> list:
+    """[fn(x) for x in items], in item order, on one forked worker per usable
+    CPU, at most one per item. Items go to the workers in the order given, so
+    list the longest first.
+
+    Runs in process when fewer than two workers would run, off Linux, while
+    another thread runs (a forked child has only the forking thread, so a
+    lock another thread held would stay held in it), and in a daemonic
+    process, which may not start children. An exception in fn reaches the
+    caller with its type and message; every worker has exited by the time
+    this returns or raises.
+    """
+    # Imported here, so the commands that never map pay nothing for them.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    items = list(items)
+    workers = min(len(items), _usable_cpus()) if sys.platform == "linux" else 1
+    if (
+        workers < 2
+        or threading.active_count() > 1
+        or multiprocessing.current_process().daemon
+    ):
+        return [fn(x) for x in items]
+    pool = ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_die_with_parent,
+        initargs=(os.getpid(),),
+    )
+    try:
+        futures = [pool.submit(fn, x) for x in items]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

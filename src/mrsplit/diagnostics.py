@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
 
+from ._pool import _fork_map
 from .convolution import identity, leaky_relu, relation_sum, relu
 from .ensembles import molecule_like_graph, random_connected_dag
 from .graph import Graph, disjoint_union, graph_from_pairs, longest_path_length
@@ -607,18 +609,31 @@ def verify_independence_on_constructions(
     )
 
 
+# The number of reports run_full_suite returns.
+_FULL_SUITES = 6
+
+
 def run_full_suite(seed: int = 0, trials: int = 500) -> list[VerificationReport]:
     """All verification suites with a shared seed; trial counts scale with
     the requested budget, and any budget of at least one trial runs every
-    suite at least once."""
+    suite at least once. The suites share no state, so they are split over
+    the usable CPUs."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
+    return _fork_map(partial(_full_suite_report, seed, trials), range(_FULL_SUITES))
+
+
+def _full_suite_report(seed: int, trials: int, k: int) -> VerificationReport:
+    """Report k of run_full_suite. Only seed, trials and k cross to a
+    worker: a suite function would be pickled by its name, which fails once
+    a wrapper (a tracer's or a profiler's) holds that name."""
     small = max(1, trials // 5) if trials else 0
-    return [
-        verify_rank_theorem_random_splits(trials=trials, seed=seed),
-        verify_independence_on_constructions(trials=trials, seed=seed),
-        verify_zero_convergence(trials=small, seed=seed),
-        verify_dag_pair_rank(trials=small * 2, seed=seed),
-        verify_ergodic_rank_one(instances=20 if trials else 0, seed=seed),
-        verify_dar_independent_pairs(trials=small, seed=seed),
-    ]
+    suites = (
+        lambda: verify_rank_theorem_random_splits(trials=trials, seed=seed),
+        lambda: verify_independence_on_constructions(trials=trials, seed=seed),
+        lambda: verify_zero_convergence(trials=small, seed=seed),
+        lambda: verify_dag_pair_rank(trials=small * 2, seed=seed),
+        lambda: verify_ergodic_rank_one(instances=20 if trials else 0, seed=seed),
+        lambda: verify_dar_independent_pairs(trials=small, seed=seed),
+    )
+    return suites[k]()

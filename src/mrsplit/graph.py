@@ -95,6 +95,11 @@ class Graph:
         if (keys[1:] == keys[:-1]).any():
             raise GraphError(*_first_bad_arc(src, dst, n))
 
+    def __reduce__(self):
+        # A copy or an unpickled graph goes through __post_init__ again, so
+        # it is checked and its arrays are read-only like the original's.
+        return Graph, (self.n, self.src, self.dst, self.w, self.undirected)
+
     def _key(self) -> tuple:
         arrays = (self.src, self.dst, self.w)
         return (self.n, self.undirected) + tuple(a.tobytes() for a in arrays)

@@ -10,10 +10,12 @@ a rank-one distance of 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy import sparse
 
+from ._pool import _fork_map
 from .convolution import glorot, relation_sum, relu
 from .diagnostics import _unit_states, dirichlet_energy, rod
 from .ensembles import molecule_like_graph
@@ -61,10 +63,11 @@ def rod_trace(config: TraceConfig) -> dict[str, dict[str, np.ndarray]]:
     Every variant sees the same graphs, and a variant named more than once
     is traced once. Each (graph, variant) pair draws its initial features
     and its layer transforms from its own generator, seeded by (seed, graph
-    index, variant name), so the pairs can step in any grouping: the pairs
-    of all graphs that share a node count step as one block system, relu
-    after every layer, and a state that reaches exact zero reports 0 for
-    every remaining layer. Means add the graphs in graph order.
+    index, variant name), so the pairs can step in any grouping and in any
+    process: the pairs of all graphs that share a node count step as one
+    block system, relu after every layer, and the groups are split over the
+    usable CPUs. A state that reaches exact zero reports 0 for every
+    remaining layer. Means add the graphs in graph order.
     """
     master = np.random.default_rng(config.seed)
     graphs = [
@@ -74,11 +77,18 @@ def rod_trace(config: TraceConfig) -> dict[str, dict[str, np.ndarray]]:
     names = tuple(dict.fromkeys(config.variants))
     rods = np.zeros((len(graphs), len(names), config.layers))
     energies = np.zeros_like(rods)
-    for n in sorted({g.n for g in graphs}):
-        members = [gi for gi, g in enumerate(graphs) if g.n == n]
-        rods[members], energies[members] = _trace_same_size(
-            config, names, members, [graphs[gi] for gi in members]
-        )
+    groups = [
+        [gi for gi, g in enumerate(graphs) if g.n == n]
+        for n in sorted({g.n for g in graphs})
+    ]
+    # The costliest groups start first, so the last to finish is a cheap one.
+    groups.sort(key=lambda members: -len(members) * graphs[members[0]].n)
+    traced = _fork_map(
+        partial(_trace_same_size, config, names),
+        [(members, [graphs[gi] for gi in members]) for members in groups],
+    )
+    for members, (group_rods, group_energies) in zip(groups, traced):
+        rods[members], energies[members] = group_rods, group_energies
     # A running sum over graphs; a collapsed state adds its 0.0 exactly.
     rod_sum = np.add.accumulate(rods, axis=0)[-1]
     energy_sum = np.add.accumulate(energies, axis=0)[-1]
@@ -94,11 +104,11 @@ def rod_trace(config: TraceConfig) -> dict[str, dict[str, np.ndarray]]:
 def _trace_same_size(
     config: TraceConfig,
     names: tuple[str, ...],
-    indices: list[int],
-    graphs: list[Graph],
+    group: tuple[list[int], list[Graph]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(rod, energy) arrays of shape (graphs, variants, layers) for graphs of
-    one node count, every (graph, variant) pair stepped in one block system.
+    """(rod, energy) arrays of shape (graphs, variants, layers) for a group of
+    (graph indices, graphs) of one node count, every (graph, variant) pair
+    stepped in one block system.
 
     Pair p = b * len(names) + v is graph b under variant v. Each relation
     slot is one block-diagonal operator over all pairs. A variant with fewer
@@ -106,6 +116,7 @@ def _trace_same_size(
     term has a zero self transform. Those terms add only signed zeros, which
     relu maps to +0.0, so every pair steps exactly as it would alone.
     """
+    indices, graphs = group
     n, d, layers = graphs[0].n, config.dim, config.layers
     specs = [VARIANTS[name] for name in names]
     slots = max(spec.relations for spec in specs)

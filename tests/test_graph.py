@@ -1,8 +1,10 @@
 """Graph construction, edge-list ingestion, and DAG utilities."""
 
+import copy
 import io
 import json
 import math
+import pickle
 from typing import Optional
 
 import numpy as np
@@ -93,6 +95,24 @@ class TestGraphInvariants:
         for arr in (g.src, g.dst, g.w):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
+
+    @pytest.mark.parametrize(
+        "copy_of", [lambda g: pickle.loads(pickle.dumps(g)), copy.copy, copy.deepcopy]
+    )
+    def test_copies_are_checked_and_read_only(self, copy_of):
+        g = Graph(n=3, src=[0, 1], dst=[1, 2], w=[1.0, 0.5], undirected=True)
+        h = copy_of(g)
+        assert h == g
+        for arr in (h.src, h.dst, h.w):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+        # A graph that skipped its checks is checked when it is copied.
+        bad = object.__new__(Graph)
+        for name, value in (("n", 2), ("src", np.array([0, 0])), ("dst", np.array([1, 1])),
+                            ("w", np.ones(2)), ("undirected", False)):
+            object.__setattr__(bad, name, value)
+        with pytest.raises(GraphError, match=r"duplicate edge \(0, 1\)"):
+            copy_of(bad)
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(GraphError, match="same length"):

@@ -1,0 +1,262 @@
+"""Node-count groups of rod_trace and the suites of run_full_suite on forked
+workers: the same bytes at any worker count, errors that reach the caller,
+and no worker left behind."""
+
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
+
+import pytest
+
+import mrsplit
+from mrsplit import _pool, diagnostics, trajectories
+from mrsplit.cli import EXIT_USAGE
+from mrsplit.diagnostics import run_full_suite
+from mrsplit.graph import GraphError
+from mrsplit.split import VARIANTS
+from mrsplit.trajectories import TraceConfig, rod_trace
+
+from test_golden import CASES, run_case
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="workers fork on Linux only")
+
+
+def with_workers(monkeypatch, count):
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: count)
+
+
+def trace_bytes(config):
+    traces = rod_trace(config)
+    return [
+        (name, key, traces[name][key].tobytes())
+        for name in traces
+        for key in ("rod_mean", "dirichlet_mean")
+    ]
+
+
+def worker_pid(_):
+    return os.getpid()
+
+
+def fail_with_arc(x):
+    raise GraphError(f"bad item {x}", arc=x)
+
+
+GOLDEN_TRACES = sorted(name for name in CASES if name.startswith("rod_trace"))
+
+
+@linux_only
+@pytest.mark.parametrize("name", GOLDEN_TRACES)
+def test_golden_traces_same_bytes_at_one_and_two_workers(name, monkeypatch):
+    _, argv = CASES[name]
+    outputs = []
+    for count in (1, 2):
+        with_workers(monkeypatch, count)
+        outputs.append(run_case(argv))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+
+
+@linux_only
+@pytest.mark.parametrize(
+    "config",
+    [
+        TraceConfig(variants=tuple(VARIANTS), num_graphs=9, layers=10, dim=3, seed=4),
+        TraceConfig(variants=("mrs_gcn", "sage", "mrs_gcn"), num_graphs=7, layers=8,
+                    dim=5, ordering="random", seed=7),
+        TraceConfig(variants=("gcn", "mrs_sage"), num_graphs=12, layers=6, dim=1,
+                    ordering="random", n_min=5, n_max=7, seed=2),
+    ],
+)
+def test_trace_same_bytes_at_one_and_two_workers(config, monkeypatch):
+    with_workers(monkeypatch, 1)
+    alone = trace_bytes(config)
+    with_workers(monkeypatch, 2)
+    assert trace_bytes(config) == alone
+
+
+@linux_only
+@pytest.mark.parametrize("seed", range(3))
+def test_full_suite_same_reports_at_one_and_two_workers(seed, monkeypatch):
+    with_workers(monkeypatch, 1)
+    alone = [report.to_dict() for report in run_full_suite(seed, 40)]
+    with_workers(monkeypatch, 2)
+    assert [report.to_dict() for report in run_full_suite(seed, 40)] == alone
+
+
+@linux_only
+def test_full_suite_runs_with_a_wrapped_suite(monkeypatch):
+    # A local wrapper cannot be pickled, so no suite may cross to a worker
+    # as a function object.
+    with_workers(monkeypatch, 1)
+    alone = [report.to_dict() for report in run_full_suite(0, 10)]
+    real = diagnostics.verify_zero_convergence
+
+    def wrapped(**kwargs):
+        return real(**kwargs)
+
+    monkeypatch.setattr(diagnostics, "verify_zero_convergence", wrapped)
+    with_workers(monkeypatch, 2)
+    assert [report.to_dict() for report in run_full_suite(0, 10)] == alone
+
+
+@linux_only
+def test_items_run_in_workers_and_results_keep_item_order(monkeypatch):
+    with_workers(monkeypatch, 2)
+    pids = _pool._fork_map(worker_pid, range(5))
+    assert os.getpid() not in pids
+    assert 1 <= len(set(pids)) <= 2
+    assert _pool._fork_map(abs, [-3, 1, -2, 0]) == [3, 1, 2, 0]
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
+def test_worker_error_reaches_the_caller(monkeypatch):
+    with_workers(monkeypatch, 2)
+    with pytest.raises(GraphError, match="^bad item 1$") as info:
+        _pool._fork_map(fail_with_arc, [1, 2, 3])
+    assert info.value.arc == 1
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
+def test_worker_error_in_a_trace_exits_usage(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("no operators for this graph")
+
+    with_workers(monkeypatch, 2)
+    monkeypatch.setattr(trajectories, "variant_operators", broken)
+    code, out, err = run_case(["rod-trace", "--graphs", "6", "--layers", "2"])
+    assert (code, out, err) == (EXIT_USAGE, "", "error: no operators for this graph\n")
+    assert multiprocessing.active_children() == []
+
+
+def _map_pids(conn):
+    conn.send((os.getpid(), _pool._fork_map(worker_pid, range(3))))
+
+
+@linux_only
+def test_daemonic_caller_runs_in_process(monkeypatch):
+    with_workers(monkeypatch, 2)
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    daemon = ctx.Process(target=_map_pids, args=(writer,), daemon=True)
+    daemon.start()
+    assert reader.poll(30)
+    caller, pids = reader.recv()
+    daemon.join(30)
+    assert daemon.exitcode == 0
+    assert pids == [caller] * 3
+
+
+def test_caller_with_another_thread_runs_in_process(monkeypatch):
+    with_workers(monkeypatch, 2)
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        pids = _pool._fork_map(worker_pid, range(3))
+    finally:
+        release.set()
+        waiter.join(30)
+    assert not waiter.is_alive()
+    assert pids == [os.getpid()] * 3
+
+
+@linux_only
+@pytest.mark.parametrize("parent_alive, exitcode", [(True, 0), (False, 1)])
+def test_worker_exits_at_once_if_its_parent_is_gone(parent_alive, exitcode):
+    # A worker whose expected parent is not its parent any more, here one
+    # told to expect init (pid 1), has been orphaned.
+    ctx = multiprocessing.get_context("fork")
+    expected = os.getpid() if parent_alive else 1
+    child = ctx.Process(target=_pool._die_with_parent, args=(expected,))
+    child.start()
+    child.join(30)
+    assert child.exitcode == exitcode
+
+
+class _FakeLibc:
+    def __init__(self):
+        self.calls = []
+
+        def prctl(option, arg):
+            self.calls.append((option, arg))
+            return 0
+
+        self.prctl = prctl
+
+
+def test_worker_asks_for_sigkill_when_its_parent_dies(monkeypatch):
+    libc = _FakeLibc()
+    monkeypatch.setattr(_pool.ctypes, "CDLL", lambda name: libc)
+    _pool._die_with_parent(os.getppid())
+    assert libc.calls == [(1, signal.SIGKILL)]
+    assert libc.prctl.argtypes == (_pool.ctypes.c_int, _pool.ctypes.c_ulong)
+
+
+@pytest.mark.parametrize("error", [OSError, TypeError])
+def test_parent_death_signal_is_skipped_without_a_c_library(monkeypatch, error):
+    def cdll(name):
+        raise error("no C library")
+
+    monkeypatch.setattr(_pool.ctypes, "CDLL", cdll)
+    _pool._die_with_parent(os.getppid())
+
+
+def test_parent_death_signal_is_skipped_without_prctl(monkeypatch):
+    monkeypatch.setattr(_pool.ctypes, "CDLL", lambda name: object())
+    _pool._die_with_parent(os.getppid())
+
+
+_SLEEPING_MAP = """
+import os, time
+from mrsplit import _pool
+_pool._usable_cpus = lambda: 2
+
+def report_and_sleep(x):
+    os.write(1, b"%d\\n" % os.getpid())  # one write, so two workers' lines never mix
+    time.sleep(120)
+
+_pool._fork_map(report_and_sleep, [0, 1])
+"""
+
+
+def _alive(pid: int) -> bool:
+    """True while pid runs; a zombie has exited and counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@linux_only
+def test_no_worker_outlives_a_killed_parent():
+    src = str(Path(mrsplit.__file__).resolve().parents[1])
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _SLEEPING_MAP],
+        env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE, text=True,
+    )
+    watchdog = threading.Timer(60, parent.kill)  # a hung start fails, not hangs
+    watchdog.start()
+    try:
+        pids = [int(parent.stdout.readline()) for _ in range(2)]
+    finally:
+        watchdog.cancel()
+        watchdog.join()
+        parent.send_signal(signal.SIGKILL)
+        parent.wait(30)
+        parent.stdout.close()
+    deadline = time.monotonic() + 10
+    while any(map(_alive, pids)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [pid for pid in pids if _alive(pid)]
+    for pid in survivors:
+        os.kill(pid, signal.SIGKILL)
+    assert survivors == []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mrsplit import trajectories
+from mrsplit import _pool, trajectories
 from mrsplit.cli import build_parser
 from mrsplit.convolution import glorot, relation_sum, relu
 from mrsplit.diagnostics import dirichlet_energy, rod
@@ -64,7 +64,14 @@ def test_bad_config_rejected(overrides, fields):
         small_config(**overrides)
 
 
+def in_process(monkeypatch):
+    """Run every node-count group in this process, where a counter sees its
+    calls; a worker would count into its own copy of the list."""
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
+
+
 def test_repeated_variant_is_traced_once(monkeypatch):
+    in_process(monkeypatch)
     calls = []
 
     def counting(*args, **kwargs):
@@ -74,6 +81,7 @@ def test_repeated_variant_is_traced_once(monkeypatch):
     monkeypatch.setattr(trajectories, "variant_operators", counting)
     once = rod_trace(small_config(variants=("gcn",)))
     single_calls = len(calls)
+    assert single_calls > 0
     calls.clear()
     repeated = rod_trace(small_config(variants=("gcn", "gcn", "gcn")))
     assert len(calls) == single_calls
@@ -187,10 +195,12 @@ def test_collapsed_states_draw_no_more_transforms(monkeypatch):
         drawn.append(int(np.prod(lead)))
         return draw(rng, d_in, d_out, *lead)
 
+    in_process(monkeypatch)
     config = small_config(**MIXED_BLOCK)
     monkeypatch.setattr(trajectories, "glorot", counting)
     rod_trace(config)
     stacked = sum(drawn)
+    assert stacked > 0
     drawn.clear()
     monkeypatch.setattr(f"{__name__}.glorot", counting)
     oracle_rod_trace(config)
