@@ -16,6 +16,16 @@ from typing import Callable, Iterable
 
 # prctl option (linux/prctl.h): the signal a process gets when its parent dies.
 _PR_SET_PDEATHSIG = 1
+# Where a Linux process lists the files it has mapped, shared libraries included.
+_MAPS = "/proc/self/maps"
+# The thread-count setter an OpenBLAS build exports, under the prefix and the
+# integer-width suffix it was built with (numpy's and scipy's wheels bundle
+# scipy_openblas builds, numpy's with 64-bit integers).
+_OPENBLAS_SETTERS = tuple(
+    f"{prefix}_set_num_threads{suffix}"
+    for prefix in ("scipy_openblas", "openblas")
+    for suffix in ("", "64_", "_64")
+)
 
 
 def _usable_cpus() -> int:
@@ -36,17 +46,54 @@ def _die_with_parent(parent: int) -> None:
         os._exit(1)
 
 
+def _mapped_openblas() -> list[str]:
+    """Paths of the OpenBLAS libraries this process has mapped, in name order."""
+    with open(_MAPS, encoding="utf-8", errors="replace") as fh:
+        # address, permissions, offset, device, inode, then the path, if any
+        fields = [line.split(maxsplit=5) for line in fh]
+    paths = {f[5].strip() for f in fields if len(f) == 6}
+    return sorted(p for p in paths if "openblas" in os.path.basename(p).lower())
+
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS this process has mapped to one thread.
+
+    Each worker shares the CPUs with the others, so BLAS threads of its own
+    would only contend for them, and a product threaded over more CPUs can
+    round differently from one computed on one thread. Without a process
+    map, a C library loader or an OpenBLAS, nothing changes.
+    """
+    try:
+        for path in _mapped_openblas():
+            lib = ctypes.CDLL(path)
+            for name in _OPENBLAS_SETTERS:
+                setter = getattr(lib, name, None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = (ctypes.c_int,), None
+                    setter(1)
+                    break
+    except (OSError, TypeError):
+        pass
+
+
+def _start_worker(parent: int) -> None:
+    """Pool initializer: tie the worker's life to its parent's, then pin its
+    BLAS to one thread."""
+    _die_with_parent(parent)
+    _one_blas_thread()
+
+
 def _fork_map(fn: Callable, items: Iterable) -> list:
     """[fn(x) for x in items], in item order, on one forked worker per usable
-    CPU, at most one per item. Items go to the workers in the order given, so
-    list the longest first.
+    CPU, at most one per item, each with one BLAS thread. Items go to the
+    workers in the order given, so list the longest first.
 
     Runs in process when fewer than two workers would run, off Linux, while
     another thread runs (a forked child has only the forking thread, so a
     lock another thread held would stay held in it), and in a daemonic
     process, which may not start children. An exception in fn reaches the
     caller with its type and message; every worker has exited by the time
-    this returns or raises.
+    this returns or raises. In process, fn uses the caller's BLAS threads.
     """
     # Imported here, so the commands that never map pay nothing for them.
     import multiprocessing
@@ -63,7 +110,7 @@ def _fork_map(fn: Callable, items: Iterable) -> list:
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
-        initializer=_die_with_parent,
+        initializer=_start_worker,
         initargs=(os.getpid(),),
     )
     try:

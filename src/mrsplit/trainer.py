@@ -9,12 +9,14 @@ gradient descent with a fixed step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
 from . import autodiff as ad
+from ._pool import _fork_map
 from .convolution import ACTIVATIONS, glorot
 from .ensembles import random_connected_graph
 from .graph import Graph, disjoint_union, in_degrees
@@ -263,14 +265,24 @@ def compare_base_vs_split(
     task: SyntheticTask, config: ModelConfig, seeds: tuple[int, ...] = (0, 1, 2)
 ) -> list[tuple[TrainResult, TrainResult]]:
     """Train the base variant and its split counterpart on the same task;
-    one (base, split) pair of results per model seed, in seed order."""
+    one (base, split) pair of results per model seed, in seed order.
+
+    The runs share nothing, so they are split over the usable CPUs, every
+    split run (about twice as long as a base run) before every base run."""
     if not seeds:
         raise ValueError("need at least one model seed")
     base = config.variant.removeprefix("mrs_")
-    return [
-        (
-            train(task, replace(config, variant=base, seed=seed)),
-            train(task, replace(config, variant="mrs_" + base, seed=seed)),
-        )
+    configs = [
+        replace(config, variant=variant, seed=seed)
+        for variant in ("mrs_" + base, base)
         for seed in seeds
     ]
+    results = _fork_map(partial(_train, task), configs)
+    return list(zip(results[len(seeds):], results[: len(seeds)]))
+
+
+def _train(task: SyntheticTask, config: ModelConfig) -> TrainResult:
+    """train(task, config), looked up when called: a function sent to a
+    worker by pickle is found by its name, which fails once a wrapper (a
+    tracer's or a profiler's) holds that name."""
+    return train(task, config)

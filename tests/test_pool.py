@@ -2,6 +2,7 @@
 workers: the same bytes at any worker count, errors that reach the caller,
 and no worker left behind."""
 
+import ctypes
 import multiprocessing
 import os
 import signal
@@ -212,6 +213,114 @@ def test_parent_death_signal_is_skipped_without_a_c_library(monkeypatch, error):
 def test_parent_death_signal_is_skipped_without_prctl(monkeypatch):
     monkeypatch.setattr(_pool.ctypes, "CDLL", lambda name: object())
     _pool._die_with_parent(os.getppid())
+
+
+_OPENBLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in _pool._OPENBLAS_SETTERS)
+
+
+def openblas_threads():
+    """(setter, thread count) of every mapped OpenBLAS that exports a
+    thread-count getter, read in the calling process."""
+    found = []
+    for path in _pool._mapped_openblas():
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in zip(_OPENBLAS_GETTERS, _pool._OPENBLAS_SETTERS):
+            getter = getattr(lib, get_name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                setter = getattr(lib, set_name)
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                found.append((setter, getter()))
+                break
+    return found
+
+
+def worker_openblas_threads(_):
+    return [count for _, count in openblas_threads()]
+
+
+@linux_only
+def test_workers_run_openblas_on_one_thread(monkeypatch):
+    before = openblas_threads()
+    if not before:
+        pytest.skip("no mapped OpenBLAS exports a thread-count getter")
+    # Two threads in the caller, so a worker that kept the caller's count
+    # would report 2.
+    for setter, _ in before:
+        setter(2)
+    try:
+        assert [count for _, count in openblas_threads()] == [2] * len(before)
+        with_workers(monkeypatch, 2)
+        reported = _pool._fork_map(worker_openblas_threads, range(2))
+    finally:
+        for setter, count in before:
+            setter(count)
+    assert reported == [[1] * len(before)] * 2
+
+
+class _FakeBlas:
+    def __init__(self, setter_name):
+        self.calls = []
+
+        def setter(count):
+            self.calls.append(count)
+
+        if setter_name is not None:
+            setattr(self, setter_name, setter)
+
+
+def test_openblas_pin_calls_each_librarys_first_setter(monkeypatch, tmp_path):
+    maps = tmp_path / "maps"
+    maps.write_text(
+        "7f00-7f01 r-xp 00000000 08:01 11 /lib/libscipy_openblas64_-abc.so\n"
+        "7f01-7f02 rw-p 00001000 08:01 11 /lib/libscipy_openblas64_-abc.so\n"
+        "7f02-7f03 r-xp 00000000 08:01 12 /usr/lib/libopenblas.so.0\n"
+        "7f03-7f04 r-xp 00000000 08:01 13 /usr/lib/libopenblas_nothreads.so\n"
+        "7f04-7f05 r-xp 00000000 08:01 14 /usr/lib/libm.so.6\n"
+        "7f05-7f06 rw-p 00000000 00:00 0 \n"
+        "7ffc-7ffd rw-p 00000000 00:00 0                          [stack]\n"
+    )
+    libs = {
+        "/lib/libscipy_openblas64_-abc.so": _FakeBlas("scipy_openblas_set_num_threads64_"),
+        "/usr/lib/libopenblas.so.0": _FakeBlas("openblas_set_num_threads"),
+        "/usr/lib/libopenblas_nothreads.so": _FakeBlas(None),
+    }
+    opened = []
+
+    def cdll(path):
+        opened.append(path)
+        return libs[path]
+
+    monkeypatch.setattr(_pool, "_MAPS", str(maps))
+    monkeypatch.setattr(_pool.ctypes, "CDLL", cdll)
+    _pool._one_blas_thread()
+    assert opened == sorted(libs)
+    assert [libs[path].calls for path in sorted(libs)] == [[1], [1], []]
+
+
+@pytest.mark.parametrize("error", [OSError, TypeError])
+def test_openblas_pin_is_skipped_without_a_c_library(monkeypatch, error):
+    opened = []
+
+    def cdll(path):
+        opened.append(path)
+        raise error("no C library")
+
+    monkeypatch.setattr(_pool, "_mapped_openblas", lambda: ["/lib/libopenblas.so.0"])
+    monkeypatch.setattr(_pool.ctypes, "CDLL", cdll)
+    _pool._one_blas_thread()
+    assert opened == ["/lib/libopenblas.so.0"]
+
+
+@pytest.mark.parametrize("maps_text", [None, "7f04-7f05 r-xp 00000000 08:01 14 /usr/lib/libm.so.6\n"])
+def test_openblas_pin_is_skipped_without_an_openblas(monkeypatch, tmp_path, maps_text):
+    # No process map to read, or one that maps no OpenBLAS.
+    maps = tmp_path / "maps"
+    if maps_text is not None:
+        maps.write_text(maps_text)
+    monkeypatch.setattr(_pool, "_MAPS", str(maps))
+    monkeypatch.setattr(_pool.ctypes, "CDLL", lambda path: pytest.fail(f"opened {path}"))
+    _pool._one_blas_thread()
 
 
 _SLEEPING_MAP = """

@@ -1,9 +1,12 @@
 """Synthetic task generation, model forward/backward, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import sparse
 
+from mrsplit import _pool, trainer
 from mrsplit import autodiff as ad
 from mrsplit.graph import graph_from_pairs
 from mrsplit.split import block_diagonal, variant_operators
@@ -289,6 +292,53 @@ class TestCompare:
             assert len(result.trace) == 3 and result.final_mae == result.trace[-1]
         again = compare_base_vs_split(task, tiny_config(epochs=2), seeds=(0, 1))
         assert pairs == again
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(variant="gcn", epochs=5),
+            dict(variant="mrs_sage", ordering="random", residual=True, jk="cat", epochs=4),
+            # At this step base seed 1 trains on and the other five runs diverge.
+            dict(variant="gcn", epochs=20, lr=1e100),
+        ],
+    )
+    def test_equals_sequential_train(self, monkeypatch, workers, overrides):
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: workers)
+        task = make_synthetic_task(TINY_TASK)
+        config = tiny_config(**overrides)
+        pairs = compare_base_vs_split(task, config, seeds=(0, 1, 2))
+        base = config.variant.removeprefix("mrs_")
+        want = [
+            (train(task, replace(config, variant=base, seed=seed)),
+             train(task, replace(config, variant="mrs_" + base, seed=seed)))
+            for seed in (0, 1, 2)
+        ]
+        got_runs = [run for pair in pairs for run in pair]
+        want_runs = [run for pair in want for run in pair]
+        assert [(r.config, r.diverged) for r in got_runs] == [
+            (r.config, r.diverged) for r in want_runs
+        ]
+        assert [np.array(r.trace).tobytes() for r in got_runs] == [
+            np.array(r.trace).tobytes() for r in want_runs
+        ]
+        if overrides.get("lr") == 1e100:
+            assert [r.diverged for r in got_runs] == [True, True, False, True, True, True]
+
+    def test_runs_with_a_wrapped_train(self, monkeypatch):
+        # A local wrapper cannot be pickled, so train may not cross to a
+        # worker as a function object.
+        task = make_synthetic_task(TINY_TASK)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
+        alone = compare_base_vs_split(task, tiny_config(), seeds=(0, 1))
+        real = trainer.train
+
+        def wrapped(task, config):
+            return real(task, config)
+
+        monkeypatch.setattr(trainer, "train", wrapped)
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
+        assert compare_base_vs_split(task, tiny_config(), seeds=(0, 1)) == alone
 
 
 class TestModelGradients:
