@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import ctypes
 import os
+import pickle
 import signal
 import sys
 import threading
@@ -26,6 +27,8 @@ _OPENBLAS_SETTERS = tuple(
     for prefix in ("scipy_openblas", "openblas")
     for suffix in ("", "64_", "_64")
 )
+# The thread-count getter that goes with each setter.
+_OPENBLAS_GETTERS = tuple(name.replace("_set_", "_get_") for name in _OPENBLAS_SETTERS)
 
 
 def _usable_cpus() -> int:
@@ -55,45 +58,52 @@ def _mapped_openblas() -> list[str]:
     return sorted(p for p in paths if "openblas" in os.path.basename(p).lower())
 
 
-def _one_blas_thread() -> None:
-    """Set every OpenBLAS this process has mapped to one thread.
+def _one_blas_thread() -> list[tuple[Callable[[int], None], int]]:
+    """Set every OpenBLAS this process has mapped to one thread. Gives the
+    (setter, thread count before) pair of each that exports a getter.
 
-    Each worker shares the CPUs with the others, so BLAS threads of its own
-    would only contend for them, and a product threaded over more CPUs can
-    round differently from one computed on one thread. Without a process
-    map, a C library loader or an OpenBLAS, nothing changes.
+    Mapped work shares the CPUs, so BLAS threads of its own would only
+    contend for them, and a product threaded over more CPUs can round
+    differently from one computed on one thread. Without a process map, a C
+    library loader or an OpenBLAS, nothing changes.
     """
+    restore = []
     try:
         for path in _mapped_openblas():
             lib = ctypes.CDLL(path)
-            for name in _OPENBLAS_SETTERS:
-                setter = getattr(lib, name, None)
+            for set_name, get_name in zip(_OPENBLAS_SETTERS, _OPENBLAS_GETTERS):
+                setter = getattr(lib, set_name, None)
                 if setter is not None:
                     setter.argtypes, setter.restype = (ctypes.c_int,), None
+                    getter = getattr(lib, get_name, None)
+                    if getter is not None:
+                        getter.argtypes, getter.restype = (), ctypes.c_int
+                        restore.append((setter, getter()))
                     setter(1)
                     break
     except (OSError, TypeError):
         pass
+    return restore
 
 
-def _start_worker(parent: int) -> None:
-    """Pool initializer: tie the worker's life to its parent's, then pin its
-    BLAS to one thread."""
-    _die_with_parent(parent)
-    _one_blas_thread()
+def _call(fn: bytes, item: bytes):
+    """fn(item), both pickled."""
+    return pickle.loads(fn)(pickle.loads(item))
 
 
 def _fork_map(fn: Callable, items: Iterable) -> list:
-    """[fn(x) for x in items], in item order, on one forked worker per usable
-    CPU, at most one per item, each with one BLAS thread. Items go to the
-    workers in the order given, so list the longest first.
+    """[fn(x) for x in items], in item order, with every mapped OpenBLAS on
+    one thread until the map ends, on one forked worker per usable CPU, at
+    most one per item. Items go to the workers in the order given, so list
+    the longest first. fn and the items are pickled before any worker
+    starts, so work that cannot reach a worker fails at once.
 
     Runs in process when fewer than two workers would run, off Linux, while
     another thread runs (a forked child has only the forking thread, so a
     lock another thread held would stay held in it), and in a daemonic
     process, which may not start children. An exception in fn reaches the
     caller with its type and message; every worker has exited by the time
-    this returns or raises. In process, fn uses the caller's BLAS threads.
+    this returns or raises.
     """
     # Imported here, so the commands that never map pay nothing for them.
     import multiprocessing
@@ -101,20 +111,27 @@ def _fork_map(fn: Callable, items: Iterable) -> list:
 
     items = list(items)
     workers = min(len(items), _usable_cpus()) if sys.platform == "linux" else 1
-    if (
+    in_process = (
         workers < 2
         or threading.active_count() > 1
         or multiprocessing.current_process().daemon
-    ):
-        return [fn(x) for x in items]
-    pool = ProcessPoolExecutor(
-        workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_start_worker,
-        initargs=(os.getpid(),),
     )
+    restore = _one_blas_thread()
     try:
-        futures = [pool.submit(fn, x) for x in items]
-        return [future.result() for future in futures]
+        if in_process:
+            return [fn(x) for x in items]
+        fn_bytes, item_bytes = pickle.dumps(fn), [pickle.dumps(x) for x in items]
+        pool = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_die_with_parent,
+            initargs=(os.getpid(),),
+        )
+        try:
+            futures = [pool.submit(_call, fn_bytes, x) for x in item_bytes]
+            return [future.result() for future in futures]
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+        for setter, count in restore:
+            setter(count)

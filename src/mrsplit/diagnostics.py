@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional, Sequence
+from itertools import groupby
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -212,27 +213,27 @@ class VerificationReport:
 
 _SIGMAS = (identity, leaky_relu)
 
-# Most state rows one block system holds. A node-count group with more rows
-# steps in chunks, so a suite over large operators never stacks many copies.
+# Most state rows one block system holds. A group with more rows steps in
+# chunks, so a system over large operators never stacks many copies.
 _BLOCK_ROWS = 4096
-# Most trials whose instances are alive at once: a suite draws and steps its
-# trials this many at a time.
+# Most units whose instances are alive at once: the runner draws and steps
+# its units this many at a time.
 _DRAW_WINDOW = 2048
 
 # One trial's checks: one (margin, note) pair per check, where a note that is
 # not None marks a failed check.
 _Checks = list[tuple[float, Optional[str]]]
 
-# A trial's relation slot: an operator, or a (graph, scores, k) triple for
+# A unit's relation slot: an operator, or a (graph, scores, k) triple for
 # relation k of the graph split under its scores, or of the graph whole when
 # scores is None.
 _Slot = sparse.csr_matrix | tuple[Graph, Optional[OrderingScores], int]
 
 
 @dataclass
-class _Trial:
-    """A drawn trial: its index, its generator and the relation slots of its
-    instance."""
+class _Unit:
+    """A drawn unit of _run_units: its index in unit order, its generator and
+    the relation slots of its instance."""
 
     t: int
     rng: np.random.Generator
@@ -244,33 +245,31 @@ class _Trial:
         return first[0].n if isinstance(first, tuple) else first.shape[0]
 
 
-# A step takes one group of trials of one node count and its block-diagonal
-# operators, and gives each trial's checks.
-_Step = Callable[[list[_Trial], list[sparse.csr_matrix]], list[_Checks]]
-# A build gives one group's block-diagonal operators.
-_Build = Callable[[list[_Trial]], list[sparse.csr_matrix]]
+# The build and the step of _run_units.
+_Build = Callable[[list[_Unit]], list[sparse.csr_matrix]]
+_Step = Callable[[list[_Unit], list[sparse.csr_matrix]], Sequence]
 
 
-def _glued(chunk: list[_Trial]) -> list[sparse.csr_matrix]:
-    """One block_diagonal operator per operator slot of the chunk's trials."""
-    return [block_diagonal(ops) for ops in zip(*(tr.slots for tr in chunk))]
+def _glued(chunk: list[_Unit]) -> list[sparse.csr_matrix]:
+    """One block_diagonal operator per operator slot of the chunk's units."""
+    return [block_diagonal(ops) for ops in zip(*(u.slots for u in chunk))]
 
 
 def _normalized(mode: str) -> _Build:
-    """Build that gives, per (graph, scores, k) slot of the chunk's trials,
+    """Build that gives, per (graph, scores, k) slot of the chunk's units,
     relation k of the disjoint union of their graphs, split under their
     concatenated scores or whole, normalized in mode.
 
     An arc's relation depends only on its endpoints' scores, and the mode
-    reads only per-node degrees, so that is the block system of the trials'
+    reads only per-node degrees, so that is the block system of the units'
     own operators. Slots that name the same graphs and scores, such as a
     split's relations, share one union, split and normalize.
     """
 
-    def build(chunk: list[_Trial]) -> list[sparse.csr_matrix]:
+    def build(chunk: list[_Unit]) -> list[sparse.csr_matrix]:
         built: dict[tuple, tuple[sparse.csr_matrix, ...]] = {}
         blocks = []
-        for slot in zip(*(tr.slots for tr in chunk)):
+        for slot in zip(*(u.slots for u in chunk)):
             graphs, scores, ks = zip(*slot)
             key = tuple(map(id, graphs + scores))
             if key not in built:
@@ -287,6 +286,41 @@ def _normalized(mode: str) -> _Build:
     return build
 
 
+def _groups(items: Iterable, key: Callable[[Any], int]) -> list[list]:
+    """The items grouped by key(item), in key order, each group in item order."""
+    return [list(group) for _, group in groupby(sorted(items, key=key), key)]
+
+
+def _run_units(
+    units: Sequence,
+    draw: Callable[[Any], tuple[np.random.Generator, Sequence[_Slot]]],
+    build: _Build,
+    step: _Step,
+) -> Iterator:
+    """Each unit's result, in unit order, from stepping the units in block
+    systems.
+
+    draw(unit) seeds the unit's own generator and gives it with the unit's
+    relation slots. The units of one node count then step as one block
+    system, at most _BLOCK_ROWS rows at a time: build(chunk) gives the
+    chunk's block-diagonal operators, and step(chunk, blocks) each unit's
+    result, drawing from each unit's generator in the unit's own order. Each
+    block steps as its unit would alone, so the grouping changes nothing.
+    Units are drawn and stepped _DRAW_WINDOW at a time, so memory does not
+    grow with the unit count.
+    """
+    for start in range(0, len(units), _DRAW_WINDOW):
+        stop = min(start + _DRAW_WINDOW, len(units))
+        window = [_Unit(t, *draw(units[t])) for t in range(start, stop)]
+        results = {}
+        for group in _groups(window, lambda u: u.n):
+            size = max(1, _BLOCK_ROWS // max(group[0].n, 1))
+            for i in range(0, len(group), size):
+                chunk = group[i : i + size]
+                results.update(zip((u.t for u in chunk), step(chunk, build(chunk)), strict=True))
+        yield from (results[u.t] for u in window)
+
+
 def _run_suite(
     theorem: str,
     trials: int,
@@ -295,47 +329,25 @@ def _run_suite(
     step: _Step,
     build: _Build = _glued,
 ) -> VerificationReport:
-    """Draw every trial's instance, then step the trials in groups.
+    """The report of trials 0 to trials - 1, stepped by _run_units.
 
     draw(rng, t) gives trial t's relation slots, drawing from its own
-    generator default_rng([seed, t]). The trials of one node count then
-    step as one block system, at most _BLOCK_ROWS rows at a time:
-    build(chunk) gives the chunk's block-diagonal operators, and
-    step(chunk, blocks) gives each trial's checks. A step draws from each
-    trial's generator in the trial's own order, and each block steps as its
-    trial would alone, so the grouping changes nothing. Trials are drawn and
-    stepped _DRAW_WINDOW at a time, so memory does not grow with the trial
-    count. The checks are folded in trial order: min_margin is the smallest
-    margin seen, 0.0 when no check ran, and the first ten failure notes are
-    kept.
+    generator default_rng([seed, t]), and step gives each trial's checks.
+    The checks are folded in trial order: min_margin is the smallest margin
+    seen, 0.0 when no check ran, and the first ten failure notes are kept.
     """
-    failures = 0
-    min_margin = np.inf
-    notes: list[str] = []
-    for start in range(0, trials, _DRAW_WINDOW):
-        window = range(start, min(start + _DRAW_WINDOW, trials))
-        groups: dict[int, list[_Trial]] = {}
-        for t in window:
-            rng = np.random.default_rng([seed, t])
-            trial = _Trial(t, rng, draw(rng, t))
-            groups.setdefault(trial.n, []).append(trial)
-        checks: dict[int, _Checks] = {}
-        for n, group in sorted(groups.items()):
-            size = max(1, _BLOCK_ROWS // max(n, 1))
-            for i in range(0, len(group), size):
-                chunk = group[i : i + size]
-                blocks = build(chunk)
-                for trial, result in zip(chunk, step(chunk, blocks), strict=True):
-                    checks[trial.t] = result
-        for margin, note in (check for t in window for check in checks[t]):
-            min_margin = min(min_margin, margin)
-            if note is not None:
-                failures += 1
-                notes.append(note)
+
+    def seeded(t: int) -> tuple[np.random.Generator, Sequence[_Slot]]:
+        rng = np.random.default_rng([seed, t])
+        return rng, draw(rng, t)
+
+    checks = [check for found in _run_units(range(trials), seeded, build, step) for check in found]
+    notes = [note for _, note in checks if note is not None]
+    min_margin = min([np.inf, *(margin for margin, _ in checks)])
     return VerificationReport(
         theorem=theorem,
         trials=trials,
-        failures=failures,
+        failures=len(notes),
         min_margin=float(min_margin) if np.isfinite(min_margin) else 0.0,
         seed=seed,
         notes=notes[:10],
@@ -352,13 +364,12 @@ def _unit_states(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return X / np.where(live, norm, np.inf)[:, None, None], live
 
 
-def _states(group: list[_Trial]) -> np.ndarray:
-    """A (trials, n, VERIFY_DIM) stack of uniform states, one per trial's
-    generator."""
-    return np.stack([tr.rng.uniform(-1, 1, (tr.n, VERIFY_DIM)) for tr in group])
+def _states(group: list[_Unit], d: int = VERIFY_DIM) -> np.ndarray:
+    """A (units, n, d) stack of uniform states, one per unit's generator."""
+    return np.stack([u.rng.uniform(-1, 1, (u.n, d)) for u in group])
 
 
-def _transforms(group: list[_Trial], slots: int) -> np.ndarray:
+def _transforms(group: list[_Unit], slots: int) -> np.ndarray:
     """A (slots, trials, VERIFY_DIM, VERIFY_DIM) stack of uniform transforms:
     per trial, one draw that gives what one draw per slot would."""
     return np.stack(
@@ -366,7 +377,7 @@ def _transforms(group: list[_Trial], slots: int) -> np.ndarray:
     )
 
 
-def _in_degree_stack(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> np.ndarray:
+def _in_degree_stack(group: list[_Unit], blocks: list[sparse.csr_matrix]) -> np.ndarray:
     """The (trials, n, slots) stack of the group's in-degree matrices: a row
     of a block-diagonal operator sums as the block's row does."""
     return in_degree_matrix(blocks).reshape(len(group), group[0].n, len(blocks))
@@ -382,7 +393,7 @@ def _rank_checks(rows, target: Optional[int] = None) -> _Step:
     of one split convolution of a random rank-one input against a target
     rank: the given one, or each trial's rank(E) when target is None."""
 
-    def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
+    def step(group: list[_Unit], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         X = np.stack([
             np.outer(tr.rng.uniform(-1, 1, tr.n), tr.rng.uniform(-1, 1, VERIFY_DIM))
             for tr in group
@@ -447,7 +458,7 @@ def verify_zero_convergence(trials: int = 100, seed: int = 0) -> VerificationRep
     def draw(rng: np.random.Generator, t: int):
         return _whole_slots([random_connected_dag(rng, int(rng.integers(5, 21)))])
 
-    def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
+    def step(group: list[_Unit], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         X = _states(group)
         weights = np.zeros((1, len(group), VERIFY_DIM, VERIFY_DIM))
         depths = np.array([longest_path_length(tr.slots[0][0]) + 1 for tr in group])
@@ -482,10 +493,10 @@ def verify_dag_pair_rank(
     def draw(rng: np.random.Generator, t: int):
         return _whole_slots([random_connected_dag(rng, int(rng.integers(6, 25)))])
 
-    def build(chunk: list[_Trial]) -> list[sparse.csr_matrix]:
+    def build(chunk: list[_Unit]) -> list[sparse.csr_matrix]:
         return list(dar_pair_from_dag(disjoint_union([tr.slots[0][0] for tr in chunk])))
 
-    def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
+    def step(group: list[_Unit], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         checks: list[_Checks] = [[] for _ in group]
         for sigma in _SIGMAS:
             X = _states(group)
@@ -522,7 +533,7 @@ def verify_ergodic_rank_one(instances: int = 20, seed: int = 0) -> VerificationR
     """Mean-normalized ergodic relation sets give a rank-one in-degree matrix,
     so no node pair is structurally independent."""
 
-    def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
+    def step(group: list[_Unit], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         ranks = _ranks(_in_degree_stack(group, blocks)).tolist()
         return [
             [(1 - rank, f"instance {tr.t}: rank(E)={rank}" if rank != 1 else None)]
@@ -551,7 +562,7 @@ def verify_dar_independent_pairs(
         scores = order_random(g.n, int(rng.integers(0, 2**63)))
         return [(g, scores, 0), (g, scores, 1)]
 
-    def step(group: list[_Trial], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
+    def step(group: list[_Unit], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         found = _independent_pair_count(_in_degree_stack(group, blocks)).tolist()
         return [
             [(k - 1, f"trial {tr.t}: no structurally independent pair" if k == 0 else None)]

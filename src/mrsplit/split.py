@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 
 from .graph import Graph, GraphError, in_degrees, is_dag, out_degrees, reverse
-from .ordering import OrderingScores, order_by
+from .ordering import OrderingScores
 
 RAW = "raw"
 SYM_GCN = "sym_gcn"
@@ -191,20 +191,6 @@ def normalize(mrg: MultiRelGraph, mode: str) -> tuple[sparse.csr_matrix, ...]:
 def operator_for_graph(g: Graph, mode: str) -> sparse.csr_matrix:
     """Single-relation operator for a whole graph, degrees from g itself."""
     return normalize(whole_graph(g), mode)[0]
-
-
-def variant_operators(
-    g: Graph,
-    variant: str,
-    ordering: str,
-    seed: int,
-    X: Optional[np.ndarray] = None,
-) -> tuple[sparse.csr_matrix, ...]:
-    """The relation operators a variant aggregates over on g: one whole-graph
-    operator, or the three split operators under the named ordering."""
-    if VARIANTS[variant].split:
-        return normalize(split_edges(g, order_by(ordering, g, seed, X)), VARIANTS[variant].mode)
-    return normalize(whole_graph(g), VARIANTS[variant].mode)
 
 
 def dar_pair_from_dag(g: Graph) -> tuple[sparse.csr_matrix, sparse.csr_matrix]:

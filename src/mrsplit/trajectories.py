@@ -13,14 +13,17 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import sparse
 
 from ._pool import _fork_map
 from .convolution import glorot, relation_sum, relu
-from .diagnostics import _unit_states, dirichlet_energy, rod
+from .diagnostics import (
+    _BLOCK_ROWS, _Unit, _groups, _normalized, _run_units, _states, _unit_states,
+    dirichlet_energy, rod,
+)
 from .ensembles import molecule_like_graph
 from .graph import Graph
-from .split import VARIANTS, block_diagonal, variant_operators
+from .ordering import order_by
+from .split import VARIANTS, Variant
 
 
 # The variants a trace runs by default; a name added to VARIANTS does not join.
@@ -64,10 +67,10 @@ def rod_trace(config: TraceConfig) -> dict[str, dict[str, np.ndarray]]:
     is traced once. Each (graph, variant) pair draws its initial features
     and its layer transforms from its own generator, seeded by (seed, graph
     index, variant name), so the pairs can step in any grouping and in any
-    process: the pairs of all graphs that share a node count step as one
-    block system, relu after every layer, and the groups are split over the
-    usable CPUs. A state that reaches exact zero reports 0 for every
-    remaining layer. Means add the graphs in graph order.
+    process: the graphs are grouped by node count, the groups are split
+    over the usable CPUs, and each group's pairs step in block systems,
+    relu after every layer. A state that reaches exact zero reports 0 for
+    every remaining layer. Means add the graphs in graph order.
     """
     master = np.random.default_rng(config.seed)
     graphs = [
@@ -75,92 +78,74 @@ def rod_trace(config: TraceConfig) -> dict[str, dict[str, np.ndarray]]:
         for _ in range(config.num_graphs)
     ]
     names = tuple(dict.fromkeys(config.variants))
-    rods = np.zeros((len(graphs), len(names), config.layers))
-    energies = np.zeros_like(rods)
-    groups = [
-        [gi for gi, g in enumerate(graphs) if g.n == n]
-        for n in sorted({g.n for g in graphs})
-    ]
+    groups = _groups(range(len(graphs)), lambda gi: graphs[gi].n)
     # The costliest groups start first, so the last to finish is a cheap one.
     groups.sort(key=lambda members: -len(members) * graphs[members[0]].n)
     traced = _fork_map(
-        partial(_trace_same_size, config, names),
-        [(members, [graphs[gi] for gi in members]) for members in groups],
+        partial(_trace_group, config, names),
+        [[(gi, graphs[gi]) for gi in members] for members in groups],
     )
-    for members, (group_rods, group_energies) in zip(groups, traced):
-        rods[members], energies[members] = group_rods, group_energies
+    # (variant, graph, metric, layer), the groups' graphs back in graph order
+    order = np.argsort([gi for members in groups for gi in members])
+    metrics = np.concatenate(traced, axis=1)[:, order]
     # A running sum over graphs; a collapsed state adds its 0.0 exactly.
-    rod_sum = np.add.accumulate(rods, axis=0)[-1]
-    energy_sum = np.add.accumulate(energies, axis=0)[-1]
+    sums = np.add.accumulate(metrics, axis=1)[:, -1]
     return {
         name: {
-            "rod_mean": rod_sum[v] / config.num_graphs,
-            "dirichlet_mean": energy_sum[v] / config.num_graphs,
+            "rod_mean": sums[v, 0] / config.num_graphs,
+            "dirichlet_mean": sums[v, 1] / config.num_graphs,
         }
         for v, name in enumerate(names)
     }
 
 
-def _trace_same_size(
-    config: TraceConfig,
-    names: tuple[str, ...],
-    group: tuple[list[int], list[Graph]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """(rod, energy) arrays of shape (graphs, variants, layers) for a group of
-    (graph indices, graphs) of one node count, every (graph, variant) pair
-    stepped in one block system.
+def _trace_group(
+    config: TraceConfig, names: tuple[str, ...], group: list[tuple[int, Graph]]
+) -> np.ndarray:
+    """(variant, graph, metric, layer) array of the ROD and the Dirichlet
+    energy of each (graph, variant) pair of a group of (graph index, graph)
+    pairs. The runner steps one variant's pairs at a time, so each chunk is
+    one union of graphs under one variant."""
+    d, layers = config.dim, config.layers
 
-    Pair p = b * len(names) + v is graph b under variant v. Each relation
-    slot is one block-diagonal operator over all pairs. A variant with fewer
-    relations has empty blocks in the slots it lacks, and one without a self
-    term has a zero self transform. Those terms add only signed zeros, which
-    relu maps to +0.0, so every pair steps exactly as it would alone.
-    """
-    indices, graphs = group
-    n, d, layers = graphs[0].n, config.dim, config.layers
-    specs = [VARIANTS[name] for name in names]
-    slots = max(spec.relations for spec in specs)
-    has_self = any(spec.self_term for spec in specs)
-    # The transform slots a variant's one glorot draw fills, in draw order:
-    # its relations, then its self term in the slot after every relation.
-    fills = [
-        [*range(spec.relations), *([slots] if spec.self_term else [])]
-        for spec in specs
-    ]
-    rngs = [
-        np.random.default_rng([config.seed, gi, sum(name.encode())])
-        for gi in indices
-        for name in names
-    ]
-    states = np.stack([rng.uniform(-1.0, 1.0, (n, d)) for rng in rngs])
-    empty = sparse.csr_matrix((n, n))
-    per_pair = [
-        variant_operators(g, name, config.ordering, config.seed)
-        + (empty,) * (slots - spec.relations)
-        for g in graphs
-        for name, spec in zip(names, specs)
-    ]
-    blocks = [block_diagonal(ops) for ops in zip(*per_pair)]
-    weights = np.zeros((slots + has_self, len(rngs), d, d))
-    live = np.ones(len(rngs), dtype=bool)
-    rods = np.zeros((len(rngs), layers))
-    energies = np.zeros_like(rods)
-    for it in range(layers):
-        # A collapsed pair draws no more; its zero rows stay zero under the
-        # transforms it drew last.
-        for p in np.flatnonzero(live):
-            fill = fills[p % len(names)]
-            weights[fill, p] = glorot(rngs[p], d, d, len(fill))
-        X = relu(relation_sum(
-            states, blocks, weights[:slots], weights[slots] if has_self else None
-        ))
-        states, live = _unit_states(X)
-        if not live.any():
-            break
-        rods[live, it] = rod(states[live])
-        for b, g in enumerate(graphs):
-            pairs = slice(b * len(names), (b + 1) * len(names))
-            if live[pairs].any():
-                energies[pairs, it] = dirichlet_energy(states[pairs], g)
-    shape = (len(graphs), len(names), layers)
-    return rods.reshape(shape), energies.reshape(shape)
+    def draw(name: str, unit: tuple[int, Graph]):
+        gi, g = unit
+        rng = np.random.default_rng([config.seed, gi, sum(name.encode())])
+        scores = order_by(config.ordering, g, config.seed) if VARIANTS[name].split else None
+        return rng, [(g, scores, k) for k in range(VARIANTS[name].relations)]
+
+    def step(spec: Variant, chunk: list[_Unit], blocks: list) -> np.ndarray:
+        states = _states(chunk, d)
+        weights = np.zeros((len(blocks) + spec.self_term, len(chunk), d, d))
+        self_weight = weights[-1] if spec.self_term else None
+        live = np.ones(len(chunk), dtype=bool)
+        out = np.zeros((len(chunk), 2, layers))
+        # The states of several layers, up to _BLOCK_ROWS rows, are measured
+        # by one rod call and one dirichlet_energy call per pair.
+        span = max(1, _BLOCK_ROWS // (len(chunk) * chunk[0].n))
+        for start in range(0, layers, span):
+            kept = []
+            for _ in range(start, min(start + span, layers)):
+                if not live.any():
+                    break
+                # A collapsed pair draws no more; its zero rows stay zero
+                # under the transforms it drew last. One draw gives the
+                # relations' transforms, then the self transform.
+                for b in np.flatnonzero(live):
+                    weights[:, b] = glorot(chunk[b].rng, d, d, len(weights))
+                X = relu(relation_sum(states, blocks, weights[: len(blocks)], self_weight))
+                states, live = _unit_states(X)
+                kept.append((states, live))
+            if not kept:
+                break
+            # (pairs, layers, n, d) and (pairs, layers)
+            S, L = (np.stack(each, axis=1) for each in zip(*kept))
+            measured = out[:, :, start : start + len(kept)]
+            measured[:, 0][L] = rod(S[L])
+            measured[:, 1] = [dirichlet_energy(x, u.slots[0][0]) for x, u in zip(S, chunk)]
+        return out
+
+    return np.array([
+        list(_run_units(group, partial(draw, name), _normalized(spec.mode), partial(step, spec)))
+        for name, spec in zip(names, map(VARIANTS.get, names))
+    ])

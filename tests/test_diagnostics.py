@@ -39,8 +39,9 @@ from mrsplit.split import (
     normalize,
     operator_for_graph,
     split_edges,
-    variant_operators,
 )
+
+from test_split import variant_operators
 
 
 def rel_ops(n, edges_per_relation):

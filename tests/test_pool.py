@@ -2,9 +2,11 @@
 workers: the same bytes at any worker count, errors that reach the caller,
 and no worker left behind."""
 
+import concurrent.futures
 import ctypes
 import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -12,6 +14,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mrsplit
@@ -20,6 +23,7 @@ from mrsplit.cli import EXIT_USAGE
 from mrsplit.diagnostics import run_full_suite
 from mrsplit.graph import GraphError
 from mrsplit.split import VARIANTS
+from mrsplit.trainer import ModelConfig, TaskParams, compare_base_vs_split, make_synthetic_task
 from mrsplit.trajectories import TraceConfig, rod_trace
 
 from test_golden import CASES, run_case
@@ -125,13 +129,29 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("local", ["fn", "item"])
+def test_unpicklable_work_fails_before_any_worker_starts(monkeypatch, local):
+    def square(x):
+        return x * x
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    with_workers(monkeypatch, 2)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    fn, items = (square, [1, 2]) if local == "fn" else (abs, [1, square])
+    with pytest.raises((AttributeError, pickle.PicklingError), match="local object"):
+        _pool._fork_map(fn, items)
+    assert multiprocessing.active_children() == []
+
+
 @linux_only
 def test_worker_error_in_a_trace_exits_usage(monkeypatch):
     def broken(*args, **kwargs):
         raise ValueError("no operators for this graph")
 
     with_workers(monkeypatch, 2)
-    monkeypatch.setattr(trajectories, "variant_operators", broken)
+    monkeypatch.setattr(trajectories, "_run_units", broken)
     code, out, err = run_case(["rod-trace", "--graphs", "6", "--layers", "2"])
     assert (code, out, err) == (EXIT_USAGE, "", "error: no operators for this graph\n")
     assert multiprocessing.active_children() == []
@@ -244,8 +264,8 @@ def test_workers_run_openblas_on_one_thread(monkeypatch):
     before = openblas_threads()
     if not before:
         pytest.skip("no mapped OpenBLAS exports a thread-count getter")
-    # Two threads in the caller, so a worker that kept the caller's count
-    # would report 2.
+    # Two threads in the caller before the map, so a worker that ran at the
+    # caller's count would report 2.
     for setter, _ in before:
         setter(2)
     try:
@@ -256,6 +276,52 @@ def test_workers_run_openblas_on_one_thread(monkeypatch):
         for setter, count in before:
             setter(count)
     assert reported == [[1] * len(before)] * 2
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Every mapped OpenBLAS of this process set to two threads for the
+    test, as a multi-CPU host runs it by default, then set back."""
+    before = openblas_threads()
+    if not before:
+        pytest.skip("no mapped OpenBLAS exports a thread-count getter")
+    for setter, _ in before:
+        setter(2)
+    yield len(before)
+    for setter, count in before:
+        setter(count)
+
+
+def test_in_process_map_runs_openblas_on_one_thread(monkeypatch, two_blas_threads):
+    with_workers(monkeypatch, 1)
+    reported = _pool._fork_map(worker_openblas_threads, range(2))
+    assert reported == [[1] * two_blas_threads] * 2
+    assert [count for _, count in openblas_threads()] == [2] * two_blas_threads
+
+
+@linux_only
+def test_train_in_process_with_a_thread_alive_equals_forked(monkeypatch, two_blas_threads):
+    # At two BLAS threads in process, this task's traces differed from the
+    # workers' one-thread traces before the in-process map pinned BLAS.
+    task = make_synthetic_task(TaskParams(count=64, seed=0))
+    config = ModelConfig(epochs=30)
+    with_workers(monkeypatch, 2)
+    forked = compare_base_vs_split(task, config, (0,))
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(30,))
+    waiter.start()
+    try:
+        in_process = compare_base_vs_split(task, config, (0,))
+    finally:
+        release.set()
+        waiter.join(30)
+    assert not waiter.is_alive()
+
+    def traces(pairs):
+        return [np.array(run.trace).tobytes() for pair in pairs for run in pair]
+
+    assert traces(in_process) == traces(forked)
+    assert [count for _, count in openblas_threads()] == [2] * two_blas_threads
 
 
 class _FakeBlas:

@@ -30,6 +30,7 @@ from mrsplit.split import (
     RAW,
     ROW_MEAN,
     SYM_GCN,
+    VARIANTS,
     block_diagonal,
     dar_pair_from_dag,
     normalize,
@@ -74,6 +75,15 @@ def relation_arcs(mrg, k):
 
 def row_sums(op):
     return np.asarray(op.sum(axis=1)).ravel()
+
+
+def variant_operators(g, variant, ordering, seed, X=None):
+    """The relation operators a variant aggregates over on g alone: one
+    whole-graph operator, or the three split operators under the named
+    ordering (the oracle of the union builds)."""
+    spec = VARIANTS[variant]
+    mrg = split_edges(g, order_by(ordering, g, seed, X)) if spec.split else whole_graph(g)
+    return normalize(mrg, spec.mode)
 
 
 @st.composite

@@ -9,7 +9,7 @@ from scipy import sparse
 from mrsplit import _pool, trainer
 from mrsplit import autodiff as ad
 from mrsplit.graph import graph_from_pairs
-from mrsplit.split import block_diagonal, variant_operators
+from mrsplit.split import block_diagonal
 from mrsplit.trainer import (
     ModelConfig,
     TaskParams,
@@ -24,7 +24,7 @@ from mrsplit.trainer import (
     train,
 )
 from test_autodiff import chained_relation_sum
-from test_split import assert_same_csr
+from test_split import assert_same_csr, variant_operators
 
 TINY_TASK = TaskParams(count=6, n_min=5, n_max=9, seed=0)
 

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from mrsplit import _pool, trajectories
+from mrsplit import _pool, diagnostics, trajectories
 from mrsplit.cli import build_parser
 from mrsplit.convolution import glorot, relation_sum, relu
 from mrsplit.diagnostics import dirichlet_energy, rod
 from mrsplit.ensembles import molecule_like_graph
-from mrsplit.split import VARIANTS, variant_operators
+from mrsplit.split import VARIANTS
 from mrsplit.trajectories import DEFAULT_VARIANTS, TraceConfig, rod_trace
+
+from test_split import variant_operators
 
 
 def small_config(**overrides):
@@ -72,19 +74,18 @@ def in_process(monkeypatch):
 
 def test_repeated_variant_is_traced_once(monkeypatch):
     in_process(monkeypatch)
-    calls = []
+    run, traced = trajectories._run_units, []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return variant_operators(*args, **kwargs)
+    def counting(units, *args):
+        traced.extend(gi for gi, _ in units)
+        return run(units, *args)
 
-    monkeypatch.setattr(trajectories, "variant_operators", counting)
+    monkeypatch.setattr(trajectories, "_run_units", counting)
     once = rod_trace(small_config(variants=("gcn",)))
-    single_calls = len(calls)
-    assert single_calls > 0
-    calls.clear()
+    assert sorted(traced) == [0, 1, 2, 3]
+    traced.clear()
     repeated = rod_trace(small_config(variants=("gcn", "gcn", "gcn")))
-    assert len(calls) == single_calls
+    assert sorted(traced) == [0, 1, 2, 3]
     assert_traces_equal(repeated, once)
 
 
@@ -180,6 +181,20 @@ def test_lockstep_trace_equals_oracle_when_states_collapse(seed):
     expected, collapsed = oracle_rod_trace(config)
     assert sum(collapsed.values()) > 0
     assert_traces_equal(rod_trace(config), expected)
+
+
+@pytest.mark.parametrize("rows, window", [(1, 2048), (40, 3), (150, 1)])
+def test_chunk_span_and_window_boundaries(monkeypatch, rows, window):
+    # Small row bounds split each variant's pairs into chunks of one or a
+    # few pairs and measure a chunk's layers one or a few at a time, so some
+    # states collapse partway through a span; a small draw window splits
+    # the pairs before grouping.
+    monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", rows)
+    monkeypatch.setattr(diagnostics, "_DRAW_WINDOW", window)
+    monkeypatch.setattr(trajectories, "_BLOCK_ROWS", rows)
+    for overrides in ({"num_graphs": 9, "variants": tuple(VARIANTS), "seed": 4}, MIXED_BLOCK):
+        config = small_config(**overrides)
+        assert_traces_equal(rod_trace(config), oracle_rod_trace(config)[0])
 
 
 def test_mixed_block_holds_collapsed_and_live_states():
