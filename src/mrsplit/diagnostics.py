@@ -26,9 +26,9 @@ from .split import (
     RAW,
     ROW_MEAN,
     SYM_GCN,
-    block_diagonal,
     dar_pair_from_dag,
     normalize,
+    read_only_operator,
     split_edges,
     whole_graph,
 )
@@ -41,21 +41,12 @@ VERIFY_DIM = 8
 
 def in_degree_matrix(ops: Sequence[sparse.csr_matrix]) -> np.ndarray:
     """n x l matrix whose row i stacks node i's weighted in-degrees: the
-    exact per-relation row sums of the given operators.
-
-    Each nonempty row's stored entries are summed by np.add.reduceat and
-    then added to 0.0, which turns a -0.0 sum into 0.0. That is how scipy's
-    op.sum(axis=1) sums them, so the sums are bit-equal to it.
-    """
+    per-relation row sums op.sum(axis=1) of the given operators."""
     if len(ops) == 0:
         raise ValueError("the in-degree matrix needs at least one operator")
     if len({op.shape for op in ops}) > 1:
         raise ValueError("operators must share the same node count")
-    E = np.zeros((ops[0].shape[0], len(ops)))
-    for k, op in enumerate(ops):
-        rows = np.flatnonzero(np.diff(op.indptr))
-        E[rows, k] = np.add.reduceat(op.data, op.indptr[rows])
-    return E + 0.0
+    return np.column_stack([np.asarray(op.sum(axis=1), dtype=np.float64) for op in ops])
 
 
 def _ranks(M: np.ndarray, rel_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
@@ -251,8 +242,14 @@ _Step = Callable[[list[_Unit], list[sparse.csr_matrix]], Sequence]
 
 
 def _glued(chunk: list[_Unit]) -> list[sparse.csr_matrix]:
-    """One block_diagonal operator per operator slot of the chunk's units."""
-    return [block_diagonal(ops) for ops in zip(*(u.slots for u in chunk))]
+    """Per operator slot of the chunk's units, the read-only block-diagonal
+    CSR operator of their operators; a lone unit's operators as they are."""
+    if len(chunk) == 1:
+        return list(chunk[0].slots)
+    return [
+        read_only_operator(sparse.block_diag(ops, format="csr"))
+        for ops in zip(*(u.slots for u in chunk))
+    ]
 
 
 def _normalized(mode: str) -> _Build:

@@ -88,7 +88,7 @@ class Graph:
         # Viewed as unsigned, a negative index is at least 2**63 >= n. In
         # range, src * n + dst is one key per pair; sorted, a repeat is
         # next to its twin.
-        if len(src) and np.concatenate((src, dst)).view(np.uint64).max() >= n:
+        if len(src) and max(src.view(np.uint64).max(), dst.view(np.uint64).max()) >= n:
             raise GraphError(*_first_bad_arc(src, dst, n))
         keys = src * n + dst
         keys.sort()

@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -103,27 +103,6 @@ def _index_dtype(n: int, nnz: int) -> type:
     """The index dtype scipy gives an n x n CSR matrix with nnz entries:
     int32 while both n and nnz fit it, else int64."""
     return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
-
-
-def block_diagonal(ops: Sequence[sparse.csr_matrix]) -> sparse.csr_matrix:
-    """Read-only block-diagonal CSR operator of the square canonical ops, in
-    order: equal to sparse.block_diag(ops, format="csr") in data, indices,
-    indptr and their dtypes.
-
-    Each block keeps its stored entries as they are, its column indices
-    shifted by the node count of the blocks before it, so a row of the
-    result sums its entries in the same order as the block's row does.
-    """
-    sizes = np.array([op.shape[0] for op in ops])
-    counts = np.array([op.nnz for op in ops])
-    n, nnz = int(sizes.sum()), int(counts.sum())
-    idx = _index_dtype(n, nnz)
-    indices = np.concatenate([op.indices[: op.nnz] for op in ops]).astype(idx)
-    indices += np.repeat(np.cumsum(sizes) - sizes, counts).astype(idx)
-    indptr = np.zeros(n + 1, dtype=idx)
-    np.cumsum(np.concatenate([np.diff(op.indptr) for op in ops]), out=indptr[1:])
-    data = np.concatenate([op.data[: op.nnz] for op in ops])
-    return read_only_operator(sparse.csr_matrix((data, indices, indptr), shape=(n, n)))
 
 
 def whole_graph(g: Graph) -> MultiRelGraph:

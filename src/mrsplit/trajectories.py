@@ -107,11 +107,15 @@ def _trace_group(
     pairs. The runner steps one variant's pairs at a time, so each chunk is
     one union of graphs under one variant."""
     d, layers = config.dim, config.layers
+    # Each graph is ordered once, for every split variant.
+    ordered = {}
+    if any(VARIANTS[name].split for name in names):
+        ordered = {gi: order_by(config.ordering, g, config.seed) for gi, g in group}
 
     def draw(name: str, unit: tuple[int, Graph]):
         gi, g = unit
         rng = np.random.default_rng([config.seed, gi, sum(name.encode())])
-        scores = order_by(config.ordering, g, config.seed) if VARIANTS[name].split else None
+        scores = ordered[gi] if VARIANTS[name].split else None
         return rng, [(g, scores, k) for k in range(VARIANTS[name].relations)]
 
     def step(spec: Variant, chunk: list[_Unit], blocks: list) -> np.ndarray:

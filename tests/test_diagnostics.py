@@ -30,7 +30,7 @@ from mrsplit.diagnostics import (
 )
 from mrsplit.ensembles import molecule_like_graph, random_connected_dag
 from mrsplit.graph import graph_from_pairs, longest_path_length
-from mrsplit.ordering import order_random
+from mrsplit.ordering import order_degree, order_random
 from mrsplit.split import (
     RAW,
     ROW_MEAN,
@@ -39,9 +39,10 @@ from mrsplit.split import (
     normalize,
     operator_for_graph,
     split_edges,
+    whole_graph,
 )
 
-from test_split import variant_operators
+from test_split import assert_same_csr, bidirected_triangle, undirected_path, variant_operators
 
 
 def rel_ops(n, edges_per_relation):
@@ -126,6 +127,13 @@ class TestInDegreeMatrix:
         expected = np.stack([np.asarray(op.sum(axis=1)).ravel() for op in ops], axis=1)
         assert E.shape == (ops[0].shape[0], 2)
         assert np.array_equal(E, expected)
+
+    def test_csr_arrays_give_what_csr_matrices_give(self):
+        # A csr_array's row sums are a vector, a csr_matrix's a column.
+        ops = star_ops([(3, 2), (2, 1), (0, 4)])
+        E = in_degree_matrix([sparse.csr_array(op) for op in ops])
+        assert E.shape == (ops[0].shape[0], 2)
+        assert E.tobytes() == in_degree_matrix(ops).tobytes()
 
 
 class TestStructuralIndependence:
@@ -751,3 +759,58 @@ class TestGroupedRunnerEqualsSequentialOracle:
         assert grouped.to_dict() == sequential_dag_pair_rank(40, 5, depth=30).to_dict()
         assert 0 < grouped.failures < 80
         assert "rank 0, min row 0.00e+00" in grouped.notes[0]
+
+
+def chunk_of(*slots):
+    """A chunk of units, one per tuple of relation operators."""
+    return [diagnostics._Unit(t, np.random.default_rng(t), ops) for t, ops in enumerate(slots)]
+
+
+class TestGlued:
+    """A chunk of two or more units steps on scipy's block-diagonal
+    operators, and a lone unit on its own."""
+
+    def test_empty_blocks_and_the_all_empty_padding_slot(self):
+        g = undirected_path()
+        ops = normalize(split_edges(g, order_degree(g)), RAW)
+        # The path's ends tie, but no arc joins them: E3 holds no arc, so
+        # the third slot of the first chunk is empty in every unit.
+        assert ops[2].nnz == 0
+        empty = (sparse.csr_matrix((g.n, g.n)),) * 3
+        no_arcs = (operator_for_graph(graph_from_pairs(2, []), RAW),) * 3
+        chunks = (chunk_of(ops, empty, ops), chunk_of(empty, empty), chunk_of(no_arcs, ops, no_arcs))
+        for chunk in chunks:
+            got = diagnostics._glued(chunk)
+            assert len(got) == 3
+            for op, blocks in zip(got, zip(*(u.slots for u in chunk))):
+                assert_same_csr(op, sparse.block_diag(blocks, format="csr"))
+                assert op.indices.dtype == op.indptr.dtype == np.int32
+
+    def test_result_is_read_only(self):
+        ops = normalize(whole_graph(bidirected_triangle()), SYM_GCN)
+        for got in diagnostics._glued(chunk_of(ops, ops)):
+            for arr in (got.data, got.indices, got.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0
+
+    def test_lone_unit_steps_on_its_own_operators_and_gives_the_oracle_report(self, monkeypatch):
+        # With the row bound at the node count, every trial is a chunk of one.
+        _, ops, pair = fixed_operator_cases()[3]
+        monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", ops[0].shape[0])
+        stepped = []
+
+        def spy(X, blocks, *weights):
+            stepped.append(blocks)
+            return relation_sum(X, blocks, *weights)
+
+        monkeypatch.setattr(diagnostics, "relation_sum", spy)
+        assert (
+            verify_rank_theorem(ops, trials=7, seed=1).to_dict()
+            == sequential_rank_theorem(ops, 7, 1).to_dict()
+        )
+        assert (
+            verify_independence_theorem(ops, pair, trials=7, seed=1).to_dict()
+            == sequential_independence_theorem(ops, pair, 7, 1).to_dict()
+        )
+        assert len(stepped) == 14
+        assert all(got is op for blocks in stepped for got, op in zip(blocks, ops, strict=True))

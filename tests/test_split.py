@@ -31,7 +31,6 @@ from mrsplit.split import (
     ROW_MEAN,
     SYM_GCN,
     VARIANTS,
-    block_diagonal,
     dar_pair_from_dag,
     normalize,
     operator_for_graph,
@@ -357,38 +356,6 @@ class TestDirectBuild:
         assert sparse.get_index_dtype(maxval=max(n, nnz)) is want
 
 
-class TestBlockDiagonal:
-    """block_diagonal equals scipy's block_diag in its CSR arrays and dtypes."""
-
-    @settings(max_examples=60)
-    @given(
-        st.lists(graph_and_scores(), min_size=1, max_size=4),
-        st.sampled_from([RAW, ROW_MEAN, SYM_GCN]),
-    )
-    def test_equals_scipy_block_diag(self, cases, mode):
-        per_graph = [normalize(split_edges(g, scores), mode) for g, scores in cases]
-        for ops in zip(*per_graph):
-            assert_same_csr(block_diagonal(ops), sparse.block_diag(ops, format="csr"))
-
-    def test_empty_blocks_and_the_all_empty_padding_slot(self):
-        g = undirected_path()
-        ops = normalize(split_edges(g, order_degree(g)), RAW)
-        empty = sparse.csr_matrix((g.n, g.n))
-        no_arcs = operator_for_graph(graph_from_pairs(2, []), RAW)
-        cases = ([ops[0], empty, ops[1]], [empty] * 3, [no_arcs, ops[2], no_arcs], [ops[0]])
-        for blocks in cases:
-            got = block_diagonal(blocks)
-            assert_same_csr(got, sparse.block_diag(blocks, format="csr"))
-            assert got.indices.dtype == got.indptr.dtype == np.int32
-
-    def test_result_is_read_only(self):
-        g = bidirected_triangle()
-        got = block_diagonal(normalize(whole_graph(g), SYM_GCN) * 2)
-        for arr in (got.data, got.indices, got.indptr):
-            with pytest.raises(ValueError, match="read-only"):
-                arr[...] = 0
-
-
 @st.composite
 def union_parts(draw):
     """One part of a union: a graph of 1 to 8 nodes, possibly with no arcs,
@@ -423,7 +390,8 @@ class TestUnion:
         ops = normalize(whole, mode)
         assert len(ops) == len(own[0].relations)
         for k, op in enumerate(ops):
-            assert_same_csr(op, block_diagonal([normalize(p, mode)[k] for p in own]))
+            blocks = [normalize(p, mode)[k] for p in own]
+            assert_same_csr(op, sparse.block_diag(blocks, format="csr"))
 
     def test_single_nodes_no_arcs_and_empty_relations(self):
         g = bidirected_triangle()
@@ -438,7 +406,8 @@ class TestUnion:
         assert [len(arcs) for arcs in whole.relations] == [2, 2, 7]
         for mode in (RAW, ROW_MEAN, SYM_GCN):
             for k, op in enumerate(normalize(whole, mode)):
-                assert_same_csr(op, block_diagonal([normalize(p, mode)[k] for p in own]))
+                blocks = [normalize(p, mode)[k] for p in own]
+                assert_same_csr(op, sparse.block_diag(blocks, format="csr"))
 
     def test_offsets_arcs_relations_and_keeps_each_part_s_scores(self):
         g = undirected_path()
@@ -611,7 +580,7 @@ class TestDarPairOfUnion:
         dags = dag_unions()[case]
         pairs = [dar_pair_from_dag(g) for g in dags]
         for op, blocks in zip(dar_pair_from_dag(disjoint_union(dags)), zip(*pairs), strict=True):
-            assert_same_csr(op, block_diagonal(blocks))
+            assert_same_csr(op, sparse.block_diag(blocks, format="csr"))
 
     @pytest.mark.parametrize("at", range(3))
     def test_raises_when_any_part_has_a_cycle(self, at):

@@ -9,7 +9,6 @@ from scipy import sparse
 from mrsplit import _pool, trainer
 from mrsplit import autodiff as ad
 from mrsplit.graph import graph_from_pairs
-from mrsplit.split import block_diagonal
 from mrsplit.trainer import (
     ModelConfig,
     TaskParams,
@@ -135,7 +134,7 @@ class TestCompileAndForward:
             variant_operators(g, variant, ordering, task.params.seed + idx, X)
             for idx, (g, X) in enumerate(zip(task.graphs, task.features))
         ]
-        want = [block_diagonal(ops) for ops in zip(*per_graph)]
+        want = [sparse.block_diag(ops, format="csr") for ops in zip(*per_graph)]
         got = compile_task(task, config).rel_ops
         assert len(got) == len(want)
         for op, ref in zip(got, want):

@@ -89,6 +89,21 @@ def test_repeated_variant_is_traced_once(monkeypatch):
     assert_traces_equal(repeated, once)
 
 
+def test_each_graph_is_ordered_once_for_every_split_variant(monkeypatch):
+    in_process(monkeypatch)
+    order, ordered = trajectories.order_by, []
+
+    def counting(name, g, *args):
+        ordered.append(g)
+        return order(name, g, *args)
+
+    monkeypatch.setattr(trajectories, "order_by", counting)
+    rod_trace(small_config(variants=("gcn", "sage")))
+    assert ordered == []
+    rod_trace(small_config(variants=DEFAULT_VARIANTS))
+    assert len(ordered) == 4 and len(set(map(id, ordered))) == 4
+
+
 def _oracle_trace_one(g, variant, config, rng):
     """One (graph, variant) trace, one variant at a time, with one glorot
     call per transform and rod / dirichlet_energy on single matrices; also
