@@ -25,26 +25,30 @@ from .split import (
     operator_for_graph,
     split_edges,
 )
-from .convolution import (
-    GatedGcnParams,
-    GatParams,
-    SageParams,
-    mrs_gat,
-    mrs_gatedgcn,
-    mrs_gcn,
-    mrs_gin,
-    mrs_linear_layer,
-    mrs_sage,
-)
-from .diagnostics import (
-    dirichlet_energy,
-    exact_rank_small,
-    in_degree_matrix,
-    numeric_rank,
-    rod,
-    structurally_independent,
-    verify_independence_theorem,
-    verify_rank_theorem,
-)
+
+# The operator layer imports scipy, so its exports load on first use: importing
+# mrsplit, or splitting a graph, needs numpy alone.
+_LAZY = {
+    "convolution": ("GatedGcnParams", "GatParams", "SageParams", "mrs_gat", "mrs_gatedgcn",
+                    "mrs_gcn", "mrs_gin", "mrs_linear_layer", "mrs_sage"),
+    "diagnostics": ("dirichlet_energy", "exact_rank_small", "in_degree_matrix", "numeric_rank",
+                    "rod", "structurally_independent", "verify_independence_theorem",
+                    "verify_rank_theorem"),
+}
+_HOME = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    """A lazy export, read from its home module on every access."""
+    from importlib import import_module
+
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_HOME[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})
+
 
 __version__ = "0.1.0"

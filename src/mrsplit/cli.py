@@ -3,6 +3,9 @@ deep stacks, verify the theorem suites, and run the training comparison.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or I/O error. All
 subcommands are deterministic given identical arguments and seed.
+
+split runs on numpy alone: rod-trace, verify and train import their modules,
+and scipy with them, when they run, so their forked workers inherit scipy.
 """
 
 from __future__ import annotations
@@ -15,12 +18,9 @@ import math
 import sys
 from typing import Optional
 
-from .diagnostics import run_full_suite
 from .graph import GraphError, load_edge_list
-from .ordering import ORDERINGS, PPR_ALPHA, PPR_ITERS, order_by
-from .split import split_edges, split_json
-from .trainer import ModelConfig, TaskParams, compare_base_vs_split, make_synthetic_task
-from .trajectories import DEFAULT_VARIANTS, TRACE_ORDERINGS, TraceConfig, rod_trace
+from .ordering import ORDERINGS, PPR_ALPHA, PPR_ITERS, TRACE_ORDERINGS, order_by
+from .split import DEFAULT_VARIANTS, split_edges, split_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -84,6 +84,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 
 def cmd_rod_trace(args: argparse.Namespace) -> int:
+    from .trajectories import TraceConfig, rod_trace
     config = TraceConfig(
         variants=tuple(args.variants.split(",")),
         num_graphs=args.graphs,
@@ -105,6 +106,7 @@ def cmd_rod_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .diagnostics import run_full_suite
     with _open_output(args.output) as fh:
         reports = run_full_suite(seed=args.seed, trials=args.trials)
         failed = [r for r in reports if not r.passed]
@@ -126,6 +128,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .trainer import ModelConfig, TaskParams, compare_base_vs_split, make_synthetic_task
     params = TaskParams(count=args.count, seed=args.seed)
     config = ModelConfig(
         variant=args.variant,

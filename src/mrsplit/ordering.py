@@ -18,6 +18,9 @@ _MASK64 = (1 << 64) - 1
 # The ordering methods order_by knows.
 ORDERINGS = ("random", "features", "ppr", "degree")
 
+# The orderings a trace accepts.
+TRACE_ORDERINGS = ("degree", "random")
+
 # The restart probability and step count of order_ppr.
 PPR_ALPHA = 0.1
 PPR_ITERS = 15

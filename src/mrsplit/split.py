@@ -15,13 +15,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy import sparse
 
 from .graph import Graph, GraphError, in_degrees, is_dag, out_degrees, reverse
 from .ordering import OrderingScores
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 RAW = "raw"
 SYM_GCN = "sym_gcn"
@@ -49,6 +51,9 @@ VARIANTS = {
     "sage": Variant(ROW_MEAN, split=False, self_term=True),
     "mrs_sage": Variant(ROW_MEAN, split=True, self_term=True),
 }
+
+# The variants a trace runs by default; a name added to VARIANTS does not join.
+DEFAULT_VARIANTS = ("gcn", "mrs_gcn", "sage", "mrs_sage")
 
 
 @dataclass(frozen=True)
@@ -142,6 +147,7 @@ def normalize(mrg: MultiRelGraph, mode: str) -> tuple[sparse.csr_matrix, ...]:
     """
     ops = mrg._operators.get(mode)
     if ops is None:
+        from scipy import sparse  # here, so that splitting needs numpy alone
         b = mrg.base
         if mode == RAW:
             vals = b.w

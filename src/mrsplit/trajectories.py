@@ -22,15 +22,8 @@ from .diagnostics import (
 )
 from .ensembles import molecule_like_graph
 from .graph import Graph
-from .ordering import order_by
-from .split import VARIANTS, Variant
-
-
-# The variants a trace runs by default; a name added to VARIANTS does not join.
-DEFAULT_VARIANTS = ("gcn", "mrs_gcn", "sage", "mrs_sage")
-
-# The orderings a trace accepts.
-TRACE_ORDERINGS = ("degree", "random")
+from .ordering import TRACE_ORDERINGS, order_by
+from .split import DEFAULT_VARIANTS, VARIANTS, Variant
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrsplit import cli
+from mrsplit import cli, diagnostics, trainer, trajectories
 from mrsplit.cli import EXIT_OK, EXIT_USAGE, main
 from mrsplit.ordering import order_feature_sum
 
@@ -392,8 +392,12 @@ def test_unwritable_output_exits_before_the_work(argv, monkeypatch, tmp_path):
     def must_not_run(*args, **kwargs):
         raise AssertionError("ran before the output was opened")
 
-    for name in ("run_full_suite", "rod_trace", "compare_base_vs_split"):
-        monkeypatch.setattr(cli, name, must_not_run)
+    for module, name in (
+        (diagnostics, "run_full_suite"),
+        (trajectories, "rod_trace"),
+        (trainer, "compare_base_vs_split"),
+    ):
+        monkeypatch.setattr(module, name, must_not_run)
     path = str(tmp_path / "missing" / "out")
     code, out, err = _run([*argv, "--output", path])
     assert code == EXIT_USAGE
