@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import ctypes
 import os
-import pickle
 import signal
 import sys
 import threading
@@ -86,17 +85,31 @@ def _one_blas_thread() -> list[tuple[Callable[[int], None], int]]:
     return restore
 
 
-def _call(fn: bytes, item: bytes):
-    """fn(item), both pickled."""
-    return pickle.loads(fn)(pickle.loads(item))
+# The (fn, items) of the map a worker was forked for; set in workers only.
+_work: tuple = ()
+
+
+def _start_worker(parent: int, fn: Callable, items: list) -> None:
+    """Pool initializer: die with the parent, and keep the fn and items the
+    worker inherited when it was forked."""
+    global _work
+    _die_with_parent(parent)
+    _work = fn, items
+
+
+def _run(i: int):
+    """fn(items[i]) of the map this worker was forked for."""
+    fn, items = _work
+    return fn(items[i])
 
 
 def _fork_map(fn: Callable, items: Iterable) -> list:
     """[fn(x) for x in items], in item order, with every mapped OpenBLAS on
     one thread until the map ends, on one forked worker per usable CPU, at
     most one per item. Items go to the workers in the order given, so list
-    the longest first. fn and the items are pickled before any worker
-    starts, so work that cannot reach a worker fails at once.
+    the longest first. The workers are forked with fn and the items in
+    memory, so only an item's index goes to a worker and only its result
+    comes back pickled.
 
     Runs in process when fewer than two workers would run, off Linux, while
     another thread runs (a forked child has only the forking thread, so a
@@ -120,15 +133,14 @@ def _fork_map(fn: Callable, items: Iterable) -> list:
     try:
         if in_process:
             return [fn(x) for x in items]
-        fn_bytes, item_bytes = pickle.dumps(fn), [pickle.dumps(x) for x in items]
         pool = ProcessPoolExecutor(
             workers,
             mp_context=multiprocessing.get_context("fork"),
-            initializer=_die_with_parent,
-            initargs=(os.getpid(),),
+            initializer=_start_worker,
+            initargs=(os.getpid(), fn, items),
         )
         try:
-            futures = [pool.submit(_call, fn_bytes, x) for x in item_bytes]
+            futures = [pool.submit(_run, i) for i in range(len(items))]
             return [future.result() for future in futures]
         finally:
             pool.shutdown(wait=True, cancel_futures=True)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import partial
 from itertools import groupby
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -617,24 +616,14 @@ def verify_independence_on_constructions(
     )
 
 
-# The number of reports run_full_suite returns.
-_FULL_SUITES = 6
-
-
 def run_full_suite(seed: int = 0, trials: int = 500) -> list[VerificationReport]:
     """All verification suites with a shared seed; trial counts scale with
     the requested budget, and any budget of at least one trial runs every
     suite at least once. The suites share no state, so they are split over
-    the usable CPUs."""
+    the usable CPUs; each suite function is looked up when its report is
+    made, so a wrapper bound over its name (a tracer's, say) is called."""
     if trials < 0:
         raise ValueError(f"trials must be non-negative, got {trials}")
-    return _fork_map(partial(_full_suite_report, seed, trials), range(_FULL_SUITES))
-
-
-def _full_suite_report(seed: int, trials: int, k: int) -> VerificationReport:
-    """Report k of run_full_suite. Only seed, trials and k cross to a
-    worker: a suite function would be pickled by its name, which fails once
-    a wrapper (a tracer's or a profiler's) holds that name."""
     small = max(1, trials // 5) if trials else 0
     suites = (
         lambda: verify_rank_theorem_random_splits(trials=trials, seed=seed),
@@ -644,4 +633,4 @@ def _full_suite_report(seed: int, trials: int, k: int) -> VerificationReport:
         lambda: verify_ergodic_rank_one(instances=20 if trials else 0, seed=seed),
         lambda: verify_dar_independent_pairs(trials=small, seed=seed),
     )
-    return suites[k]()
+    return _fork_map(lambda suite: suite(), suites)

@@ -170,26 +170,15 @@ class ModelParams:
         return out
 
 
-def init_model(
-    config: ModelConfig, feat_dim: int, tied: bool = False
-) -> ModelParams:
-    """Glorot-uniform initialization; with tied=True all per-relation
-    transforms of a layer share one matrix, making a split model numerically
-    identical to its base counterpart."""
+def init_model(config: ModelConfig, feat_dim: int) -> ModelParams:
+    """Glorot-uniform initialization."""
     rng = np.random.default_rng(config.seed)
     spec = VARIANTS[config.variant]
-    num_rel = spec.relations
     d = config.width
     embed = ad.parameter(glorot(rng, feat_dim, d))
     layer_rel, layer_self = [], []
     for _ in range(config.layers):
-        if tied and num_rel > 1:
-            w = glorot(rng, d, d)
-            layer_rel.append([ad.parameter(w.copy()) for _ in range(num_rel)])
-        else:
-            layer_rel.append(
-                [ad.parameter(glorot(rng, d, d)) for _ in range(num_rel)]
-            )
+        layer_rel.append([ad.parameter(glorot(rng, d, d)) for _ in range(spec.relations)])
         layer_self.append(ad.parameter(glorot(rng, d, d)) if spec.self_term else None)
     head_dim = d * config.layers if config.jk == "cat" else d
     head = ad.parameter(glorot(rng, head_dim, 1))
@@ -268,7 +257,9 @@ def compare_base_vs_split(
     one (base, split) pair of results per model seed, in seed order.
 
     The runs share nothing, so they are split over the usable CPUs, every
-    split run (about twice as long as a base run) before every base run."""
+    split run (about twice as long as a base run) before every base run.
+    train is looked up by name each time this runs, so a wrapper bound over
+    that name (a tracer's, say) is the one the workers call."""
     if not seeds:
         raise ValueError("need at least one model seed")
     base = config.variant.removeprefix("mrs_")
@@ -277,12 +268,5 @@ def compare_base_vs_split(
         for variant in ("mrs_" + base, base)
         for seed in seeds
     ]
-    results = _fork_map(partial(_train, task), configs)
+    results = _fork_map(partial(train, task), configs)
     return list(zip(results[len(seeds):], results[: len(seeds)]))
-
-
-def _train(task: SyntheticTask, config: ModelConfig) -> TrainResult:
-    """train(task, config), looked up when called: a function sent to a
-    worker by pickle is found by its name, which fails once a wrapper (a
-    tracer's or a profiler's) holds that name."""
-    return train(task, config)

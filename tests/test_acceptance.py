@@ -34,6 +34,7 @@ from mrsplit.trainer import (
     make_synthetic_task,
 )
 from mrsplit.trajectories import TraceConfig, rod_trace
+from test_trainer import tied_split_init
 
 
 def report(capsys, number, label, ok):
@@ -204,7 +205,7 @@ class TestCriterion8:
             base_cfg,
         )
         mrs_out = forward(
-            init_model(mrs_cfg, task.params.buckets, tied=True),
+            tied_split_init(base_cfg, task.params.buckets),
             compile_task(task, mrs_cfg),
             mrs_cfg,
         )

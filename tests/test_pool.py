@@ -2,7 +2,6 @@
 workers: the same bytes at any worker count, errors that reach the caller,
 and no worker left behind."""
 
-import concurrent.futures
 import ctypes
 import multiprocessing
 import os
@@ -96,8 +95,8 @@ def test_full_suite_same_reports_at_one_and_two_workers(seed, monkeypatch):
 
 @linux_only
 def test_full_suite_runs_with_a_wrapped_suite(monkeypatch):
-    # A local wrapper cannot be pickled, so no suite may cross to a worker
-    # as a function object.
+    # Each suite is looked up by name when its report is made, so a
+    # wrapper bound over that name runs on the workers too.
     with_workers(monkeypatch, 1)
     alone = [report.to_dict() for report in run_full_suite(0, 10)]
     real = diagnostics.verify_zero_convergence
@@ -129,19 +128,46 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("local", ["fn", "item"])
-def test_unpicklable_work_fails_before_any_worker_starts(monkeypatch, local):
-    def square(x):
-        return x * x
+class _Unpicklable:
+    """An item that refuses to be pickled."""
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker pool started")
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        raise TypeError("this item cannot be pickled")
+
+
+def pid_and_value(item):
+    return os.getpid(), item.value
+
+
+@linux_only
+@pytest.mark.parametrize("local", ["fn", "item"])
+def test_local_work_runs_on_workers(monkeypatch, local):
+    # Forked workers inherit fn and the items, so neither is pickled.
+    def pid_and_square(x):
+        return os.getpid(), x * x
+
+    if local == "fn":
+        fn, items, want = pid_and_square, [1, 2, 3], [1, 4, 9]
+    else:
+        fn, items, want = pid_and_value, [_Unpicklable(v) for v in (5, 6, 7)], [5, 6, 7]
+    with_workers(monkeypatch, 2)
+    got = _pool._fork_map(fn, items)
+    assert os.getpid() not in [pid for pid, _ in got]
+    assert [value for _, value in got] == want
+    assert multiprocessing.active_children() == []
+
+
+@linux_only
+def test_unpicklable_result_raises_in_the_caller(monkeypatch):
+    def make_lambda(x):
+        return lambda: x
 
     with_workers(monkeypatch, 2)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-    fn, items = (square, [1, 2]) if local == "fn" else (abs, [1, square])
     with pytest.raises((AttributeError, pickle.PicklingError), match="local object"):
-        _pool._fork_map(fn, items)
+        _pool._fork_map(make_lambda, [1, 2])
     assert multiprocessing.active_children() == []
 
 

@@ -9,6 +9,7 @@ from scipy import sparse
 from mrsplit import _pool, trainer
 from mrsplit import autodiff as ad
 from mrsplit.graph import graph_from_pairs
+from mrsplit.split import VARIANTS
 from mrsplit.trainer import (
     ModelConfig,
     TaskParams,
@@ -26,6 +27,20 @@ from test_autodiff import chained_relation_sum
 from test_split import assert_same_csr, variant_operators
 
 TINY_TASK = TaskParams(count=6, n_min=5, n_max=9, seed=0)
+
+
+def tied_split_init(base_cfg, feat_dim):
+    """Parameters for base_cfg's split counterpart with tied relation
+    transforms: init_model(base_cfg)'s tensors, each layer's one relation
+    transform copied into one per split relation. The split forward on
+    them equals the base forward."""
+    base = init_model(base_cfg, feat_dim)
+    relations = VARIANTS["mrs_" + base_cfg.variant].relations
+    layer_rel = [
+        [ad.parameter(w.value.copy()) for w in ws for _ in range(relations)]
+        for ws in base.layer_rel
+    ]
+    return replace(base, layer_rel=layer_rel)
 
 
 def tiny_config(**overrides):
@@ -200,7 +215,7 @@ class TestTiedReduction:
             base_cfg,
         )
         mrs_out = forward(
-            init_model(mrs_cfg, task.params.buckets, tied=True),
+            tied_split_init(base_cfg, task.params.buckets),
             compile_task(task, mrs_cfg),
             mrs_cfg,
         )
@@ -208,10 +223,11 @@ class TestTiedReduction:
 
     def test_tied_initial_losses_equal(self):
         task = make_synthetic_task(TINY_TASK)
-        base = train(task, tiny_config(variant="gcn", epochs=0))
+        base_cfg = tiny_config(variant="gcn", epochs=0)
+        base = train(task, base_cfg)
         mrs_cfg = tiny_config(variant="mrs_gcn", epochs=0)
         compiled = compile_task(task, mrs_cfg)
-        tied = forward(init_model(mrs_cfg, task.params.buckets, tied=True), compiled, mrs_cfg)
+        tied = forward(tied_split_init(base_cfg, task.params.buckets), compiled, mrs_cfg)
         mrs_loss = float(ad.mae_loss(tied, compiled.targets).value)
         assert mrs_loss == pytest.approx(base.trace[0], abs=1e-10)
 
