@@ -240,15 +240,21 @@ _Build = Callable[[list[_Unit]], list[sparse.csr_matrix]]
 _Step = Callable[[list[_Unit], list[sparse.csr_matrix]], Sequence]
 
 
+def _block_diagonals(parts: Sequence[Sequence[sparse.csr_matrix]]) -> list[sparse.csr_matrix]:
+    """Per operator slot of the parts, the read-only block-diagonal CSR
+    operator of their operators, where a part with fewer slots than the most
+    has an empty block; a lone part's operators as they are."""
+    if len(parts) == 1:
+        return list(parts[0])
+    slots = max(map(len, parts))
+    padded = [[*ops, *[sparse.csr_matrix(ops[0].shape)] * (slots - len(ops))] for ops in parts]
+    return [read_only_operator(sparse.block_diag(ops, format="csr")) for ops in zip(*padded)]
+
+
 def _glued(chunk: list[_Unit]) -> list[sparse.csr_matrix]:
     """Per operator slot of the chunk's units, the read-only block-diagonal
     CSR operator of their operators; a lone unit's operators as they are."""
-    if len(chunk) == 1:
-        return list(chunk[0].slots)
-    return [
-        read_only_operator(sparse.block_diag(ops, format="csr"))
-        for ops in zip(*(u.slots for u in chunk))
-    ]
+    return _block_diagonals([u.slots for u in chunk])
 
 
 def _normalized(mode: str) -> _Build:

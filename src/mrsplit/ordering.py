@@ -19,7 +19,7 @@ _MASK64 = (1 << 64) - 1
 ORDERINGS = ("random", "features", "ppr", "degree")
 
 # The orderings a trace accepts.
-TRACE_ORDERINGS = ("degree", "random")
+TRACE_ORDERINGS = ("degree", "random", "ppr")
 
 # The restart probability and step count of order_ppr.
 PPR_ALPHA = 0.1

@@ -11,19 +11,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import groupby
 
 import numpy as np
 
 from ._pool import _fork_map
 from .convolution import glorot, relation_sum, relu
 from .diagnostics import (
-    _BLOCK_ROWS, _Unit, _groups, _normalized, _run_units, _states, _unit_states,
-    dirichlet_energy, rod,
+    _BLOCK_ROWS, _Unit, _block_diagonals, _groups, _normalized, _run_units, _states,
+    _unit_states, dirichlet_energy, rod,
 )
 from .ensembles import molecule_like_graph
 from .graph import Graph
 from .ordering import TRACE_ORDERINGS, order_by
-from .split import DEFAULT_VARIANTS, VARIANTS, Variant
+from .split import DEFAULT_VARIANTS, VARIANTS
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,10 @@ def rod_trace(config: TraceConfig) -> dict[str, dict[str, np.ndarray]]:
     and its layer transforms from its own generator, seeded by (seed, graph
     index, variant name), so the pairs can step in any grouping and in any
     process: the graphs are grouped by node count, the groups are split
-    over the usable CPUs, and each group's pairs step in block systems,
-    relu after every layer. A state that reaches exact zero reports 0 for
-    every remaining layer. Means add the graphs in graph order.
+    over the usable CPUs, and each group's pairs of every variant step
+    together in block systems, relu after every layer. A state that
+    reaches exact zero reports 0 for every remaining layer. Means add the
+    graphs in graph order.
     """
     master = np.random.default_rng(config.seed)
     graphs = [
@@ -97,28 +99,56 @@ def _trace_group(
 ) -> np.ndarray:
     """(variant, graph, metric, layer) array of the ROD and the Dirichlet
     energy of each (graph, variant) pair of a group of (graph index, graph)
-    pairs. The runner steps one variant's pairs at a time, so each chunk is
-    one union of graphs under one variant."""
+    pairs of one node count.
+
+    The runner steps the pairs of every variant together, so a chunk holds a
+    run of pairs of each of one or more variants. Slot k of its block system is
+    the block diagonal of each run's relation-k operator, an empty block for
+    a one-relation variant, and its self slot is zero for a variant without
+    a self term. An empty block adds exact +0.0 rows and a zero transform
+    adds +0.0 or -0.0, which can change only the sign of a zero, and relu
+    maps -0.0 to +0.0; so each state is bit-identical to its pair's own.
+    """
     d, layers = config.dim, config.layers
+    units = [(name, gi, g) for name in names for gi, g in group]
     # Each graph is ordered once, for every split variant.
     ordered = {}
     if any(VARIANTS[name].split for name in names):
         ordered = {gi: order_by(config.ordering, g, config.seed) for gi, g in group}
 
-    def draw(name: str, unit: tuple[int, Graph]):
-        gi, g = unit
+    def draw(unit: tuple[str, int, Graph]):
+        name, gi, g = unit
         rng = np.random.default_rng([config.seed, gi, sum(name.encode())])
         scores = ordered[gi] if VARIANTS[name].split else None
         return rng, [(g, scores, k) for k in range(VARIANTS[name].relations)]
 
-    def step(spec: Variant, chunk: list[_Unit], blocks: list) -> np.ndarray:
+    def build(chunk: list[_Unit]) -> list:
+        # Each variant's run is one union under its mode, glued slot by slot.
+        return _block_diagonals([
+            _normalized(VARIANTS[name].mode)(list(run))
+            for name, run in groupby(chunk, lambda u: units[u.t][0])
+        ])
+
+    def step(chunk: list[_Unit], blocks: list) -> np.ndarray:
+        specs = [VARIANTS[units[u.t][0]] for u in chunk]
+        slots = len(blocks) + any(spec.self_term for spec in specs)
+        weights = np.zeros((slots, len(chunk), d, d))
+        self_weight = weights[-1] if slots > len(blocks) else None
+        # Per pair, its rows of the (slot, pair) transforms flattened, in the
+        # order of its one draw: its relations', then its self transform's.
+        rows = [
+            [k * len(chunk) + b for k in range(spec.relations)]
+            + [(slots - 1) * len(chunk) + b] * spec.self_term
+            for b, spec in enumerate(specs)
+        ]
+        flat = weights.reshape(-1, d, d)
         states = _states(chunk, d)
-        weights = np.zeros((len(blocks) + spec.self_term, len(chunk), d, d))
-        self_weight = weights[-1] if spec.self_term else None
         live = np.ones(len(chunk), dtype=bool)
         out = np.zeros((len(chunk), 2, layers))
+        # The Dirichlet energies of each graph's pairs are measured together.
+        by_graph = _groups(range(len(chunk)), lambda b: units[chunk[b].t][1])
         # The states of several layers, up to _BLOCK_ROWS rows, are measured
-        # by one rod call and one dirichlet_energy call per pair.
+        # by one rod call and one dirichlet_energy call per graph.
         span = max(1, _BLOCK_ROWS // (len(chunk) * chunk[0].n))
         for start in range(0, layers, span):
             kept = []
@@ -126,10 +156,11 @@ def _trace_group(
                 if not live.any():
                     break
                 # A collapsed pair draws no more; its zero rows stay zero
-                # under the transforms it drew last. One draw gives the
-                # relations' transforms, then the self transform.
-                for b in np.flatnonzero(live):
-                    weights[:, b] = glorot(chunk[b].rng, d, d, len(weights))
+                # under the transforms it drew last.
+                alive = np.flatnonzero(live)
+                flat[np.concatenate([rows[b] for b in alive])] = np.concatenate(
+                    [glorot(chunk[b].rng, d, d, len(rows[b])) for b in alive]
+                )
                 X = relu(relation_sum(states, blocks, weights[: len(blocks)], self_weight))
                 states, live = _unit_states(X)
                 kept.append((states, live))
@@ -139,10 +170,9 @@ def _trace_group(
             S, L = (np.stack(each, axis=1) for each in zip(*kept))
             measured = out[:, :, start : start + len(kept)]
             measured[:, 0][L] = rod(S[L])
-            measured[:, 1] = [dirichlet_energy(x, u.slots[0][0]) for x, u in zip(S, chunk)]
+            for members in by_graph:
+                measured[members, 1] = dirichlet_energy(S[members], chunk[members[0]].slots[0][0])
         return out
 
-    return np.array([
-        list(_run_units(group, partial(draw, name), _normalized(spec.mode), partial(step, spec)))
-        for name, spec in zip(names, map(VARIANTS.get, names))
-    ])
+    traced = np.array(list(_run_units(units, draw, build, step)))
+    return traced.reshape(len(names), len(group), 2, layers)

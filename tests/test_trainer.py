@@ -341,8 +341,9 @@ class TestCompare:
             assert [r.diverged for r in got_runs] == [True, True, False, True, True, True]
 
     def test_runs_with_a_wrapped_train(self, monkeypatch):
-        # A local wrapper cannot be pickled, so train may not cross to a
-        # worker as a function object.
+        # train is looked up by name when the runs are mapped, so a wrapper
+        # bound over that name runs on the workers too; forked workers
+        # inherit it, and no function is pickled.
         task = make_synthetic_task(TINY_TASK)
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
         alone = compare_base_vs_split(task, tiny_config(), seeds=(0, 1))

@@ -48,8 +48,9 @@ def test_random_ordering_supported():
 
 
 def test_unknown_ordering_rejected():
+    # A trace draws no node features, so it cannot order by them.
     with pytest.raises(ValueError):
-        rod_trace(small_config(variants=("mrs_gcn",), ordering="ppr"))
+        rod_trace(small_config(variants=("mrs_gcn",), ordering="features"))
 
 
 @pytest.mark.parametrize(
@@ -77,7 +78,7 @@ def test_repeated_variant_is_traced_once(monkeypatch):
     run, traced = trajectories._run_units, []
 
     def counting(units, *args):
-        traced.extend(gi for gi, _ in units)
+        traced.extend(gi for _, gi, _ in units)
         return run(units, *args)
 
     monkeypatch.setattr(trajectories, "_run_units", counting)
@@ -182,6 +183,12 @@ MIXED_BLOCK = {
         {"num_graphs": 17, "variants": tuple(VARIANTS), "seed": 2},
         MIXED_BLOCK,
         {"variants": ("mrs_gcn", "sage", "mrs_gcn"), "ordering": "random", "seed": 7},
+        # A subset in non-default order, and with a repeated name by random
+        # order: a group's units follow the variants as named.
+        {"variants": ("mrs_sage", "gcn"), "num_graphs": 9, "seed": 8},
+        {"variants": ("mrs_sage", "gcn", "mrs_sage"), "ordering": "random", "num_graphs": 9},
+        {"variants": tuple(VARIANTS), "ordering": "ppr", "num_graphs": 9, "seed": 6},
+        {"variants": ("sage", "mrs_gcn"), "ordering": "ppr", "num_graphs": 5, "seed": 9},
     ],
 )
 def test_lockstep_trace_equals_per_variant_oracle(overrides):
@@ -210,6 +217,25 @@ def test_chunk_span_and_window_boundaries(monkeypatch, rows, window):
     for overrides in ({"num_graphs": 9, "variants": tuple(VARIANTS), "seed": 4}, MIXED_BLOCK):
         config = small_config(**overrides)
         assert_traces_equal(rod_trace(config), oracle_rod_trace(config)[0])
+
+
+def test_chunk_boundary_inside_a_variant_run(monkeypatch):
+    # Five 8-node graphs under four variants are 20 units of one node count.
+    # At 24 rows a chunk holds three units, so chunks split a variant's run
+    # and join the end of one run to the start of the next.
+    in_process(monkeypatch)
+    monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", 24)
+    monkeypatch.setattr(trajectories, "_BLOCK_ROWS", 24)
+    glue, runs = trajectories._block_diagonals, []
+
+    def counting(parts):
+        runs.append(len(parts))
+        return glue(parts)
+
+    monkeypatch.setattr(trajectories, "_block_diagonals", counting)
+    config = small_config(variants=tuple(VARIANTS), num_graphs=5, n_min=8, n_max=8, seed=2)
+    assert_traces_equal(rod_trace(config), oracle_rod_trace(config)[0])
+    assert runs == [1, 2, 1, 2, 1, 1, 1]
 
 
 def test_mixed_block_holds_collapsed_and_live_states():
