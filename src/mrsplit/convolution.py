@@ -181,38 +181,6 @@ def _aggregate(mat: sparse.csr_matrix, Y: np.ndarray) -> np.ndarray:
     return (mat @ Y.reshape(-1, Y.shape[-1])).reshape(Y.shape)
 
 
-# The operators of relation_sum's last call on a stack, if each is
-# _fixed_canonical, and their block diagonal once a second call brings them.
-_last_stack: tuple[tuple, Optional[sparse.csr_matrix]] = ((), None)
-
-
-def _fixed_canonical(mat) -> bool:
-    """Whether mat is a CSR matrix whose arrays are read-only, so it cannot
-    change between calls, with sorted indices and no duplicates, so its
-    block diagonal holds each row's entries in mat's order."""
-    return (
-        sparse.issparse(mat)
-        and mat.format == "csr"
-        and not any(arr.flags.writeable for arr in (mat.data, mat.indices, mat.indptr))
-        and mat.has_canonical_format
-    )
-
-
-def _block_diagonal(mats: Sequence[sparse.csr_matrix]) -> Optional[sparse.csr_matrix]:
-    """The block diagonal of mats once they come in a second call in a row,
-    as at every layer of a deep stack, so a one-off call builds none; None
-    before that, or unless each operator is _fixed_canonical."""
-    global _last_stack
-    ops, diag = _last_stack
-    if len(ops) != len(mats) or any(a is not b for a, b in zip(ops, mats)):
-        _last_stack = (tuple(mats), None) if all(map(_fixed_canonical, mats)) else ((), None)
-        return None
-    if diag is None:
-        diag = sparse.block_diag(mats, format="csr")
-        _last_stack = (ops, diag)
-    return diag
-
-
 def relation_sum(
     X: np.ndarray,
     mats: Sequence[sparse.csr_matrix],
@@ -227,24 +195,10 @@ def relation_sum(
     exactly as it steps each graph alone. Relations are added in order and
     the self term last; every numpy relation sum goes through here, so all
     callers round alike.
-
-    A stack that meets the same read-only CSR operators in canonical form
-    a second call in a row takes one product for every X W_k and one with
-    the block diagonal of the A_k, built at that call and kept while they
-    keep coming. Each of its rows sums the same entries in the same order
-    as its own A_k's row, so the bits are those of one product per
-    relation.
     """
-    diag = _block_diagonal(mats) if X.ndim > 2 and len(mats) > 1 else None
-    if diag is not None:
-        parts = _aggregate(diag, X @ np.asarray(weights))
-        pre = parts[0]
-        for part in parts[1:]:
-            pre = pre + part
-    else:
-        pre = _aggregate(mats[0], X @ weights[0])
-        for mat, w in zip(mats[1:], weights[1:]):
-            pre = pre + _aggregate(mat, X @ w)
+    pre = _aggregate(mats[0], X @ weights[0])
+    for mat, w in zip(mats[1:], weights[1:]):
+        pre = pre + _aggregate(mat, X @ w)
     if self_weight is not None:
         pre = pre + X @ self_weight
     return pre

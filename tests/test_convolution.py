@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
-from mrsplit import convolution
 from mrsplit.convolution import (
     ACTIVATIONS,
     GATE_EPS,
@@ -38,7 +37,6 @@ from mrsplit.split import (
     ROW_MEAN,
     normalize,
     operator_for_graph,
-    read_only_operator,
     split_edges,
     whole_graph,
 )
@@ -366,55 +364,22 @@ class TestStackedRelationSum:
 
     @pytest.mark.parametrize("split", [False, True])
     @pytest.mark.parametrize("with_self", [False, True])
-    @pytest.mark.parametrize("read_only", [False, True])
-    def test_stack_equals_separate_calls(self, monkeypatch, split, with_self, read_only):
-        # A second call on read-only split operators takes the one
-        # block-diagonal product.
-        monkeypatch.setattr(convolution, "_last_stack", ((), None))
+    def test_stack_equals_separate_calls(self, split, with_self):
         rng = np.random.default_rng(11)
         graphs = [random_undirected(rng, 9, 6) for _ in range(3)]
         mrgs = [split_edges(g, order_degree(g)) if split else whole_graph(g) for g in graphs]
         per_graph = [normalize(mrg, ROW_MEAN) for mrg in mrgs]
         blocks = [sparse.block_diag(ops, format="csr") for ops in zip(*per_graph)]
-        if read_only:
-            blocks = list(map(read_only_operator, blocks))
         X = rng.uniform(-1.0, 1.0, (3, 9, 5))
         weights = rng.uniform(-1.0, 1.0, (len(blocks), 3, 5, 4))
         self_weight = rng.uniform(-1.0, 1.0, (3, 5, 4)) if with_self else None
-        first = relation_sum(X, blocks, weights, self_weight)
-        assert convolution._last_stack[1] is None
         stacked = relation_sum(X, blocks, weights, self_weight)
-        assert (convolution._last_stack[1] is not None) == (split and read_only)
         assert stacked.shape == (3, 9, 4)
-        assert np.array_equal(stacked, first)
         for b, ops in enumerate(per_graph):
             alone = relation_sum(
                 X[b], ops, weights[:, b], None if self_weight is None else self_weight[b]
             )
             assert np.array_equal(stacked[b], alone)
-
-    def test_unsorted_operator_sums_in_its_own_order(self):
-        # The row's entries cancel only in their stored order, so a block
-        # diagonal that sorted them would change the result.
-        unsorted = read_only_operator(sparse.csr_matrix(
-            ([1.0, 1e16, -1e16], [2, 0, 1], [0, 3, 3, 3]), shape=(3, 3)
-        ))
-        ops = [unsorted, read_only_operator(sparse.eye_array(3, format="csr"))]
-        X = np.ones((1, 3, 1))
-        weights = np.ones((2, 1, 1, 1))
-        relation_sum(X, ops, weights)
-        got = relation_sum(X, ops, weights)
-        assert np.array_equal(got[0], unsorted @ X[0] + ops[1] @ X[0])
-        assert np.array_equal(got[0, :, 0], [1.0, 1.0, 1.0])
-        assert (unsorted.sorted_indices() @ X[0])[0, 0] == 1.0
-
-    def test_a_writable_operator_is_read_at_every_call(self):
-        ops = [sparse.eye_array(6, format="csr"), sparse.eye_array(6, format="csr")]
-        X = np.arange(6.0).reshape(2, 3, 1)
-        weights = np.ones((2, 2, 1, 1))
-        assert np.array_equal(relation_sum(X, ops, weights), 2 * X)
-        ops[1].data[:] = 3.0
-        assert np.array_equal(relation_sum(X, ops, weights), 4 * X)
 
 
 class TestMrsGcn:
