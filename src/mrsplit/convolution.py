@@ -62,6 +62,9 @@ ACTIVATIONS = {f.__name__: f for f in (identity, relu, leaky_relu, sigmoid)}
 # Added to the GatedGCN gate sum before dividing by it.
 GATE_EPS = 1e-6
 
+# About how many arcs of a relation GatedGCN gates at a time.
+_ARC_BLOCK = 1024
+
 # GCN: one d x d' transform per relation.
 GcnParams = tuple[np.ndarray, ...]
 # GIN: one (epsilon, W_hidden, W_out) triple per relation.
@@ -295,6 +298,21 @@ def mrs_gin(X: np.ndarray, mrg: MultiRelGraph, params: GinParams) -> np.ndarray:
     return total
 
 
+def _receiver_blocks(indptr: np.ndarray) -> list[tuple[int, int]]:
+    """Row ranges (lo, hi) that cover the rows of a CSR with row pointers
+    indptr, in order. Each range ends at the first row boundary at or past
+    _ARC_BLOCK arcs from its start, and a last range of fewer arcs joins
+    the one before it: a lone arc's one-row attribute product would take
+    another BLAS path, which rounds differently."""
+    n = len(indptr) - 1
+    cuts = [0]
+    while cuts[-1] < n:
+        cuts.append(min(int(np.searchsorted(indptr, indptr[cuts[-1]] + _ARC_BLOCK)), n))
+    if len(cuts) > 2 and indptr[n] - indptr[cuts[-2]] < _ARC_BLOCK:
+        del cuts[-2]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def mrs_gatedgcn(
     X: np.ndarray,
     edge_attrs: Optional[np.ndarray],
@@ -304,6 +322,11 @@ def mrs_gatedgcn(
     """Gated aggregation with per-relation message transforms (see
     GatedGcnParams). Row e of edge_attrs, shape (mrg.base.num_edges, d_e),
     is the attribute of base arc e; None gives every arc a zero attribute.
+
+    Each relation's gates and messages are built one block of whole
+    receivers at a time (see _receiver_blocks), so beyond the (n, d')
+    arrays the kernel holds about _ARC_BLOCK arcs' worth of them, however
+    many arcs there are.
     """
     ops = normalize(mrg, RAW)
     X = _checked_features(
@@ -322,24 +345,35 @@ def mrs_gatedgcn(
     num = np.zeros((b.n, recv.shape[1]))
     den = np.zeros((b.n, recv.shape[1]))
     for op, arcs, w in zip(ops, mrg.arcs_by_receiver, params.rel_weights):
-        # arcs is in the operator's order: by receiver, then by sender.
-        src, dst = b.src[arcs], b.dst[arcs]
-        gate = recv[dst] + send[src]
-        if edge_attrs is not None:
-            gate += edge_attrs[arcs] @ params.edge_weight
-        # sigmoid(gate) in place, the same operations in the same order.
-        np.negative(gate, out=gate)
-        np.exp(gate, out=gate)
-        gate += 1.0
-        np.divide(1.0, gate, out=gate)
-        # Arcs are stored by receiver, so the operator's row pointers make
-        # row i of this matrix sum the arcs that arrive at node i.
-        segment = sparse.csr_matrix(
-            (np.ones(len(src)), np.arange(len(src)), op.indptr),
-            shape=(b.n, len(src)),
-        )
-        msg = (X @ w)[src]
-        msg *= gate
-        num += segment @ msg
-        den += segment @ gate
-    return X @ params.self_weight + num / (den + GATE_EPS)
+        xw = X @ w
+        # arcs is in the operator's order: by receiver, then by sender. A
+        # block holds whole receivers, so each row sums its arcs from 0.0 in
+        # the same order as one product over the relation would.
+        for lo, hi in _receiver_blocks(op.indptr):
+            start, stop = op.indptr[lo], op.indptr[hi]
+            part = arcs[start:stop]
+            src, dst = b.src[part], b.dst[part]
+            gate = recv[dst]
+            gate += send[src]
+            if edge_attrs is not None:
+                gate += edge_attrs[part] @ params.edge_weight
+            # sigmoid(gate) in place, the same operations in the same order.
+            np.negative(gate, out=gate)
+            np.exp(gate, out=gate)
+            gate += 1.0
+            np.divide(1.0, gate, out=gate)
+            # Row i - lo of this matrix sums the block's arcs that arrive at i.
+            segment = sparse.csr_matrix(
+                (np.ones(len(part)), np.arange(len(part)), op.indptr[lo : hi + 1] - start),
+                shape=(hi - lo, len(part)),
+            )
+            msg = xw[src]
+            msg *= gate
+            num[lo:hi] += segment @ msg
+            den[lo:hi] += segment @ gate
+    # X @ self_weight + num / (den + GATE_EPS), in place.
+    den += GATE_EPS
+    num /= den
+    out = X @ params.self_weight
+    out += num
+    return out

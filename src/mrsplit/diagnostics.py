@@ -416,11 +416,27 @@ def _rank_checks(rows, target: Optional[int] = None) -> _Step:
     return step
 
 
+def _check_canonical(ops: Sequence[sparse.csr_matrix]) -> None:
+    """Raise ValueError unless every operator's rows hold sorted, distinct
+    column indices. A chunk of trials steps on scipy's block_diag of the
+    operators, which sorts each row, so only then does a trial sum its rows
+    in the same order in a chunk as alone."""
+    for k, op in enumerate(ops):
+        if not op.has_canonical_format:
+            raise ValueError(
+                f"operator {k} has unsorted or duplicate column indices in a row "
+                "(has_canonical_format is false); call its sum_duplicates(), which "
+                "also does what sort_indices() does, first"
+            )
+
+
 def verify_rank_theorem(
     ops: Sequence[sparse.csr_matrix], trials: int = 500, seed: int = 0
 ) -> VerificationReport:
     """Output rank of one split convolution is at least rank of the
-    weighted in-degree matrix, for rank-one inputs and generic transforms."""
+    weighted in-degree matrix, for rank-one inputs and generic transforms.
+    Every operator must be in canonical CSR format (see _check_canonical)."""
+    _check_canonical(ops)
     rank_e = numeric_rank(in_degree_matrix(ops))
     return _run_suite(
         "rank_lower_bound", trials, seed, lambda rng, t: ops, _rank_checks(slice(None), rank_e)
@@ -434,7 +450,9 @@ def verify_independence_theorem(
     seed: int = 0,
 ) -> VerificationReport:
     """Structurally independent node pairs yield linearly independent output
-    rows in every trial. Nothing is asserted for dependent pairs."""
+    rows in every trial. Nothing is asserted for dependent pairs. Every
+    operator must be in canonical CSR format (see _check_canonical)."""
+    _check_canonical(ops)
     E = in_degree_matrix(ops)
     i, j = pair
     n = E.shape[0]

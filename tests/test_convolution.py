@@ -1,12 +1,15 @@
 """Message-passing kernels: the activations, the linear layer, the five variants."""
 
+import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
+from mrsplit import convolution
 from mrsplit.convolution import (
     ACTIVATIONS,
     GATE_EPS,
@@ -753,3 +756,155 @@ class TestInPlaceKernelsEqualExpressions:
         got = mrs_gatedgcn(X, edge_attrs, mrg, params)
         want = gatedgcn_expression(X, edge_attrs, mrg, params)
         assert got.tobytes() == want.tobytes()
+
+
+def gatedgcn_whole_relation(X, edge_attrs, mrg, params):
+    """mrs_gatedgcn as it was before it stepped arc blocks: every relation's
+    gates and messages at once, summed by one product over the relation.
+    The oracle of the blocked kernel's bytes."""
+    ops = normalize(mrg, RAW)
+    b = mrg.base
+    recv, send = X @ params.recv_weight, X @ params.send_weight
+    num = np.zeros((b.n, recv.shape[1]))
+    den = np.zeros((b.n, recv.shape[1]))
+    for op, arcs, w in zip(ops, mrg.arcs_by_receiver, params.rel_weights):
+        src, dst = b.src[arcs], b.dst[arcs]
+        gate = recv[dst] + send[src]
+        if edge_attrs is not None:
+            gate += edge_attrs[arcs] @ params.edge_weight
+        np.negative(gate, out=gate)
+        np.exp(gate, out=gate)
+        gate += 1.0
+        np.divide(1.0, gate, out=gate)
+        segment = sparse.csr_matrix(
+            (np.ones(len(src)), np.arange(len(src)), op.indptr),
+            shape=(b.n, len(src)),
+        )
+        msg = (X @ w)[src]
+        msg *= gate
+        num += segment @ msg
+        den += segment @ gate
+    return X @ params.self_weight + num / (den + GATE_EPS)
+
+
+def connected_undirected(rng, n, edges):
+    """A connected undirected graph on n nodes with the given number of
+    distinct edges (2 * edges arcs): a random tree, then random pairs."""
+    tree = np.column_stack((rng.integers(0, np.arange(1, n)), np.arange(1, n)))
+    pairs = np.sort(np.concatenate((tree, rng.integers(0, n, (3 * edges, 2)))), axis=1)
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    _, first = np.unique(pairs[:, 0] * n + pairs[:, 1], return_index=True)
+    pairs = pairs[np.sort(first)[:edges]].tolist()
+    assert len(pairs) == edges
+    return graph_from_pairs(n, [(a, b) for a, b in pairs] + [(b, a) for a, b in pairs], undirected=True)
+
+
+def hub_split():
+    """A split whose node 0 receives 7 arcs in one relation, more than a
+    block of 2 or 3 arcs, between receivers of one and two arcs."""
+    arcs = [(i, 0) for i in range(1, 8)] + [(0, 8), (1, 8), (2, 9), (8, 10), (9, 10)]
+    g = graph_from_pairs(11, arcs)
+    mrg = split_edges(g, OrderingScores(tuple(map(float, range(11))), method="features"))
+    return g, mrg
+
+
+def one_arc_split():
+    """A split in which E2 holds one arc, and E1 several."""
+    g = graph_from_pairs(5, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 0)])
+    mrg = split_edges(g, OrderingScores(tuple(map(float, range(5))), method="features"))
+    return g, mrg
+
+
+BLOCK_CASES = {
+    "hub": hub_split,
+    "one_arc_relation": one_arc_split,
+    "all_equal": lambda: random_directed_split(40, "all_equal")[1:],
+    "ties": lambda: random_directed_split(41, "ties")[1:],
+}
+
+
+class TestGatedGcnArcBlocks:
+    """mrs_gatedgcn steps each relation's arcs in blocks of whole receivers;
+    its bytes equal those of one product over the relation."""
+
+    @pytest.mark.parametrize("block", [2, 3])
+    @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+    def test_small_blocks_equal_the_whole_relation(self, monkeypatch, case, block):
+        g, mrg = BLOCK_CASES[case]()
+        monkeypatch.setattr(convolution, "_ARC_BLOCK", block)
+        rng = np.random.default_rng(block)
+        X = rng.uniform(-1, 1, (g.n, 4))
+        params = gatedgcn_params(rng, 4, 3)
+        attrs = rng.uniform(-1, 1, (g.num_edges, 4))
+        for edge_attrs in (None, attrs):
+            got = mrs_gatedgcn(X, edge_attrs, mrg, params)
+            assert np.array_equal(got, gatedgcn_whole_relation(X, edge_attrs, mrg, params))
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases(), st.integers(2, 4))
+    def test_any_split_at_small_blocks(self, case, block):
+        rng, mrg, X, edge_attrs, _, d_out = case
+        params = gatedgcn_params(rng, X.shape[1], d_out)
+        with mock.patch.object(convolution, "_ARC_BLOCK", block):
+            got = mrs_gatedgcn(X, edge_attrs, mrg, params)
+        assert np.array_equal(got, gatedgcn_whole_relation(X, edge_attrs, mrg, params))
+
+    def test_cases_cover_what_they_name(self):
+        g, mrg = hub_split()
+        assert max(np.bincount(g.dst[arcs], minlength=1).max() for arcs in mrg.relations) == 7
+        assert sorted(map(len, one_arc_split()[1].relations)) == [0, 1, 4]
+        assert [len(r) for r in BLOCK_CASES["all_equal"]()[1].relations[:2]] == [0, 0]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_kernels_size_graph_at_the_default_block(self, seed):
+        # 2,000 nodes, 12,000 arcs, degree split, d = 32: E1 and E2 each
+        # span several blocks.
+        rng = np.random.default_rng(seed)
+        g = connected_undirected(rng, 2000, 6000)
+        mrg = split_edges(g, order_degree(g))
+        ops = normalize(mrg, RAW)
+        assert min(len(convolution._receiver_blocks(op.indptr)) for op in ops[:2]) >= 4
+        X = rng.uniform(-1, 1, (g.n, 32))
+        params = gatedgcn_params(rng, 32, 32)
+        attrs = rng.uniform(-1, 1, (g.num_edges, 32))
+        for edge_attrs in (None, attrs):
+            got = mrs_gatedgcn(X, edge_attrs, mrg, params)
+            assert np.array_equal(got, gatedgcn_whole_relation(X, edge_attrs, mrg, params))
+
+    @settings(max_examples=200)
+    @given(st.lists(st.integers(0, 6), max_size=12), st.integers(1, 5))
+    def test_block_rule(self, counts, block):
+        # Row pointers of rows with these arc counts. The blocks cover every
+        # row in order; each but the last ends at the first row boundary at
+        # or past `block` arcs, and the last holds `block` arcs or more
+        # unless it is the only one.
+        indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        with mock.patch.object(convolution, "_ARC_BLOCK", block):
+            got = convolution._receiver_blocks(indptr)
+        rows = [r for lo, hi in got for r in range(lo, hi)]
+        assert rows == list(range(len(counts)))
+        for lo, hi in got[:-1]:
+            assert indptr[hi] - indptr[lo] >= block > indptr[hi - 1] - indptr[lo]
+        if len(got) > 1:
+            lo, hi = got[-1]
+            assert indptr[hi] - indptr[lo] >= block
+
+    def test_memory_does_not_grow_with_the_arcs(self):
+        # 400 nodes and 24,000 arcs at d = 32, with edge attributes. Beyond
+        # a few (n, d) arrays, one call holds a few blocks' gates and
+        # messages; gating every arc at once took about 12 MB here.
+        rng = np.random.default_rng(7)
+        n, d = 400, 32
+        g = connected_undirected(rng, n, 12_000)
+        mrg = split_edges(g, order_degree(g))
+        X = rng.uniform(-1, 1, (n, d))
+        params = gatedgcn_params(rng, d, d)
+        attrs = rng.uniform(-1, 1, (g.num_edges, d))
+        mrs_gatedgcn(X, attrs, mrg, params)  # builds and caches the operators
+        tracemalloc.start()
+        try:
+            mrs_gatedgcn(X, attrs, mrg, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (8 * n * d + 10 * convolution._ARC_BLOCK * d) * 8

@@ -766,6 +766,42 @@ def chunk_of(*slots):
     return [diagnostics._Unit(t, np.random.default_rng(t), ops) for t, ops in enumerate(slots)]
 
 
+class TestNonCanonicalOperators:
+    """block_diag sorts each row of the operators it glues, so a chunk of
+    trials on an operator with unsorted rows would sum them in another
+    order than a lone trial: the theorem functions refuse such operators."""
+
+    def unsorted(self):
+        # Row 0 holds columns 0, 1 and 2, stored as (2, 0, 1).
+        op = sparse.csr_matrix(
+            (np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1]), np.array([0, 3, 3, 3])),
+            shape=(3, 3),
+        )
+        assert not op.has_canonical_format
+        return op
+
+    @pytest.mark.parametrize(
+        "call",
+        [lambda ops: verify_rank_theorem(ops, trials=4),
+         lambda ops: verify_independence_theorem(ops, (0, 1), trials=4)],
+        ids=["verify_rank_theorem", "verify_independence_theorem"],
+    )
+    def test_rejected_before_any_trial(self, monkeypatch, call):
+        monkeypatch.setattr(diagnostics, "_run_suite", None)  # a trial would call it
+        ops = [operator_for_graph(graph_from_pairs(3, [(0, 1)]), RAW), self.unsorted()]
+        with pytest.raises(ValueError, match=r"operator 1 .*sum_duplicates\(\).*sort_indices\(\)"):
+            call(ops)
+
+    def test_canonical_operator_runs_and_gives_the_oracle_report(self):
+        op = self.unsorted()
+        op.sum_duplicates()
+        assert op.has_canonical_format
+        assert (
+            verify_rank_theorem([op], trials=6, seed=2).to_dict()
+            == sequential_rank_theorem([op], 6, 2).to_dict()
+        )
+
+
 class TestGlued:
     """A chunk of two or more units steps on scipy's block-diagonal
     operators, and a lone unit on its own."""
