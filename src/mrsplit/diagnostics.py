@@ -21,16 +21,7 @@ from .convolution import identity, leaky_relu, relation_sum, relu
 from .ensembles import molecule_like_graph, random_connected_dag
 from .graph import Graph, disjoint_union, graph_from_pairs, longest_path_length
 from .ordering import OrderingScores, order_random
-from .split import (
-    RAW,
-    ROW_MEAN,
-    SYM_GCN,
-    dar_pair_from_dag,
-    normalize,
-    read_only_operator,
-    split_edges,
-    whole_graph,
-)
+from .split import RAW, ROW_MEAN, SYM_GCN, dar_pair_from_dag, read_only_operator, union_operators
 
 DEFAULT_RANK_TOL = 1e-8
 ROW_ZERO_TOL = 1e-12
@@ -204,7 +195,7 @@ class VerificationReport:
 _SIGMAS = (identity, leaky_relu)
 
 # Most state rows one block system holds. A group with more rows steps in
-# chunks, so a system over large operators never stacks many copies.
+# chunks.
 _BLOCK_ROWS = 4096
 # Most units whose instances are alive at once: the runner draws and steps
 # its units this many at a time.
@@ -214,30 +205,30 @@ _DRAW_WINDOW = 2048
 # not None marks a failed check.
 _Checks = list[tuple[float, Optional[str]]]
 
-# A unit's relation slot: an operator, or a (graph, scores, k) triple for
-# relation k of the graph split under its scores, or of the graph whole when
-# scores is None.
-_Slot = sparse.csr_matrix | tuple[Graph, Optional[OrderingScores], int]
+# A unit's source of relations: an operator, or a (graph, scores) pair whose
+# relations are those of the graph split under its scores, or the graph whole
+# when scores is None.
+_Source = sparse.csr_matrix | tuple[Graph, Optional[OrderingScores]]
 
 
 @dataclass
 class _Unit:
     """A drawn unit of _run_units: its index in unit order, its generator and
-    the relation slots of its instance."""
+    the relation sources of its instance."""
 
     t: int
     rng: np.random.Generator
-    slots: Sequence[_Slot]
+    sources: Sequence[_Source]
 
     @property
     def n(self) -> int:
-        first = self.slots[0]
+        first = self.sources[0]
         return first[0].n if isinstance(first, tuple) else first.shape[0]
 
 
 # The build and the step of _run_units.
-_Build = Callable[[list[_Unit]], list[sparse.csr_matrix]]
-_Step = Callable[[list[_Unit], list[sparse.csr_matrix]], Sequence]
+_Build = Callable[[list[_Unit]], Sequence[sparse.csr_matrix]]
+_Step = Callable[[list[_Unit], Sequence[sparse.csr_matrix]], Sequence]
 
 
 def _block_diagonals(parts: Sequence[Sequence[sparse.csr_matrix]]) -> list[sparse.csr_matrix]:
@@ -251,38 +242,16 @@ def _block_diagonals(parts: Sequence[Sequence[sparse.csr_matrix]]) -> list[spars
     return [read_only_operator(sparse.block_diag(ops, format="csr")) for ops in zip(*padded)]
 
 
-def _glued(chunk: list[_Unit]) -> list[sparse.csr_matrix]:
-    """Per operator slot of the chunk's units, the read-only block-diagonal
-    CSR operator of their operators; a lone unit's operators as they are."""
-    return _block_diagonals([u.slots for u in chunk])
-
-
 def _normalized(mode: str) -> _Build:
-    """Build that gives, per (graph, scores, k) slot of the chunk's units,
-    relation k of the disjoint union of their graphs, split under their
-    concatenated scores or whole, normalized in mode.
-
-    An arc's relation depends only on its endpoints' scores, and the mode
-    reads only per-node degrees, so that is the block system of the units'
-    own operators. Slots that name the same graphs and scores, such as a
-    split's relations, share one union, split and normalize.
-    """
+    """Build that gives, source by source of the chunk's units, every
+    relation of union_operators over the units' graphs and scores in mode:
+    the block system of the units' own operators."""
 
     def build(chunk: list[_Unit]) -> list[sparse.csr_matrix]:
-        built: dict[tuple, tuple[sparse.csr_matrix, ...]] = {}
         blocks = []
-        for slot in zip(*(u.slots for u in chunk)):
-            graphs, scores, ks = zip(*slot)
-            key = tuple(map(id, graphs + scores))
-            if key not in built:
-                g = disjoint_union(graphs)
-                if scores[0] is None:
-                    mrg = whole_graph(g)
-                else:
-                    joined = tuple(r for part in scores for r in part.scores)
-                    mrg = split_edges(g, OrderingScores(joined, scores[0].method))
-                built[key] = normalize(mrg, mode)
-            blocks.append(built[key][ks[0]])
+        for source in zip(*(u.sources for u in chunk)):
+            graphs, scores = zip(*source)
+            blocks.extend(union_operators(graphs, None if scores[0] is None else scores, mode))
         return blocks
 
     return build
@@ -295,7 +264,7 @@ def _groups(items: Iterable, key: Callable[[Any], int]) -> list[list]:
 
 def _run_units(
     units: Sequence,
-    draw: Callable[[Any], tuple[np.random.Generator, Sequence[_Slot]]],
+    draw: Callable[[Any], tuple[np.random.Generator, Sequence[_Source]]],
     build: _Build,
     step: _Step,
 ) -> Iterator:
@@ -303,11 +272,12 @@ def _run_units(
     systems.
 
     draw(unit) seeds the unit's own generator and gives it with the unit's
-    relation slots. The units of one node count then step as one block
+    relation sources. The units of one node count then step as one block
     system, at most _BLOCK_ROWS rows at a time: build(chunk) gives the
-    chunk's block-diagonal operators, and step(chunk, blocks) each unit's
-    result, drawing from each unit's generator in the unit's own order. Each
-    block steps as its unit would alone, so the grouping changes nothing.
+    chunk's operators, block-diagonal or shared by every unit, and
+    step(chunk, blocks) each unit's result, drawing from each unit's
+    generator in the unit's own order. Each unit steps as it would alone,
+    so the grouping changes nothing.
     Units are drawn and stepped _DRAW_WINDOW at a time, so memory does not
     grow with the unit count.
     """
@@ -327,19 +297,20 @@ def _run_suite(
     theorem: str,
     trials: int,
     seed: int,
-    draw: Callable[[np.random.Generator, int], Sequence[_Slot]],
+    draw: Callable[[np.random.Generator, int], Sequence[_Source]],
     step: _Step,
-    build: _Build = _glued,
+    build: _Build,
 ) -> VerificationReport:
     """The report of trials 0 to trials - 1, stepped by _run_units.
 
-    draw(rng, t) gives trial t's relation slots, drawing from its own
-    generator default_rng([seed, t]), and step gives each trial's checks.
+    draw(rng, t) gives trial t's relation sources, drawing from its own
+    generator default_rng([seed, t]), build each chunk's operators and step
+    each trial's checks.
     The checks are folded in trial order: min_margin is the smallest margin
     seen, 0.0 when no check ran, and the first ten failure notes are kept.
     """
 
-    def seeded(t: int) -> tuple[np.random.Generator, Sequence[_Slot]]:
+    def seeded(t: int) -> tuple[np.random.Generator, Sequence[_Source]]:
         rng = np.random.default_rng([seed, t])
         return rng, draw(rng, t)
 
@@ -385,11 +356,6 @@ def _in_degree_stack(group: list[_Unit], blocks: list[sparse.csr_matrix]) -> np.
     return in_degree_matrix(blocks).reshape(len(group), group[0].n, len(blocks))
 
 
-def _whole_slots(graphs: Sequence[Graph]) -> list[tuple[Graph, None, int]]:
-    """One relation slot per graph: the graph unsplit."""
-    return [(g, None, 0) for g in graphs]
-
-
 def _rank_checks(rows, target: Optional[int] = None) -> _Step:
     """Step that checks, per activation, the rank of the selected output rows
     of one split convolution of a random rank-one input against a target
@@ -416,31 +382,15 @@ def _rank_checks(rows, target: Optional[int] = None) -> _Step:
     return step
 
 
-def _check_canonical(ops: Sequence[sparse.csr_matrix]) -> None:
-    """Raise ValueError unless every operator's rows hold sorted, distinct
-    column indices. A chunk of trials steps on scipy's block_diag of the
-    operators, which sorts each row, so only then does a trial sum its rows
-    in the same order in a chunk as alone."""
-    for k, op in enumerate(ops):
-        if not op.has_canonical_format:
-            raise ValueError(
-                f"operator {k} has unsorted or duplicate column indices in a row "
-                "(has_canonical_format is false); call its sum_duplicates(), which "
-                "also does what sort_indices() does, first"
-            )
-
-
 def verify_rank_theorem(
     ops: Sequence[sparse.csr_matrix], trials: int = 500, seed: int = 0
 ) -> VerificationReport:
     """Output rank of one split convolution is at least rank of the
     weighted in-degree matrix, for rank-one inputs and generic transforms.
-    Every operator must be in canonical CSR format (see _check_canonical)."""
-    _check_canonical(ops)
-    rank_e = numeric_rank(in_degree_matrix(ops))
-    return _run_suite(
-        "rank_lower_bound", trials, seed, lambda rng, t: ops, _rank_checks(slice(None), rank_e)
-    )
+    Every chunk of trials steps on ops themselves, with no copy, so any CSR
+    gives what one trial at a time gives."""
+    step = _rank_checks(slice(None), numeric_rank(in_degree_matrix(ops)))
+    return _run_suite("rank_lower_bound", trials, seed, lambda rng, t: ops, step, lambda _: ops)
 
 
 def verify_independence_theorem(
@@ -450,9 +400,8 @@ def verify_independence_theorem(
     seed: int = 0,
 ) -> VerificationReport:
     """Structurally independent node pairs yield linearly independent output
-    rows in every trial. Nothing is asserted for dependent pairs. Every
-    operator must be in canonical CSR format (see _check_canonical)."""
-    _check_canonical(ops)
+    rows in every trial. Nothing is asserted for dependent pairs. As in
+    verify_rank_theorem, every chunk steps on ops themselves."""
     E = in_degree_matrix(ops)
     i, j = pair
     n = E.shape[0]
@@ -465,6 +414,7 @@ def verify_independence_theorem(
         seed,
         lambda rng, t: ops,
         _rank_checks([i, j], 2) if independent else lambda group, blocks: [[] for _ in group],
+        lambda _: ops,
     )
     if not independent:
         report.notes.append("pair is structurally dependent; no assertion made")
@@ -476,12 +426,12 @@ def verify_zero_convergence(trials: int = 100, seed: int = 0) -> VerificationRep
     to exactly zero after longest-path-length + 1 steps."""
 
     def draw(rng: np.random.Generator, t: int):
-        return _whole_slots([random_connected_dag(rng, int(rng.integers(5, 21)))])
+        return [(random_connected_dag(rng, int(rng.integers(5, 21))), None)]
 
     def step(group: list[_Unit], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         X = _states(group)
         weights = np.zeros((1, len(group), VERIFY_DIM, VERIFY_DIM))
-        depths = np.array([longest_path_length(tr.slots[0][0]) + 1 for tr in group])
+        depths = np.array([longest_path_length(tr.sources[0][0]) + 1 for tr in group])
         for it in range(depths.max()):
             # A trial past its depth draws no more and keeps its state.
             active = np.flatnonzero(it < depths)
@@ -511,10 +461,10 @@ def verify_dag_pair_rank(
     """
 
     def draw(rng: np.random.Generator, t: int):
-        return _whole_slots([random_connected_dag(rng, int(rng.integers(6, 25)))])
+        return [(random_connected_dag(rng, int(rng.integers(6, 25))), None)]
 
     def build(chunk: list[_Unit]) -> list[sparse.csr_matrix]:
-        return list(dar_pair_from_dag(disjoint_union([tr.slots[0][0] for tr in chunk])))
+        return list(dar_pair_from_dag(disjoint_union([tr.sources[0][0] for tr in chunk])))
 
     def step(group: list[_Unit], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         checks: list[_Checks] = [[] for _ in group]
@@ -564,7 +514,7 @@ def verify_ergodic_rank_one(instances: int = 20, seed: int = 0) -> VerificationR
         "ergodic_rank_one",
         instances,
         seed,
-        lambda rng, idx: _whole_slots(_ergodic_instance(idx)),
+        lambda rng, idx: [(g, None) for g in _ergodic_instance(idx)],
         step,
         _normalized(ROW_MEAN),
     )
@@ -579,11 +529,10 @@ def verify_dar_independent_pairs(
 
     def draw(rng: np.random.Generator, t: int):
         g = molecule_like_graph(rng, 8, 24)
-        scores = order_random(g.n, int(rng.integers(0, 2**63)))
-        return [(g, scores, 0), (g, scores, 1)]
+        return [(g, order_random(g.n, int(rng.integers(0, 2**63))))]
 
     def step(group: list[_Unit], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
-        found = _independent_pair_count(_in_degree_stack(group, blocks)).tolist()
+        found = _independent_pair_count(_in_degree_stack(group, blocks[:2])).tolist()
         return [
             [(k - 1, f"trial {tr.t}: no structurally independent pair" if k == 0 else None)]
             for tr, k in zip(group, found)
@@ -599,8 +548,7 @@ def verify_rank_theorem_random_splits(
 
     def draw(rng: np.random.Generator, t: int):
         g = molecule_like_graph(rng, 8, 30)
-        scores = order_random(g.n, int(rng.integers(0, 2**63)))
-        return [(g, scores, 0), (g, scores, 1), (g, scores, 2)]
+        return [(g, order_random(g.n, int(rng.integers(0, 2**63))))]
 
     step, build = _rank_checks(slice(None)), _normalized(SYM_GCN)
     return _run_suite("rank_lower_bound_random_splits", trials, seed, draw, step, build)
@@ -634,7 +582,7 @@ def verify_independence_on_constructions(
         "constructed_independent_pairs",
         trials,
         seed,
-        lambda rng, t: _whole_slots(_independent_pair_instance(rng)),
+        lambda rng, t: [(g, None) for g in _independent_pair_instance(rng)],
         _rank_checks([0, 1], 2),
         _normalized(RAW),
     )

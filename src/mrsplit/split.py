@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from .graph import Graph, GraphError, in_degrees, is_dag, out_degrees, reverse
+from .graph import Graph, GraphError, disjoint_union, in_degrees, is_dag, out_degrees, reverse
 from .ordering import OrderingScores
 
 if TYPE_CHECKING:
@@ -171,6 +171,23 @@ def normalize(mrg: MultiRelGraph, mode: str) -> tuple[sparse.csr_matrix, ...]:
             ops.append(read_only_operator(op))
         ops = mrg._operators[mode] = tuple(ops)
     return ops
+
+
+def union_operators(
+    graphs: Sequence[Graph], scores: Optional[Sequence[OrderingScores]], mode: str
+) -> tuple[sparse.csr_matrix, ...]:
+    """normalize(mrg, mode) of the disjoint union of graphs, split under the
+    parts' scores joined in order, or kept whole when scores is None.
+
+    An arc's relation depends only on its endpoints' scores, and the mode
+    reads only per-node degrees, so each operator is the block-diagonal
+    operator of the parts' own operators in that relation.
+    """
+    g = disjoint_union(graphs)
+    if scores is None:
+        return normalize(whole_graph(g), mode)
+    joined = tuple(r for part in scores for r in part.scores)
+    return normalize(split_edges(g, OrderingScores(joined, scores[0].method)), mode)
 
 
 def operator_for_graph(g: Graph, mode: str) -> sparse.csr_matrix:

@@ -19,9 +19,9 @@ from . import autodiff as ad
 from ._pool import _fork_map
 from .convolution import ACTIVATIONS, glorot
 from .ensembles import random_connected_graph
-from .graph import Graph, disjoint_union, in_degrees
-from .ordering import ORDERINGS, OrderingScores, order_by
-from .split import VARIANTS, normalize, read_only_operator, split_edges, whole_graph
+from .graph import Graph, in_degrees
+from .ordering import ORDERINGS, order_by
+from .split import VARIANTS, read_only_operator, union_operators
 
 
 @dataclass(frozen=True)
@@ -125,19 +125,14 @@ class CompiledTask:
 
 
 def compile_task(task: SyntheticTask, config: ModelConfig) -> CompiledTask:
-    # The operators of the graphs' disjoint union, split under each graph's
-    # own scores, are the block-diagonal ones of each graph's operators.
-    variant, g = VARIANTS[config.variant], disjoint_union(task.graphs)
+    # Each graph is split under its own scores, or kept whole.
+    variant, scores = VARIANTS[config.variant], None
     if variant.split:
-        scores = tuple(
-            r
-            for idx, (part, X) in enumerate(zip(task.graphs, task.features))
-            for r in order_by(config.ordering, part, task.params.seed + idx, X).scores
-        )
-        mrg = split_edges(g, OrderingScores(scores, config.ordering))
-    else:
-        mrg = whole_graph(g)
-    rel_ops = list(normalize(mrg, variant.mode))
+        scores = [
+            order_by(config.ordering, g, task.params.seed + idx, X)
+            for idx, (g, X) in enumerate(zip(task.graphs, task.features))
+        ]
+    rel_ops = list(union_operators(task.graphs, scores, variant.mode))
     sizes = np.array([g.n for g in task.graphs])
     rows = np.repeat(np.arange(len(sizes)), sizes)
     pool = sparse.csr_matrix(

@@ -120,7 +120,7 @@ def _trace_group(
         name, gi, g = unit
         rng = np.random.default_rng([config.seed, gi, sum(name.encode())])
         scores = ordered[gi] if VARIANTS[name].split else None
-        return rng, [(g, scores, k) for k in range(VARIANTS[name].relations)]
+        return rng, [(g, scores)]
 
     def build(chunk: list[_Unit]) -> list:
         # Each variant's run is one union under its mode, glued slot by slot.
@@ -171,7 +171,7 @@ def _trace_group(
             measured = out[:, :, start : start + len(kept)]
             measured[:, 0][L] = rod(S[L])
             for members in by_graph:
-                measured[members, 1] = dirichlet_energy(S[members], chunk[members[0]].slots[0][0])
+                measured[members, 1] = dirichlet_energy(S[members], chunk[members[0]].sources[0][0])
         return out
 
     traced = np.array(list(_run_units(units, draw, build, step)))

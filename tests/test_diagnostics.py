@@ -761,39 +761,45 @@ class TestGroupedRunnerEqualsSequentialOracle:
         assert "rank 0, min row 0.00e+00" in grouped.notes[0]
 
 
-def chunk_of(*slots):
-    """A chunk of units, one per tuple of relation operators."""
-    return [diagnostics._Unit(t, np.random.default_rng(t), ops) for t, ops in enumerate(slots)]
-
-
-class TestNonCanonicalOperators:
-    """block_diag sorts each row of the operators it glues, so a chunk of
-    trials on an operator with unsorted rows would sum them in another
-    order than a lone trial: the theorem functions refuse such operators."""
-
-    def unsorted(self):
-        # Row 0 holds columns 0, 1 and 2, stored as (2, 0, 1).
-        op = sparse.csr_matrix(
-            (np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1]), np.array([0, 3, 3, 3])),
-            shape=(3, 3),
-        )
-        assert not op.has_canonical_format
-        return op
-
-    @pytest.mark.parametrize(
-        "call",
-        [lambda ops: verify_rank_theorem(ops, trials=4),
-         lambda ops: verify_independence_theorem(ops, (0, 1), trials=4)],
-        ids=["verify_rank_theorem", "verify_independence_theorem"],
+def non_canonical_operators():
+    """Two 3 x 3 operators whose rows are not in scipy's canonical order:
+    row 0 of the first holds columns 0, 1 and 2 stored as (2, 0, 1), and
+    row 1 of the second holds column 2 twice."""
+    unsorted = sparse.csr_matrix(
+        (np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1]), np.array([0, 3, 3, 3])),
+        shape=(3, 3),
     )
-    def test_rejected_before_any_trial(self, monkeypatch, call):
-        monkeypatch.setattr(diagnostics, "_run_suite", None)  # a trial would call it
-        ops = [operator_for_graph(graph_from_pairs(3, [(0, 1)]), RAW), self.unsorted()]
-        with pytest.raises(ValueError, match=r"operator 1 .*sum_duplicates\(\).*sort_indices\(\)"):
-            call(ops)
+    duplicate = sparse.csr_matrix(
+        (np.array([0.5, 1.5, -2.0, 0.25]), np.array([1, 2, 2, 0]), np.array([0, 1, 3, 4])),
+        shape=(3, 3),
+    )
+    assert not unsorted.has_canonical_format and not duplicate.has_canonical_format
+    return [unsorted, duplicate]
+
+
+class TestOperatorSuites:
+    """verify_rank_theorem and verify_independence_theorem step every chunk
+    of trials on the caller's operators themselves, so any CSR, sorted or
+    not, gives the report of one trial at a time."""
+
+    @pytest.mark.parametrize("alone", [True, False], ids=["alone", "chunked"])
+    def test_non_canonical_operators_give_the_oracle_report(self, monkeypatch, alone):
+        # With the row bound at the node count, every trial is a chunk of one.
+        ops = non_canonical_operators()
+        if alone:
+            monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", ops[0].shape[0])
+        for seed in (0, 5):
+            assert (
+                verify_rank_theorem(ops, trials=30, seed=seed).to_dict()
+                == sequential_rank_theorem(ops, 30, seed).to_dict()
+            )
+            assert (
+                verify_independence_theorem(ops, (0, 1), trials=30, seed=seed).to_dict()
+                == sequential_independence_theorem(ops, (0, 1), 30, seed).to_dict()
+            )
 
     def test_canonical_operator_runs_and_gives_the_oracle_report(self):
-        op = self.unsorted()
+        op = non_canonical_operators()[0]
         op.sum_duplicates()
         assert op.has_canonical_format
         assert (
@@ -801,42 +807,15 @@ class TestNonCanonicalOperators:
             == sequential_rank_theorem([op], 6, 2).to_dict()
         )
 
-
-class TestGlued:
-    """A chunk of two or more units steps on scipy's block-diagonal
-    operators, and a lone unit on its own."""
-
-    def test_empty_blocks_and_the_all_empty_padding_slot(self):
-        g = undirected_path()
-        ops = normalize(split_edges(g, order_degree(g)), RAW)
-        # The path's ends tie, but no arc joins them: E3 holds no arc, so
-        # the third slot of the first chunk is empty in every unit.
-        assert ops[2].nnz == 0
-        empty = (sparse.csr_matrix((g.n, g.n)),) * 3
-        no_arcs = (operator_for_graph(graph_from_pairs(2, []), RAW),) * 3
-        chunks = (chunk_of(ops, empty, ops), chunk_of(empty, empty), chunk_of(no_arcs, ops, no_arcs))
-        for chunk in chunks:
-            got = diagnostics._glued(chunk)
-            assert len(got) == 3
-            for op, blocks in zip(got, zip(*(u.slots for u in chunk))):
-                assert_same_csr(op, sparse.block_diag(blocks, format="csr"))
-                assert op.indices.dtype == op.indptr.dtype == np.int32
-
-    def test_result_is_read_only(self):
-        ops = normalize(whole_graph(bidirected_triangle()), SYM_GCN)
-        for got in diagnostics._glued(chunk_of(ops, ops)):
-            for arr in (got.data, got.indices, got.indptr):
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[...] = 0
-
-    def test_lone_unit_steps_on_its_own_operators_and_gives_the_oracle_report(self, monkeypatch):
-        # With the row bound at the node count, every trial is a chunk of one.
+    @pytest.mark.parametrize("alone", [True, False], ids=["alone", "chunked"])
+    def test_every_chunk_steps_on_the_caller_s_operators(self, monkeypatch, alone):
         _, ops, pair = fixed_operator_cases()[3]
-        monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", ops[0].shape[0])
+        if alone:
+            monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", ops[0].shape[0])
         stepped = []
 
         def spy(X, blocks, *weights):
-            stepped.append(blocks)
+            stepped.append((len(X), blocks))
             return relation_sum(X, blocks, *weights)
 
         monkeypatch.setattr(diagnostics, "relation_sum", spy)
@@ -848,5 +827,36 @@ class TestGlued:
             verify_independence_theorem(ops, pair, trials=7, seed=1).to_dict()
             == sequential_independence_theorem(ops, pair, 7, 1).to_dict()
         )
-        assert len(stepped) == 14
-        assert all(got is op for blocks in stepped for got, op in zip(blocks, ops, strict=True))
+        # Alone, 14 chunks of one trial; chunked, one chunk of 7 per suite.
+        assert [k for k, _ in stepped] == ([1] * 14 if alone else [7, 7])
+        assert all(got is op for _, blocks in stepped for got, op in zip(blocks, ops, strict=True))
+
+
+class TestBlockDiagonals:
+    """Two or more parts glue into scipy's block-diagonal operators, a part
+    with fewer operators than the most padded with empty blocks, and a lone
+    part's operators are its own."""
+
+    def test_empty_blocks_and_the_all_empty_padding_slot(self):
+        g = undirected_path()
+        ops = normalize(split_edges(g, order_degree(g)), RAW)
+        # The path's ends tie, but no arc joins them: E3 holds no arc, so
+        # the third slot of the first chunk is empty in every part.
+        assert ops[2].nnz == 0
+        empty = (sparse.csr_matrix((g.n, g.n)),) * 3
+        no_arcs = (operator_for_graph(graph_from_pairs(2, []), RAW),) * 3
+        whole = normalize(whole_graph(g), RAW)
+        for parts in ([ops, empty, ops], [empty, empty], [no_arcs, ops, no_arcs], [ops, whole]):
+            got = diagnostics._block_diagonals(parts)
+            assert len(got) == 3
+            padded = [[*p, *[sparse.csr_matrix(p[0].shape)] * (3 - len(p))] for p in parts]
+            for op, blocks in zip(got, zip(*padded)):
+                assert_same_csr(op, sparse.block_diag(blocks, format="csr"))
+                assert op.indices.dtype == op.indptr.dtype == np.int32
+
+    def test_result_is_read_only(self):
+        ops = normalize(whole_graph(bidirected_triangle()), SYM_GCN)
+        for got in diagnostics._block_diagonals([ops, ops]):
+            for arr in (got.data, got.indices, got.indptr):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[...] = 0

@@ -37,6 +37,7 @@ from mrsplit.split import (
     split_edges,
     split_json,
     split_summary,
+    union_operators,
     whole_graph,
 )
 
@@ -386,8 +387,9 @@ class TestUnion:
     @given(st.data(), st.booleans(), st.sampled_from([RAW, ROW_MEAN, SYM_GCN]))
     def test_normalize_equals_block_diagonal_of_the_parts(self, data, split, mode):
         parts = data.draw(st.lists(union_parts(), min_size=1, max_size=4))
-        whole, own = union_relations(parts, split)
-        ops = normalize(whole, mode)
+        graphs, scores = zip(*parts)
+        ops = union_operators(graphs, scores if split else None, mode)
+        own = [split_edges(*p) if split else whole_graph(p[0]) for p in parts]
         assert len(ops) == len(own[0].relations)
         for k, op in enumerate(ops):
             blocks = [normalize(p, mode)[k] for p in own]
