@@ -25,10 +25,6 @@ from .split import DEFAULT_VARIANTS, split_edges, split_json
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
-# Characters per write of split's text: a text stream encodes each write
-# into a new bytes object, so one write of the whole text would hold a
-# second full copy of it.
-_SLICE = 1 << 20
 # glibc malloc parameters (malloc.h) and the values main sets them to.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 2 << 20
@@ -76,10 +72,9 @@ def cmd_split(args: argparse.Namespace) -> int:
         args.ordering, g, args.seed,
         ppr_alpha=args.ppr_alpha, ppr_iters=args.ppr_iters,
     )
-    text = split_json(split_edges(g, scores), args.seed)
+    pieces = split_json(split_edges(g, scores), args.seed)
     with _open_output(args.output) as fh:
-        for i in range(0, len(text), _SLICE):
-            fh.write(text[i : i + _SLICE])
+        fh.writelines(pieces)
     return EXIT_OK
 
 

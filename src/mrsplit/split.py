@@ -253,15 +253,16 @@ def _digit_table(n: int) -> np.ndarray:
     return digits.view(f"S{width}").ravel()
 
 
-def split_json(mrg: MultiRelGraph, seed: int) -> str:
-    """A split as the text of json.dumps(split_summary(mrg) | {"seed": seed},
-    indent=2, sort_keys=True) + "\n", built from the arc arrays.
+def split_json(mrg: MultiRelGraph, seed: int) -> list[str]:
+    """The pieces of the text of json.dumps(split_summary(mrg) | {"seed":
+    seed}, indent=2, sort_keys=True) + "\n", built from the arc arrays. No
+    piece holds more than one slice of arcs.
 
     Each relation's arcs are written over fixed slices: numpy fills one
     fixed-width byte record per arc from a table of every node index's
-    digits, and deleting the records' NUL padding gives the slice's text.
+    digits, and deleting the records' NUL padding gives the slice's piece.
     Each score is written by float.__repr__, as json writes floats. A
-    non-finite score has no strict JSON form: ValueError.
+    non-finite score has no strict JSON form: ValueError, before any piece.
     """
     if mrg.ordering is None:
         raise ValueError("split_json: the graph is not a split from split_edges")
@@ -301,4 +302,4 @@ def split_json(mrg: MultiRelGraph, seed: int) -> str:
         body = "[\n    " + ",\n    ".join(map(float.__repr__, scores)) + "\n  ]"
     parts.append(f'  "scores": {body},\n')
     parts.append(f'  "seed": {seed}\n}}\n')
-    return "".join(parts)
+    return parts

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mrsplit import cli, diagnostics, trainer, trajectories
+from mrsplit import cli, diagnostics, split, trainer, trajectories
 from mrsplit.cli import EXIT_OK, EXIT_USAGE, main
 from mrsplit.ordering import order_feature_sum
 
@@ -252,29 +253,53 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def test_split_text_is_written_in_slices(monkeypatch, tmp_path):
-    """With the slice far below the text length, split writes slices of at
-    most cli._SLICE characters, and they join into the golden bytes, on
-    stdout and in a file."""
+def test_split_writes_the_pieces_of_split_json(monkeypatch, tmp_path):
+    """split writes each piece split_json returns as it is, in order, with
+    no join and no slicing of its own, and the writes join into the golden
+    bytes, on stdout and in a file. Two arcs per slice give several arc
+    pieces."""
     golden = Path(__file__).with_name("golden")
     argv = ["split", "--input", str(golden / "graph.tsv"), "--undirected", "--ordering", "degree"]
     want = (golden / "split_degree.out").read_text()
-    monkeypatch.setattr(cli, "_SLICE", 7)
-    writes = []
+    monkeypatch.setattr(split, "_SLICE", 2)
+    returned, writes = [], []
 
-    class Recording(io.StringIO):
+    def recorded_split_json(mrg, seed):
+        returned.append(split.split_json(mrg, seed))
+        return returned[-1]
+
+    class Recording:
         def write(self, text):
-            writes.append(text)
+            writes[-1].append(text)
             return super().write(text)
 
-    out = Recording()
+    class RecordingStdout(Recording, io.StringIO):
+        pass
+
+    class RecordingFile(Recording, io.TextIOWrapper):
+        pass
+
+    def recorded_open(path, mode="r", **kwargs):
+        if mode != "w":
+            return open(path, mode, **kwargs)
+        return RecordingFile(open(path, "wb"), **kwargs)
+
+    monkeypatch.setattr(cli, "split_json", recorded_split_json)
+    monkeypatch.setattr(cli, "open", recorded_open, raising=False)
+    out = RecordingStdout()
+    writes.append([])
     with contextlib.redirect_stdout(out):
         assert main(argv) == EXIT_OK
-    assert out.getvalue() == want and len(want) > 7
-    assert len(writes) == -(-len(want) // 7) and max(map(len, writes)) == 7
+    assert out.getvalue() == want
     path = tmp_path / "split.json"
+    writes.append([])
     assert main([*argv, "--output", str(path)]) == EXIT_OK
     assert path.read_bytes() == want.encode()
+    assert len(returned) == len(writes) == 2
+    for pieces, written in zip(returned, writes):
+        assert isinstance(pieces, list) and written == pieces
+        assert all(map(operator.is_, written, pieces))
+        assert sum("[\n      " in piece for piece in pieces) > 3
 
 
 TINY_TRAIN = ["train", "--count", "2", "--layers", "1", "--dim", "2", "--epochs", "1"]

@@ -1,6 +1,7 @@
 """Edge-relation assignment and normalized relation operators."""
 
 import json
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -603,7 +604,7 @@ class TestDarPairOfUnion:
 class TestSplitSummary:
     def test_json_ready_payload(self):
         g = undirected_path()
-        payload = json.loads(split_json(split_edges(g, order_degree(g)), 0))
+        payload = json.loads("".join(split_json(split_edges(g, order_degree(g)), 0)))
         assert payload["E1"] == [[0, 1], [2, 1]]
         assert payload["E2"] == [[1, 0], [1, 2]]
         assert payload["E3"] == []
@@ -658,14 +659,18 @@ class TestSplitJson:
         mrg, seed = case
         oracle = split_summary(mrg) | {"seed": seed}
         with mock.patch.object(split, "_SLICE", arcs_per_slice):
-            text = split_json(mrg, seed)
+            pieces = split_json(mrg, seed)
+        text = "".join(pieces)
         assert text == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
         assert json.loads(text) == oracle
+        # Each arc's record opens with its own "    [\n      ".
+        assert max(piece.count("    [\n      ") for piece in pieces) <= arcs_per_slice
 
     @staticmethod
     def assert_matches_json_dumps(mrg, seed):
         oracle = split_summary(mrg) | {"seed": seed}
-        assert split_json(mrg, seed) == json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+        want = json.dumps(oracle, indent=2, sort_keys=True) + "\n"
+        assert "".join(split_json(mrg, seed)) == want
 
     @pytest.mark.parametrize("n", [0, 1, 10, 11, 101, 1001])
     def test_node_indices_at_digit_width_boundaries(self, n):
@@ -691,6 +696,30 @@ class TestSplitJson:
         mrg = split_edges(g, scores_of(range(n)))
         assert len(mrg.relations[0]) > split._SLICE
         self.assert_matches_json_dumps(mrg, 1)
+
+    def test_writing_the_pieces_holds_no_second_copy_of_the_text(self, tmp_path):
+        # About 120,000 arcs, split between E1 and E2. Joining the pieces,
+        # or copying the joined text, would take the peak past 2x.
+        rng = np.random.default_rng(7)
+        n, edges = 15_000, 60_000
+        src, dst = rng.integers(0, n, (2, 2 * edges))
+        keys = np.unique(np.minimum(src, dst) * n + np.maximum(src, dst))
+        keys = rng.permutation(keys[keys // n != keys % n])[:edges]
+        lo, hi = keys // n, keys % n
+        g = Graph(n=n, src=np.concatenate([lo, hi]), dst=np.concatenate([hi, lo]),
+                  w=np.ones(2 * edges), undirected=True)
+        mrg = split_edges(g, order_degree(g))
+        path = tmp_path / "split.json"
+        tracemalloc.start()
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.writelines(split_json(mrg, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        text = path.read_text()
+        assert text == json.dumps(split_summary(mrg) | {"seed": 5}, indent=2, sort_keys=True) + "\n"
+        assert g.num_edges == 2 * edges and peak < 2 * len(text)
 
     @pytest.mark.parametrize(
         "rows, node, shown",
