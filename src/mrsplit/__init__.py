@@ -32,8 +32,7 @@ _LAZY = {
     "convolution": ("GatedGcnParams", "GatParams", "SageParams", "mrs_gat", "mrs_gatedgcn",
                     "mrs_gcn", "mrs_gin", "mrs_linear_layer", "mrs_sage"),
     "diagnostics": ("dirichlet_energy", "exact_rank_small", "in_degree_matrix", "numeric_rank",
-                    "rod", "structurally_independent", "verify_independence_theorem",
-                    "verify_rank_theorem"),
+                    "rod", "structurally_independent"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -176,19 +176,11 @@ def _checked_features(
 
 
 def _aggregate(mat: sparse.csr_matrix, Y: np.ndarray) -> np.ndarray:
-    """mat applied to the rows of Y: a matrix; a stack flattened to rows,
-    for a block-diagonal mat; or each matrix of a (k, n, d) stack, for an
-    n x n mat, as one product over the matrices side by side. Each output
-    entry sums its row's stored entries in stored order from 0.0, so each
-    matrix's result is bit-identical to mat applied to it alone."""
+    """mat applied to the rows of Y, a matrix or a stack flattened to rows."""
     if Y.ndim == 2:
         # A reshaped result would be a view, which numpy cannot reuse as the
         # output of the next add, so a large matrix would pay a new buffer.
         return mat @ Y
-    if Y.ndim == 3 and len(Y) > 1 and mat.shape[1] == Y.shape[1]:
-        k, n, d = Y.shape
-        side_by_side = mat @ Y.transpose(1, 0, 2).reshape(n, k * d)
-        return side_by_side.reshape(n, k, d).transpose(1, 0, 2)
     return (mat @ Y.reshape(-1, Y.shape[-1])).reshape(Y.shape)
 
 
@@ -201,12 +193,11 @@ def relation_sum(
     """sum_k A_k (X W_k), plus X W_self when self_weight is given.
 
     X is one feature matrix (n, d) or a stack (..., n, d) whose transforms
-    are stacks (..., d, d') of their own. Each A_k applies to the stack's
-    rows flattened when it is block-diagonal over the stack's graphs, and
-    to each matrix of a (k, n, d) stack when it is n x n; either way each
-    matrix steps exactly as it would alone. Relations are added in order
-    and the self term last; every numpy relation sum goes through here, so
-    all callers round alike.
+    are stacks (..., d, d') of their own; each A_k then applies to the
+    stack's rows flattened, so a block-diagonal A_k steps a stack of graphs
+    exactly as it steps each graph alone. Relations are added in order and
+    the self term last; every numpy relation sum goes through here, so all
+    callers round alike.
     """
     pre = _aggregate(mats[0], X @ weights[0])
     for mat, w in zip(mats[1:], weights[1:]):

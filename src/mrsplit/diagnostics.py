@@ -205,10 +205,10 @@ _DRAW_WINDOW = 2048
 # not None marks a failed check.
 _Checks = list[tuple[float, Optional[str]]]
 
-# A unit's source of relations: an operator, or a (graph, scores) pair whose
-# relations are those of the graph split under its scores, or the graph whole
-# when scores is None.
-_Source = sparse.csr_matrix | tuple[Graph, Optional[OrderingScores]]
+# A unit's source of relations: a (graph, scores) pair whose relations are
+# those of the graph split under its scores, or the graph whole when scores
+# is None.
+_Source = tuple[Graph, Optional[OrderingScores]]
 
 
 @dataclass
@@ -222,8 +222,7 @@ class _Unit:
 
     @property
     def n(self) -> int:
-        first = self.sources[0]
-        return first[0].n if isinstance(first, tuple) else first.shape[0]
+        return self.sources[0][0].n
 
 
 # The build and the step of _run_units.
@@ -274,10 +273,9 @@ def _run_units(
     draw(unit) seeds the unit's own generator and gives it with the unit's
     relation sources. The units of one node count then step as one block
     system, at most _BLOCK_ROWS rows at a time: build(chunk) gives the
-    chunk's operators, block-diagonal or shared by every unit, and
-    step(chunk, blocks) each unit's result, drawing from each unit's
-    generator in the unit's own order. Each unit steps as it would alone,
-    so the grouping changes nothing.
+    chunk's block-diagonal operators and step(chunk, blocks) each unit's
+    result, drawing from each unit's generator in the unit's own order.
+    Each unit steps as it would alone, so the grouping changes nothing.
     Units are drawn and stepped _DRAW_WINDOW at a time, so memory does not
     grow with the unit count.
     """
@@ -380,45 +378,6 @@ def _rank_checks(rows, target: Optional[int] = None) -> _Step:
         return checks
 
     return step
-
-
-def verify_rank_theorem(
-    ops: Sequence[sparse.csr_matrix], trials: int = 500, seed: int = 0
-) -> VerificationReport:
-    """Output rank of one split convolution is at least rank of the
-    weighted in-degree matrix, for rank-one inputs and generic transforms.
-    Every chunk of trials steps on ops themselves, with no copy, so any CSR
-    gives what one trial at a time gives."""
-    step = _rank_checks(slice(None), numeric_rank(in_degree_matrix(ops)))
-    return _run_suite("rank_lower_bound", trials, seed, lambda rng, t: ops, step, lambda _: ops)
-
-
-def verify_independence_theorem(
-    ops: Sequence[sparse.csr_matrix],
-    pair: tuple[int, int],
-    trials: int = 500,
-    seed: int = 0,
-) -> VerificationReport:
-    """Structurally independent node pairs yield linearly independent output
-    rows in every trial. Nothing is asserted for dependent pairs. As in
-    verify_rank_theorem, every chunk steps on ops themselves."""
-    E = in_degree_matrix(ops)
-    i, j = pair
-    n = E.shape[0]
-    if not (0 <= i < n and 0 <= j < n):
-        raise IndexError(f"pair {pair} out of range for n={n}")
-    independent = structurally_independent(E[i], E[j])
-    report = _run_suite(
-        "independent_pair_rows",
-        trials,
-        seed,
-        lambda rng, t: ops,
-        _rank_checks([i, j], 2) if independent else lambda group, blocks: [[] for _ in group],
-        lambda _: ops,
-    )
-    if not independent:
-        report.notes.append("pair is structurally dependent; no assertion made")
-    return report
 
 
 def verify_zero_convergence(trials: int = 100, seed: int = 0) -> VerificationReport:

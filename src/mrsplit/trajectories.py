@@ -15,10 +15,11 @@ from itertools import groupby
 
 import numpy as np
 
+from . import diagnostics
 from ._pool import _fork_map
 from .convolution import glorot, relation_sum, relu
 from .diagnostics import (
-    _BLOCK_ROWS, _Unit, _block_diagonals, _groups, _normalized, _run_units, _states,
+    _Unit, _block_diagonals, _groups, _normalized, _run_units, _states,
     _unit_states, dirichlet_energy, rod,
 )
 from .ensembles import molecule_like_graph
@@ -149,7 +150,7 @@ def _trace_group(
         by_graph = _groups(range(len(chunk)), lambda b: units[chunk[b].t][1])
         # The states of several layers, up to _BLOCK_ROWS rows, are measured
         # by one rod call and one dirichlet_energy call per graph.
-        span = max(1, _BLOCK_ROWS // (len(chunk) * chunk[0].n))
+        span = max(1, diagnostics._BLOCK_ROWS // (len(chunk) * chunk[0].n))
         for start in range(0, layers, span):
             kept = []
             for _ in range(start, min(start + span, layers)):

@@ -361,20 +361,9 @@ class TestLinearLayer:
                 self.WITH_BAD[kernel](np.zeros((3, 2)), field, bad)
 
 
-def non_canonical_operator(rng, n):
-    """An n x n CSR of random values whose row 0 is empty, row 1 stores
-    columns (2, 0, 1), row 2 holds column 3 twice, and every other row holds
-    one to four random columns, repeats allowed, in drawn order."""
-    rows = [[], [2, 0, 1], [3, 3], *(rng.integers(0, n, rng.integers(1, 5)) for _ in range(n - 3))]
-    indptr = np.cumsum([0, *map(len, rows)])
-    cols = np.array([c for row in rows for c in row])
-    return sparse.csr_matrix((rng.uniform(-1.0, 1.0, len(cols)), cols, indptr), shape=(n, n))
-
-
 class TestStackedRelationSum:
     """A stack of graphs with one node count, under block-diagonal operators,
-    and a stack of matrices under shared n x n operators, each sum exactly
-    as each graph or matrix does alone."""
+    sums exactly as each graph does alone."""
 
     @pytest.mark.parametrize("split", [False, True])
     @pytest.mark.parametrize("with_self", [False, True])
@@ -384,22 +373,42 @@ class TestStackedRelationSum:
         mrgs = [split_edges(g, order_degree(g)) if split else whole_graph(g) for g in graphs]
         per_graph = [normalize(mrg, ROW_MEAN) for mrg in mrgs]
         blocks = [sparse.block_diag(ops, format="csr") for ops in zip(*per_graph)]
-        shared = [non_canonical_operator(np.random.default_rng(k), 9) for k in range(len(blocks))]
-        # (operators of the stack, each matrix's own operators)
-        cases = [(blocks, per_graph), (shared, [shared]), (shared, [shared] * 5)]
-        for mats, own in cases:
-            k = len(own)
-            X = rng.uniform(-1.0, 1.0, (k, 9, 5))
-            weights = rng.uniform(-1.0, 1.0, (len(mats), k, 5, 4))
-            self_weight = rng.uniform(-1.0, 1.0, (k, 5, 4)) if with_self else None
-            stacked = relation_sum(X, mats, weights, self_weight)
-            assert stacked.shape == (k, 9, 4)
-            for b, ops in enumerate(own):
-                alone = relation_sum(
-                    X[b], ops, weights[:, b], None if self_weight is None else self_weight[b]
-                )
-                # Bits, the sign of zero among them.
-                assert stacked[b].tobytes() == alone.tobytes()
+        X = rng.uniform(-1.0, 1.0, (3, 9, 5))
+        weights = rng.uniform(-1.0, 1.0, (len(blocks), 3, 5, 4))
+        self_weight = rng.uniform(-1.0, 1.0, (3, 5, 4)) if with_self else None
+        stacked = relation_sum(X, blocks, weights, self_weight)
+        assert stacked.shape == (3, 9, 4)
+        for b, ops in enumerate(per_graph):
+            alone = relation_sum(
+                X[b], ops, weights[:, b], None if self_weight is None else self_weight[b]
+            )
+            # Bits, the sign of zero among them.
+            assert stacked[b].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_n_by_n_operator_on_a_stack_of_several_is_rejected(self, k):
+        # An operator applies to the stack's rows flattened, so an n x n
+        # operator fits a (k, n, d) stack only when k is 1.
+        ops = normalize(whole_graph(random_undirected(np.random.default_rng(3), 9, 6)), ROW_MEAN)
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1.0, 1.0, (k, 9, 5))
+        with pytest.raises(ValueError):
+            relation_sum(X, ops, rng.uniform(-1.0, 1.0, (1, k, 5, 4)))
+
+    @pytest.mark.parametrize("with_self", [False, True])
+    def test_n_by_n_operator_on_a_stack_of_one_sums_as_the_matrix(self, with_self):
+        # A chunk of one unit is a (1, n, d) stack under its own operators.
+        g = random_undirected(np.random.default_rng(5), 9, 6)
+        ops = normalize(split_edges(g, order_degree(g)), ROW_MEAN)
+        rng = np.random.default_rng(6)
+        X = rng.uniform(-1.0, 1.0, (9, 5))
+        weights = rng.uniform(-1.0, 1.0, (len(ops), 5, 4))
+        self_weight = rng.uniform(-1.0, 1.0, (5, 4)) if with_self else None
+        stacked = relation_sum(
+            X[None], ops, weights[:, None], None if self_weight is None else self_weight[None]
+        )
+        assert stacked.shape == (1, 9, 4)
+        assert stacked[0].tobytes() == relation_sum(X, ops, weights, self_weight).tobytes()
 
 
 class TestMrsGcn:

@@ -22,8 +22,6 @@ from mrsplit.diagnostics import (
     verify_dar_independent_pairs,
     verify_ergodic_rank_one,
     verify_independence_on_constructions,
-    verify_independence_theorem,
-    verify_rank_theorem,
     verify_rank_theorem_random_splits,
     verify_zero_convergence,
     run_full_suite,
@@ -52,7 +50,7 @@ def rel_ops(n, edges_per_relation):
     ]
 
 
-def star_ops(counts):
+def star_graphs(counts):
     """Relation pair where node i receives counts[i][k] unit edges in
     relation k from private source nodes (mirrors the figure instances)."""
     nxt = len(counts)
@@ -62,7 +60,12 @@ def star_ops(counts):
             for _ in range(c):
                 rels[k].append((nxt, node))
                 nxt += 1
-    return rel_ops(nxt, rels)
+    return [graph_from_pairs(nxt, edges) for edges in rels]
+
+
+def star_ops(counts):
+    """The raw operators of star_graphs(counts)."""
+    return [operator_for_graph(g, RAW) for g in star_graphs(counts)]
 
 
 class TestInDegreeMatrix:
@@ -91,14 +94,9 @@ class TestInDegreeMatrix:
         with pytest.raises(ValueError):
             in_degree_matrix(rel_ops(2, [[(0, 1)]]) + rel_ops(3, [[(0, 1)]]))
 
-    @pytest.mark.parametrize(
-        "call",
-        [in_degree_matrix, verify_rank_theorem, lambda ops: verify_independence_theorem(ops, (0, 0))],
-        ids=["in_degree_matrix", "verify_rank_theorem", "verify_independence_theorem"],
-    )
-    def test_no_operator(self, call):
+    def test_no_operator(self):
         with pytest.raises(ValueError, match="at least one operator"):
-            call([])
+            in_degree_matrix([])
 
     @settings(max_examples=60)
     @given(st.data())
@@ -365,6 +363,9 @@ class TestDirichletEnergy:
 
 
 class TestVerifyRankTheorem:
+    """The rank lower bound on fixed operators, checked one trial at a time
+    by sequential_rank_theorem."""
+
     def test_ergodic_triangle_rank_one_bound(self):
         tri = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
         ops = [
@@ -372,19 +373,19 @@ class TestVerifyRankTheorem:
             operator_for_graph(graph_from_pairs(3, [(a, b) for b, a in tri]), ROW_MEAN),
         ]
         assert numeric_rank(in_degree_matrix(ops)) == 1
-        report = verify_rank_theorem(ops, trials=50, seed=0)
+        report = sequential_rank_theorem(ops, 50, 0)
         assert report.passed
 
     def test_independent_star_pair_rank_two(self):
         ops = star_ops([(3, 2), (2, 1)])
         assert numeric_rank(in_degree_matrix(ops)) == 2
-        report = verify_rank_theorem(ops, trials=50, seed=0)
+        report = sequential_rank_theorem(ops, 50, 0)
         assert report.passed
         assert report.min_margin >= 0
 
     def test_report_shape(self):
         ops = star_ops([(1, 1)])
-        d = verify_rank_theorem(ops, trials=5, seed=3).to_dict()
+        d = sequential_rank_theorem(ops, 5, 3).to_dict()
         assert d["theorem"] == "rank_lower_bound"
         assert d["trials"] == 5 and d["seed"] == 3
 
@@ -400,16 +401,15 @@ class TestVerifyRankTheorem:
 
 
 class TestVerifyIndependenceTheorem:
+    """Independent output rows for a fixed node pair, checked one trial at a
+    time by sequential_independence_theorem."""
+
     def test_independent_pair_always_rank_two(self):
-        report = verify_independence_theorem(
-            star_ops([(3, 2), (2, 1)]), pair=(0, 1), trials=100, seed=0
-        )
+        report = sequential_independence_theorem(star_ops([(3, 2), (2, 1)]), (0, 1), 100, 0)
         assert report.passed and report.failures == 0
 
     def test_dependent_pair_not_asserted(self):
-        report = verify_independence_theorem(
-            star_ops([(4, 2), (2, 1)]), pair=(0, 1), trials=20, seed=0
-        )
+        report = sequential_independence_theorem(star_ops([(4, 2), (2, 1)]), (0, 1), 20, 0)
         assert report.passed
         assert any("dependent" in note for note in report.notes)
 
@@ -420,10 +420,6 @@ class TestVerifyIndependenceTheorem:
         for i in range(3):
             for j in range(i + 1, 3):
                 assert not structurally_independent(E[i], E[j])
-
-    def test_pair_out_of_range(self):
-        with pytest.raises(IndexError):
-            verify_independence_theorem(star_ops([(1, 1)]), pair=(0, 99), trials=1)
 
 
 def independent_pairs_by_loop(E):
@@ -690,21 +686,58 @@ SUITES = {
 }
 
 
-def fixed_operator_cases():
-    """(name, ops, pair) cases for the two theorem functions that take
-    operators: an independent star pair, a dependent one, an ergodic
-    triangle and a 40-node split whose rank target exceeds 2."""
+def fixed_source_cases():
+    """(name, sources, mode, pair) cases of fixed relation sources, each a
+    list of (graph, scores) pairs: an independent star pair, a dependent
+    one, an ergodic triangle and a 40-node split whose rank target exceeds 2."""
     tri = [(0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2)]
     g = molecule_like_graph(np.random.default_rng(5), 40, 40)
+    triangles = [graph_from_pairs(3, tri), graph_from_pairs(3, [(a, b) for b, a in tri])]
     return [
-        ("star_independent", star_ops([(3, 2), (2, 1)]), (0, 1)),
-        ("star_dependent", star_ops([(4, 2), (2, 1)]), (0, 1)),
-        ("ergodic_triangle", [
-            operator_for_graph(graph_from_pairs(3, tri), ROW_MEAN),
-            operator_for_graph(graph_from_pairs(3, [(a, b) for b, a in tri]), ROW_MEAN),
-        ], (1, 2)),
-        ("split_40", list(normalize(split_edges(g, order_random(g.n, 3)), SYM_GCN)), (0, 39)),
+        ("star_independent", [(h, None) for h in star_graphs([(3, 2), (2, 1)])], RAW, (0, 1)),
+        ("star_dependent", [(h, None) for h in star_graphs([(4, 2), (2, 1)])], RAW, (0, 1)),
+        ("ergodic_triangle", [(h, None) for h in triangles], ROW_MEAN, (1, 2)),
+        ("split_40", [(g, order_random(g.n, 3))], SYM_GCN, (0, 39)),
     ]
+
+
+def source_operators(sources, mode):
+    """Each source's operators in mode, in source order: its graph whole
+    when its scores are None, else split under them."""
+    return [
+        op
+        for g, scores in sources
+        for op in normalize(whole_graph(g) if scores is None else split_edges(g, scores), mode)
+    ]
+
+
+def fixed_source_suite(theorem, sources, mode, rows, target, trials, seed):
+    """A suite whose every trial is the same fixed sources, stepped by the
+    grouped runner: the rank of the given output rows of one split
+    convolution against target, or against each trial's rank(E) when target
+    is None."""
+    return diagnostics._run_suite(
+        theorem, trials, seed, lambda rng, t: sources,
+        diagnostics._rank_checks(rows, target), diagnostics._normalized(mode),
+    )
+
+
+def assert_fixed_sources_give_the_oracle_reports(sources, mode, pair, trials, seed, ops=None):
+    """The rank lower bound and, for a structurally independent pair, its
+    independent output rows: the grouped runner on the fixed sources
+    reports what one trial at a time on ops reports, by default the
+    sources' own operators."""
+    ops = source_operators(sources, mode) if ops is None else ops
+    assert (
+        fixed_source_suite("rank_lower_bound", sources, mode, slice(None), None, trials, seed)
+        .to_dict() == sequential_rank_theorem(ops, trials, seed).to_dict()
+    )
+    E = in_degree_matrix(ops)
+    if structurally_independent(E[pair[0]], E[pair[1]]):
+        assert (
+            fixed_source_suite("independent_pair_rows", sources, mode, list(pair), 2, trials, seed)
+            .to_dict() == sequential_independence_theorem(ops, pair, trials, seed).to_dict()
+        )
 
 
 class TestGroupedRunnerEqualsSequentialOracle:
@@ -720,15 +753,10 @@ class TestGroupedRunnerEqualsSequentialOracle:
     @pytest.mark.parametrize("seed", [0, 4, 9])
     @pytest.mark.parametrize("case", range(4))
     def test_theorem_functions_on_fixed_operators(self, case, seed):
-        name, ops, pair = fixed_operator_cases()[case]
-        assert (
-            verify_rank_theorem(ops, trials=40, seed=seed).to_dict()
-            == sequential_rank_theorem(ops, 40, seed).to_dict()
-        )
-        assert (
-            verify_independence_theorem(ops, pair, trials=40, seed=seed).to_dict()
-            == sequential_independence_theorem(ops, pair, 40, seed).to_dict()
-        )
+        # Every trial steps on the same operators, built from fixed sources,
+        # so a chunk stacks copies of one instance.
+        _, sources, mode, pair = fixed_source_cases()[case]
+        assert_fixed_sources_give_the_oracle_reports(sources, mode, pair, 40, seed)
 
     @pytest.mark.parametrize("rows, window", [(1, 2048), (25, 7), (64, 1), (4096, 13)])
     def test_chunk_and_window_boundaries(self, monkeypatch, rows, window):
@@ -740,11 +768,8 @@ class TestGroupedRunnerEqualsSequentialOracle:
         for suite in ("random_splits", "dag_pair", "zero_convergence", "dar_pairs"):
             grouped, sequential, _ = SUITES[suite]
             assert grouped(30, seed=2).to_dict() == sequential(30, 2).to_dict(), suite
-        _, ops, pair = fixed_operator_cases()[3]
-        assert (
-            verify_rank_theorem(ops, trials=7, seed=1).to_dict()
-            == sequential_rank_theorem(ops, 7, 1).to_dict()
-        )
+        _, sources, mode, pair = fixed_source_cases()[3]
+        assert_fixed_sources_give_the_oracle_reports(sources, mode, pair, 7, 1)
 
     def test_collapsed_states_match_the_oracle(self, monkeypatch):
         # A DAG whose arc senders sum to an odd number keeps only its forward
@@ -761,55 +786,61 @@ class TestGroupedRunnerEqualsSequentialOracle:
         assert "rank 0, min row 0.00e+00" in grouped.notes[0]
 
 
-def non_canonical_operators():
-    """Two 3 x 3 operators whose rows are not in scipy's canonical order:
-    row 0 of the first holds columns 0, 1 and 2 stored as (2, 0, 1), and
-    row 1 of the second holds column 2 twice."""
-    unsorted = sparse.csr_matrix(
-        (np.array([1.0, 2.0, 3.0]), np.array([2, 0, 1]), np.array([0, 3, 3, 3])),
-        shape=(3, 3),
-    )
-    duplicate = sparse.csr_matrix(
-        (np.array([0.5, 1.5, -2.0, 0.25]), np.array([1, 2, 2, 0]), np.array([0, 1, 3, 4])),
-        shape=(3, 3),
-    )
-    assert not unsorted.has_canonical_format and not duplicate.has_canonical_format
-    return [unsorted, duplicate]
+def unsorted_arc_graphs():
+    """Two weighted 3-node graphs that list their arcs out of scipy's
+    canonical CSR order: node 0 of the first receives from 2, 0 and 1 in
+    that order, and the second lists receivers 2, 0, 1, 1, node 1 from 2
+    before 0."""
+    return [
+        graph_from_pairs(3, [(2, 0, 1.0), (0, 0, 2.0), (1, 0, 3.0), (0, 2, -1.5)]),
+        graph_from_pairs(3, [(1, 2, 0.5), (2, 0, 1.5), (2, 1, -2.0), (0, 1, 0.25)]),
+    ]
+
+
+def listed_order_operator(g):
+    """g's raw operator with each row's entries in g's arc order: a CSR
+    whose rows are not in canonical order when g lists its arcs unsorted."""
+    by_receiver = np.argsort(g.dst, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(g.dst, minlength=g.n))))
+    return sparse.csr_matrix((g.w[by_receiver], g.src[by_receiver], indptr), shape=(g.n, g.n))
 
 
 class TestOperatorSuites:
-    """verify_rank_theorem and verify_independence_theorem step every chunk
-    of trials on the caller's operators themselves, so any CSR, sorted or
-    not, gives the report of one trial at a time."""
+    """A suite on fixed relation sources steps every chunk of trials on the
+    block-diagonal operators of the caller's sources, stored in canonical
+    order whatever order the graphs list their arcs in, and reports what
+    one trial at a time on those operators, sorted or not, reports."""
 
     @pytest.mark.parametrize("alone", [True, False], ids=["alone", "chunked"])
     def test_non_canonical_operators_give_the_oracle_report(self, monkeypatch, alone):
         # With the row bound at the node count, every trial is a chunk of one.
-        ops = non_canonical_operators()
+        graphs = unsorted_arc_graphs()
+        ops = [listed_order_operator(g) for g in graphs]
+        assert not any(op.has_canonical_format for op in ops)
         if alone:
-            monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", ops[0].shape[0])
+            monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", 3)
+        sources = [(g, None) for g in graphs]
         for seed in (0, 5):
-            assert (
-                verify_rank_theorem(ops, trials=30, seed=seed).to_dict()
-                == sequential_rank_theorem(ops, 30, seed).to_dict()
-            )
-            assert (
-                verify_independence_theorem(ops, (0, 1), trials=30, seed=seed).to_dict()
-                == sequential_independence_theorem(ops, (0, 1), 30, seed).to_dict()
-            )
+            assert_fixed_sources_give_the_oracle_reports(sources, RAW, (0, 1), 30, seed, ops)
 
     def test_canonical_operator_runs_and_gives_the_oracle_report(self):
-        op = non_canonical_operators()[0]
+        g = unsorted_arc_graphs()[0]
+        op = listed_order_operator(g)
         op.sum_duplicates()
         assert op.has_canonical_format
+        (built,) = source_operators([(g, None)], RAW)
+        assert built.has_canonical_format
+        assert built.indices.tolist() == op.indices.tolist()
+        assert built.data.tobytes() == op.data.tobytes()
         assert (
-            verify_rank_theorem([op], trials=6, seed=2).to_dict()
-            == sequential_rank_theorem([op], 6, 2).to_dict()
+            fixed_source_suite("rank_lower_bound", [(g, None)], RAW, slice(None), None, 6, 2)
+            .to_dict() == sequential_rank_theorem([op], 6, 2).to_dict()
         )
 
     @pytest.mark.parametrize("alone", [True, False], ids=["alone", "chunked"])
     def test_every_chunk_steps_on_the_caller_s_operators(self, monkeypatch, alone):
-        _, ops, pair = fixed_operator_cases()[3]
+        _, sources, mode, pair = fixed_source_cases()[3]
+        ops = source_operators(sources, mode)
         if alone:
             monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", ops[0].shape[0])
         stepped = []
@@ -819,17 +850,12 @@ class TestOperatorSuites:
             return relation_sum(X, blocks, *weights)
 
         monkeypatch.setattr(diagnostics, "relation_sum", spy)
-        assert (
-            verify_rank_theorem(ops, trials=7, seed=1).to_dict()
-            == sequential_rank_theorem(ops, 7, 1).to_dict()
-        )
-        assert (
-            verify_independence_theorem(ops, pair, trials=7, seed=1).to_dict()
-            == sequential_independence_theorem(ops, pair, 7, 1).to_dict()
-        )
+        assert_fixed_sources_give_the_oracle_reports(sources, mode, pair, 7, 1)
         # Alone, 14 chunks of one trial; chunked, one chunk of 7 per suite.
         assert [k for k, _ in stepped] == ([1] * 14 if alone else [7, 7])
-        assert all(got is op for _, blocks in stepped for got, op in zip(blocks, ops, strict=True))
+        for k, blocks in stepped:
+            for got, op in zip(blocks, ops, strict=True):
+                assert_same_csr(got, sparse.block_diag([op] * k, format="csr"))
 
 
 class TestBlockDiagonals:

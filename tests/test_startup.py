@@ -24,8 +24,7 @@ LAZY_EXPORTS = {
     ),
     "diagnostics": (
         "dirichlet_energy", "exact_rank_small", "in_degree_matrix", "numeric_rank",
-        "rod", "structurally_independent", "verify_independence_theorem",
-        "verify_rank_theorem",
+        "rod", "structurally_independent",
     ),
 }
 

@@ -213,7 +213,6 @@ def test_chunk_span_and_window_boundaries(monkeypatch, rows, window):
     # the pairs before grouping.
     monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", rows)
     monkeypatch.setattr(diagnostics, "_DRAW_WINDOW", window)
-    monkeypatch.setattr(trajectories, "_BLOCK_ROWS", rows)
     for overrides in ({"num_graphs": 9, "variants": tuple(VARIANTS), "seed": 4}, MIXED_BLOCK):
         config = small_config(**overrides)
         assert_traces_equal(rod_trace(config), oracle_rod_trace(config)[0])
@@ -225,7 +224,6 @@ def test_chunk_boundary_inside_a_variant_run(monkeypatch):
     # and join the end of one run to the start of the next.
     in_process(monkeypatch)
     monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", 24)
-    monkeypatch.setattr(trajectories, "_BLOCK_ROWS", 24)
     glue, runs = trajectories._block_diagonals, []
 
     def counting(parts):
