@@ -19,9 +19,9 @@ from scipy import sparse
 from ._pool import _fork_map
 from .convolution import identity, leaky_relu, relation_sum, relu
 from .ensembles import molecule_like_graph, random_connected_dag
-from .graph import Graph, disjoint_union, graph_from_pairs, longest_path_length
+from .graph import Graph, graph_from_pairs, longest_path_length, reverse
 from .ordering import OrderingScores, order_random
-from .split import RAW, ROW_MEAN, SYM_GCN, dar_pair_from_dag, read_only_operator, union_operators
+from .split import RAW, ROW_MEAN, SYM_GCN, read_only_operator, union_operators
 
 DEFAULT_RANK_TOL = 1e-8
 ROW_ZERO_TOL = 1e-12
@@ -213,11 +213,12 @@ _Source = tuple[Graph, Optional[OrderingScores]]
 
 @dataclass
 class _Unit:
-    """A drawn unit of _run_units: its index in unit order, its generator and
-    the relation sources of its instance."""
+    """A drawn unit of _run_units: its index in unit order, its generator,
+    and the normalization mode and the relation sources of its operators."""
 
     t: int
     rng: np.random.Generator
+    mode: str
     sources: Sequence[_Source]
 
     @property
@@ -225,8 +226,7 @@ class _Unit:
         return self.sources[0][0].n
 
 
-# The build and the step of _run_units.
-_Build = Callable[[list[_Unit]], Sequence[sparse.csr_matrix]]
+# The step of _run_units.
 _Step = Callable[[list[_Unit], Sequence[sparse.csr_matrix]], Sequence]
 
 
@@ -241,19 +241,19 @@ def _block_diagonals(parts: Sequence[Sequence[sparse.csr_matrix]]) -> list[spars
     return [read_only_operator(sparse.block_diag(ops, format="csr")) for ops in zip(*padded)]
 
 
-def _normalized(mode: str) -> _Build:
-    """Build that gives, source by source of the chunk's units, every
-    relation of union_operators over the units' graphs and scores in mode:
-    the block system of the units' own operators."""
-
-    def build(chunk: list[_Unit]) -> list[sparse.csr_matrix]:
-        blocks = []
-        for source in zip(*(u.sources for u in chunk)):
+def _block_system(chunk: list[_Unit]) -> list[sparse.csr_matrix]:
+    """The chunk's block-diagonal operators. Each run of consecutive units
+    with the same mode and the same whole or split sources is, source by
+    source, every relation of one union_operators over the run's graphs and
+    scores in that mode; the runs are glued slot by slot."""
+    runs = []
+    for (mode, _), run in groupby(chunk, lambda u: (u.mode, [s is None for _, s in u.sources])):
+        ops = []
+        for source in zip(*(u.sources for u in run)):
             graphs, scores = zip(*source)
-            blocks.extend(union_operators(graphs, None if scores[0] is None else scores, mode))
-        return blocks
-
-    return build
+            ops.extend(union_operators(graphs, None if scores[0] is None else scores, mode))
+        runs.append(ops)
+    return _block_diagonals(runs)
 
 
 def _groups(items: Iterable, key: Callable[[Any], int]) -> list[list]:
@@ -263,19 +263,19 @@ def _groups(items: Iterable, key: Callable[[Any], int]) -> list[list]:
 
 def _run_units(
     units: Sequence,
-    draw: Callable[[Any], tuple[np.random.Generator, Sequence[_Source]]],
-    build: _Build,
+    draw: Callable[[Any], tuple[np.random.Generator, str, Sequence[_Source]]],
     step: _Step,
 ) -> Iterator:
     """Each unit's result, in unit order, from stepping the units in block
     systems.
 
-    draw(unit) seeds the unit's own generator and gives it with the unit's
-    relation sources. The units of one node count then step as one block
-    system, at most _BLOCK_ROWS rows at a time: build(chunk) gives the
-    chunk's block-diagonal operators and step(chunk, blocks) each unit's
-    result, drawing from each unit's generator in the unit's own order.
-    Each unit steps as it would alone, so the grouping changes nothing.
+    draw(unit) seeds the unit's own generator and gives it with the mode and
+    the relation sources of the unit's operators. The units of one node
+    count then step as one block system, at most _BLOCK_ROWS rows at a time:
+    _block_system(chunk) builds the chunk's operators and step(chunk, blocks)
+    gives each unit's result, drawing from each unit's generator in the
+    unit's own order. Each unit steps as it would alone, so the grouping
+    changes nothing.
     Units are drawn and stepped _DRAW_WINDOW at a time, so memory does not
     grow with the unit count.
     """
@@ -287,7 +287,8 @@ def _run_units(
             size = max(1, _BLOCK_ROWS // max(group[0].n, 1))
             for i in range(0, len(group), size):
                 chunk = group[i : i + size]
-                results.update(zip((u.t for u in chunk), step(chunk, build(chunk)), strict=True))
+                blocks = _block_system(chunk)
+                results.update(zip((u.t for u in chunk), step(chunk, blocks), strict=True))
         yield from (results[u.t] for u in window)
 
 
@@ -295,24 +296,24 @@ def _run_suite(
     theorem: str,
     trials: int,
     seed: int,
+    mode: str,
     draw: Callable[[np.random.Generator, int], Sequence[_Source]],
     step: _Step,
-    build: _Build,
 ) -> VerificationReport:
     """The report of trials 0 to trials - 1, stepped by _run_units.
 
-    draw(rng, t) gives trial t's relation sources, drawing from its own
-    generator default_rng([seed, t]), build each chunk's operators and step
-    each trial's checks.
+    draw(rng, t) gives trial t's relation sources, to be normalized in mode,
+    drawing from its own generator default_rng([seed, t]), and step each
+    trial's checks.
     The checks are folded in trial order: min_margin is the smallest margin
     seen, 0.0 when no check ran, and the first ten failure notes are kept.
     """
 
-    def seeded(t: int) -> tuple[np.random.Generator, Sequence[_Source]]:
+    def seeded(t: int) -> tuple[np.random.Generator, str, Sequence[_Source]]:
         rng = np.random.default_rng([seed, t])
-        return rng, draw(rng, t)
+        return rng, mode, draw(rng, t)
 
-    checks = [check for found in _run_units(range(trials), seeded, build, step) for check in found]
+    checks = [check for found in _run_units(range(trials), seeded, step) for check in found]
     notes = [note for _, note in checks if note is not None]
     min_margin = min([np.inf, *(margin for margin, _ in checks)])
     return VerificationReport(
@@ -402,7 +403,7 @@ def verify_zero_convergence(trials: int = 100, seed: int = 0) -> VerificationRep
             for tr, peak in zip(group, peaks)
         ]
 
-    return _run_suite("dag_zero_convergence", trials, seed, draw, step, _normalized(ROW_MEAN))
+    return _run_suite("dag_zero_convergence", trials, seed, ROW_MEAN, draw, step)
 
 
 def verify_dag_pair_rank(
@@ -414,16 +415,14 @@ def verify_dag_pair_rank(
     States are rescaled to unit Frobenius norm between steps; the layer is
     positively homogeneous, so this only changes scale, never rank or
     row-wise nonzeroness. A state that reaches exact zero stops drawing and
-    stays zero, and fails both conditions. A chunk's operator pair is the
-    pair of the disjoint union of its DAGs, whose acyclicity and coverage
-    checks hold exactly when every DAG's do.
+    stays zero, and fails both conditions. A trial's relations are its DAG
+    and its reverse, mean-normalized: dar_pair_from_dag's pair, whose
+    acyclicity and coverage checks every connected DAG drawn here passes.
     """
 
     def draw(rng: np.random.Generator, t: int):
-        return [(random_connected_dag(rng, int(rng.integers(6, 25))), None)]
-
-    def build(chunk: list[_Unit]) -> list[sparse.csr_matrix]:
-        return list(dar_pair_from_dag(disjoint_union([tr.sources[0][0] for tr in chunk])))
+        dag = random_connected_dag(rng, int(rng.integers(6, 25)))
+        return [(dag, None), (reverse(dag), None)]
 
     def step(group: list[_Unit], blocks: list[sparse.csr_matrix]) -> list[_Checks]:
         checks: list[_Checks] = [[] for _ in group]
@@ -446,7 +445,7 @@ def verify_dag_pair_rank(
                 checks[b].append((min(rank - 2, row_min - ROW_ZERO_TOL), note if failed else None))
         return checks
 
-    return _run_suite("dag_pair_rank_preserved", trials, seed, draw, step, build)
+    return _run_suite("dag_pair_rank_preserved", trials, seed, ROW_MEAN, draw, step)
 
 
 def _ergodic_instance(idx: int) -> list[Graph]:
@@ -473,9 +472,9 @@ def verify_ergodic_rank_one(instances: int = 20, seed: int = 0) -> VerificationR
         "ergodic_rank_one",
         instances,
         seed,
+        ROW_MEAN,
         lambda rng, idx: [(g, None) for g in _ergodic_instance(idx)],
         step,
-        _normalized(ROW_MEAN),
     )
 
 
@@ -497,7 +496,7 @@ def verify_dar_independent_pairs(
             for tr, k in zip(group, found)
         ]
 
-    return _run_suite("dar_pair_independent_exists", trials, seed, draw, step, _normalized(RAW))
+    return _run_suite("dar_pair_independent_exists", trials, seed, RAW, draw, step)
 
 
 def verify_rank_theorem_random_splits(
@@ -509,8 +508,8 @@ def verify_rank_theorem_random_splits(
         g = molecule_like_graph(rng, 8, 30)
         return [(g, order_random(g.n, int(rng.integers(0, 2**63))))]
 
-    step, build = _rank_checks(slice(None)), _normalized(SYM_GCN)
-    return _run_suite("rank_lower_bound_random_splits", trials, seed, draw, step, build)
+    step = _rank_checks(slice(None))
+    return _run_suite("rank_lower_bound_random_splits", trials, seed, SYM_GCN, draw, step)
 
 
 def _independent_pair_instance(rng: np.random.Generator) -> list[Graph]:
@@ -541,9 +540,9 @@ def verify_independence_on_constructions(
         "constructed_independent_pairs",
         trials,
         seed,
+        RAW,
         lambda rng, t: [(g, None) for g in _independent_pair_instance(rng)],
         _rank_checks([0, 1], 2),
-        _normalized(RAW),
     )
 
 

@@ -39,16 +39,20 @@ def _cast(values, dtype) -> np.ndarray:
         raise GraphError(f"arcs do not fit int64/float64 arrays: {exc}") from exc
 
 
-def _check_node_count(n) -> None:
+def _check_node_count(n) -> int:
+    """n as a Python int: a Python or numpy integer, not a bool, in range."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise GraphError(f"node count must be an integer, not {type(n).__name__}")
     if not 0 <= n < _MAX_NODES:
         raise GraphError(f"node count must be in [0, 2**31), got {n}")
+    return int(n)
 
 
-def _index_arrays(n, src, dst) -> tuple[np.ndarray, np.ndarray]:
-    """src and dst as new int64 arrays, checked in this order: the node
-    count n, before any cast; no float, NaN or bool index; every index fits
-    int64."""
-    _check_node_count(n)
+def _index_arrays(n, src, dst) -> tuple[int, np.ndarray, np.ndarray]:
+    """n as an int and src and dst as new int64 arrays, checked in this
+    order: the node count n, before any cast; no float, NaN or bool index;
+    every index fits int64."""
+    n = _check_node_count(n)
     for name, values in (("src", src), ("dst", dst)):
         if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
             continue
@@ -56,7 +60,7 @@ def _index_arrays(n, src, dst) -> tuple[np.ndarray, np.ndarray]:
         bad = ", ".join(sorted(t.__name__ for t in types if issubclass(t, _NOT_INDICES)))
         if bad:
             raise GraphError(f"{name} must hold integer indices, not {bad}")
-    return _cast(src, np.int64), _cast(dst, np.int64)
+    return n, _cast(src, np.int64), _cast(dst, np.int64)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,8 +81,8 @@ class Graph:
     undirected: bool = False
 
     def __post_init__(self) -> None:
-        n = self.n
-        src, dst = _index_arrays(n, self.src, self.dst)
+        n, src, dst = _index_arrays(self.n, self.src, self.dst)
+        object.__setattr__(self, "n", n)
         w = _cast(self.w, np.float64)
         if not (src.ndim == dst.ndim == w.ndim == 1 and len(src) == len(dst) == len(w)):
             raise GraphError("src, dst and w must be vectors of the same length")
@@ -365,7 +369,7 @@ def _loaded_graph(
         n = 1 + max(max(src, default=-1), max(dst, default=-1))
     if undirected:
         # Graph's own checks first: the node count before any index cast.
-        s, d = _index_arrays(n, src, dst)
+        n, s, d = _index_arrays(n, src, dst)
         kept = np.ones(2 * len(s), dtype=bool)  # slot 2k: edge k; 2k + 1: reverse
         kept[1::2] = s != d
         src = np.column_stack((s, d)).ravel()[kept]

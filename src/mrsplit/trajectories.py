@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
 
 import numpy as np
 
@@ -19,8 +18,7 @@ from . import diagnostics
 from ._pool import _fork_map
 from .convolution import glorot, relation_sum, relu
 from .diagnostics import (
-    _Unit, _block_diagonals, _groups, _normalized, _run_units, _states,
-    _unit_states, dirichlet_energy, rod,
+    _Unit, _groups, _run_units, _states, _unit_states, dirichlet_energy, rod,
 )
 from .ensembles import molecule_like_graph
 from .graph import Graph
@@ -121,14 +119,7 @@ def _trace_group(
         name, gi, g = unit
         rng = np.random.default_rng([config.seed, gi, sum(name.encode())])
         scores = ordered[gi] if VARIANTS[name].split else None
-        return rng, [(g, scores)]
-
-    def build(chunk: list[_Unit]) -> list:
-        # Each variant's run is one union under its mode, glued slot by slot.
-        return _block_diagonals([
-            _normalized(VARIANTS[name].mode)(list(run))
-            for name, run in groupby(chunk, lambda u: units[u.t][0])
-        ])
+        return rng, VARIANTS[name].mode, [(g, scores)]
 
     def step(chunk: list[_Unit], blocks: list) -> np.ndarray:
         specs = [VARIANTS[units[u.t][0]] for u in chunk]
@@ -175,5 +166,5 @@ def _trace_group(
                 measured[members, 1] = dirichlet_energy(S[members], chunk[members[0]].sources[0][0])
         return out
 
-    traced = np.array(list(_run_units(units, draw, build, step)))
+    traced = np.array(list(_run_units(units, draw, step)))
     return traced.reshape(len(names), len(group), 2, layers)

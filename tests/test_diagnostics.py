@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from mrsplit import diagnostics
+from mrsplit import _pool, diagnostics, trajectories
 from mrsplit.convolution import identity, leaky_relu, relation_sum, relu
 from mrsplit.diagnostics import (
     ROW_ZERO_TOL,
@@ -27,7 +27,7 @@ from mrsplit.diagnostics import (
     run_full_suite,
 )
 from mrsplit.ensembles import molecule_like_graph, random_connected_dag
-from mrsplit.graph import graph_from_pairs, longest_path_length
+from mrsplit.graph import disjoint_union, graph_from_pairs, longest_path_length, reverse
 from mrsplit.ordering import order_degree, order_random
 from mrsplit.split import (
     RAW,
@@ -465,13 +465,14 @@ class TestSuites:
         assert verify_dar_independent_pairs(trials=10, seed=0).passed
 
     def test_dag_pair_zero_state_reported_not_raised(self, monkeypatch):
-        # The suite builds each chunk's pair from the union of its DAGs, so
-        # a zero pair of the union is a zero pair for each of its trials.
-        def zero_pair(g):
-            zero = sparse.csr_matrix((g.n, g.n))
-            return zero, zero
+        # A zero pair of a chunk's block system is a zero pair for each of
+        # the chunk's trials.
+        def zero_pair(chunk):
+            n = sum(u.n for u in chunk)
+            zero = sparse.csr_matrix((n, n))
+            return [zero, zero]
 
-        monkeypatch.setattr(diagnostics, "dar_pair_from_dag", zero_pair)
+        monkeypatch.setattr(diagnostics, "_block_system", zero_pair)
         report = verify_dag_pair_rank(trials=3, seed=0, depth=4)
         assert report.failures == 2 * 3
         assert not report.passed and len(report.notes) == 6
@@ -609,10 +610,13 @@ def sequential_zero_convergence(trials, seed):
     return sequential_suite("dag_zero_convergence", trials, seed, trial)
 
 
-def sequential_dag_pair_rank(trials, seed, depth=16):
+def sequential_dag_pair_rank(trials, seed, depth=16, pair=dar_pair_from_dag):
+    """The DAG-pair suite one trial at a time, each trial stepping on
+    pair(dag) of its own DAG."""
+
     def trial(rng, t):
         g = random_connected_dag(rng, int(rng.integers(6, 25)))
-        mats = diagnostics.dar_pair_from_dag(g)
+        mats = pair(g)
         checks = []
         for sigma in (identity, leaky_relu):
             X = rng.uniform(-1, 1, (g.n, VERIFY_DIM))
@@ -717,8 +721,8 @@ def fixed_source_suite(theorem, sources, mode, rows, target, trials, seed):
     convolution against target, or against each trial's rank(E) when target
     is None."""
     return diagnostics._run_suite(
-        theorem, trials, seed, lambda rng, t: sources,
-        diagnostics._rank_checks(rows, target), diagnostics._normalized(mode),
+        theorem, trials, seed, mode, lambda rng, t: sources,
+        diagnostics._rank_checks(rows, target),
     )
 
 
@@ -775,13 +779,17 @@ class TestGroupedRunnerEqualsSequentialOracle:
         # A DAG whose arc senders sum to an odd number keeps only its forward
         # relation, under which its state reaches exact zero within the depth
         # and stops drawing, while other trials of its node count keep their
-        # pair and go on. The suite asks for the pair of a chunk's union of
-        # DAGs and the oracle for one DAG's: each drawn DAG is weakly
+        # pair and go on. The suite steps on the pair of a chunk's union of
+        # DAGs and the oracle on one DAG's: each drawn DAG is weakly
         # connected, so each of its blocks is one component of the union,
         # and its senders are counted from the block's first node.
-        monkeypatch.setattr(diagnostics, "dar_pair_from_dag", pair_or_dag_alone)
+        def union_pair(chunk):
+            return list(pair_or_dag_alone(disjoint_union([u.sources[0][0] for u in chunk])))
+
+        monkeypatch.setattr(diagnostics, "_block_system", union_pair)
         grouped = verify_dag_pair_rank(trials=40, seed=5, depth=30)
-        assert grouped.to_dict() == sequential_dag_pair_rank(40, 5, depth=30).to_dict()
+        oracle = sequential_dag_pair_rank(40, 5, depth=30, pair=pair_or_dag_alone)
+        assert grouped.to_dict() == oracle.to_dict()
         assert 0 < grouped.failures < 80
         assert "rank 0, min row 0.00e+00" in grouped.notes[0]
 
@@ -886,3 +894,86 @@ class TestBlockDiagonals:
             for arr in (got.data, got.indices, got.indptr):
                 with pytest.raises(ValueError, match="read-only"):
                     arr[...] = 0
+
+
+def drawn_dag(seed, t):
+    """The DAG that trial t of verify_dag_pair_rank draws at seed."""
+    rng = np.random.default_rng([seed, t])
+    return random_connected_dag(rng, int(rng.integers(6, 25)))
+
+
+def dag_pair_chunk(dags):
+    """A chunk of DAG-pair units, one per DAG: the DAG and its reverse,
+    mean-normalized."""
+    rng = np.random.default_rng(0)
+    return [
+        diagnostics._Unit(t, rng, ROW_MEAN, [(g, None), (reverse(g), None)])
+        for t, g in enumerate(dags)
+    ]
+
+
+class TestDagPairDraws:
+    """The DAG-pair suite steps each DAG and its reverse with no check of its
+    own, so every DAG it draws must pass dar_pair_from_dag's acyclicity and
+    coverage checks, and a chunk's pair must be dar_pair_from_dag's pair of
+    the union of its DAGs."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_benchmark_draws_pass_the_pair_checks(self, seed):
+        # verify --trials 1000 runs the suite at 400 trials.
+        for t in range(400):
+            dar_pair_from_dag(drawn_dag(seed, t))
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**63 - 1), t=st.integers(0, 2**20))
+    def test_any_draw_passes_the_pair_checks(self, seed, t):
+        dar_pair_from_dag(drawn_dag(seed, t))
+
+    @pytest.mark.parametrize("count", [1, 2, 5])
+    def test_chunk_pair_is_the_union_pair(self, count):
+        dags = [drawn_dag(1, t) for t in range(count)]
+        got = diagnostics._block_system(dag_pair_chunk(dags))
+        for op, want in zip(got, dar_pair_from_dag(disjoint_union(dags)), strict=True):
+            assert_same_csr(op, want)
+
+
+def union_calls_per_chunk(monkeypatch, run):
+    """run() with every union_operators call counted: the count each
+    _block_system call made, in chunk order, and the count in all."""
+    union, build, calls, per_chunk = diagnostics.union_operators, diagnostics._block_system, [], []
+
+    def counting_union(*args):
+        calls.append(args)
+        return union(*args)
+
+    def counting_build(chunk):
+        before = len(calls)
+        blocks = build(chunk)
+        per_chunk.append(len(calls) - before)
+        return blocks
+
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(diagnostics, "union_operators", counting_union)
+    monkeypatch.setattr(diagnostics, "_block_system", counting_build)
+    run()
+    return per_chunk, len(calls)
+
+
+class TestOneBuild:
+    """Every chunk of every suite and of a trace is built by _block_system,
+    one union_operators call per source of each run of units that share a
+    mode and whole or split sources."""
+
+    def test_dag_pair_chunk(self, monkeypatch):
+        per_chunk, total = union_calls_per_chunk(monkeypatch, lambda: verify_dag_pair_rank(1))
+        assert (per_chunk, total) == ([2], 2)
+
+    def test_ergodic_chunk(self, monkeypatch):
+        per_chunk, total = union_calls_per_chunk(monkeypatch, lambda: verify_ergodic_rank_one(1))
+        assert (per_chunk, total) == ([2], 2)
+
+    def test_trace_chunk_of_the_default_variants(self, monkeypatch):
+        config = trajectories.TraceConfig(num_graphs=3, layers=2, dim=4, n_min=8, n_max=8)
+        assert len(config.variants) == 4
+        per_chunk, total = union_calls_per_chunk(monkeypatch, lambda: trajectories.rod_trace(config))
+        assert (per_chunk, total) == ([4], 4)

@@ -45,6 +45,25 @@ class TestGraphInvariants:
         with pytest.raises(GraphError):
             graph_from_pairs(-1, [])
 
+    @pytest.mark.parametrize(
+        "n, name",
+        [(2.5, "float"), (3.0, "float"), (np.float64(3.0), "float64"), ("3", "str"),
+         (None, "NoneType"), (True, "bool"), (np.True_, "bool")],
+    )
+    def test_rejects_non_integer_node_count(self, n, name):
+        # Accepted, n=2.5 would fail later in order_degree with a TypeError,
+        # and n=3.0 would compare equal to the graph with n=3.
+        with pytest.raises(GraphError, match=f"node count must be an integer, not {name}$"):
+            Graph(n=n, src=[0], dst=[1], w=[1.0])
+
+    @pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3), np.uint8(3), np.intp(3)])
+    def test_integer_node_count_is_stored_as_int(self, n):
+        g = Graph(n=n, src=[0], dst=[1], w=[1.0])
+        assert type(g.n) is int and g.n == 3
+        assert g == Graph(n=3, src=[0], dst=[1], w=[1.0])
+        assert hash(g) == hash(Graph(n=3, src=[0], dst=[1], w=[1.0]))
+        assert type(copy.deepcopy(g).n) is int
+
     def test_rejects_out_of_range_index(self):
         with pytest.raises(GraphError, match="out of range"):
             graph_from_pairs(2, [(0, 2, 1.0)])

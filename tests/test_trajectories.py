@@ -224,13 +224,13 @@ def test_chunk_boundary_inside_a_variant_run(monkeypatch):
     # and join the end of one run to the start of the next.
     in_process(monkeypatch)
     monkeypatch.setattr(diagnostics, "_BLOCK_ROWS", 24)
-    glue, runs = trajectories._block_diagonals, []
+    glue, runs = diagnostics._block_diagonals, []
 
     def counting(parts):
         runs.append(len(parts))
         return glue(parts)
 
-    monkeypatch.setattr(trajectories, "_block_diagonals", counting)
+    monkeypatch.setattr(diagnostics, "_block_diagonals", counting)
     config = small_config(variants=tuple(VARIANTS), num_graphs=5, n_min=8, n_max=8, seed=2)
     assert_traces_equal(rod_trace(config), oracle_rod_trace(config)[0])
     assert runs == [1, 2, 1, 2, 1, 1, 1]
