@@ -28,8 +28,10 @@ class GraphError(ValueError):
 # Above this node count the arc keys src * n + dst would overflow int64.
 _MAX_NODES = 2**31
 
-# Entry types that a cast to int64 would truncate, wrap or read as 0 and 1.
-_NOT_INDICES = (bool, np.bool_, float, complex, np.inexact)
+# The entry types of indices and of weights, which a cast to int64 or to
+# float64 keeps. A bool is an int but is no number here.
+_INDEX_TYPES = (int, np.integer)
+_WEIGHT_TYPES = (int, float, np.integer, np.floating)
 
 
 def _cast(values, dtype) -> np.ndarray:
@@ -48,16 +50,24 @@ def _check_node_count(n) -> int:
     return int(n)
 
 
+def _bad_types(values, allowed: tuple, kinds: str) -> str:
+    """The names of values' entry types that are bool or not allowed, joined
+    by ", "; "" when there are none, or when values is an array whose dtype
+    kind is in kinds."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in kinds:
+        return ""
+    types = set(map(type, values)) if np.iterable(values) else set()
+    bad = (t for t in types if issubclass(t, bool) or not issubclass(t, allowed))
+    return ", ".join(sorted(t.__name__ for t in bad))
+
+
 def _index_arrays(n, src, dst) -> tuple[int, np.ndarray, np.ndarray]:
     """n as an int and src and dst as new int64 arrays, checked in this
-    order: the node count n, before any cast; no float, NaN or bool index;
-    every index fits int64."""
+    order: the node count n, before any cast; every index a Python or numpy
+    integer, not a bool; every index fits int64."""
     n = _check_node_count(n)
     for name, values in (("src", src), ("dst", dst)):
-        if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
-            continue
-        types = set(map(type, values)) if np.iterable(values) else set()
-        bad = ", ".join(sorted(t.__name__ for t in types if issubclass(t, _NOT_INDICES)))
+        bad = _bad_types(values, _INDEX_TYPES, "iu")
         if bad:
             raise GraphError(f"{name} must hold integer indices, not {bad}")
     return n, _cast(src, np.int64), _cast(dst, np.int64)
@@ -68,7 +78,8 @@ class Graph:
     """Immutable directed graph with weighted arcs, stored as parallel arrays.
 
     Arc e runs from src[e] to dst[e] with weight w[e]; the arrays are
-    read-only copies of the inputs. Node indices are dense 0-based integers.
+    read-only copies of the inputs. Node indices are dense 0-based integers
+    and weights finite numbers; a bool is neither.
     Duplicate (src, dst) pairs are rejected at construction; self-loops are
     permitted. Two graphs are equal when n, undirected and every arc, in
     order, are equal.
@@ -86,6 +97,13 @@ class Graph:
         w = _cast(self.w, np.float64)
         if not (src.ndim == dst.ndim == w.ndim == 1 and len(src) == len(dst) == len(w)):
             raise GraphError("src, dst and w must be vectors of the same length")
+        bad = _bad_types(self.w, _WEIGHT_TYPES, "iuf")
+        if bad:
+            raise GraphError(f"w must hold int or float weights, not {bad}")
+        finite = np.isfinite(w)
+        if not finite.all():
+            e = int(finite.argmin())
+            raise GraphError(f"edge ({src[e]}, {dst[e]}) has non-finite weight {w[e]}", e)
         for name, arr in (("src", src), ("dst", dst), ("w", w)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

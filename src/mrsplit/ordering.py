@@ -84,8 +84,13 @@ def order_ppr(g: Graph, alpha: float = PPR_ALPHA, iters: int = PPR_ITERS) -> Ord
 
     Runs `iters` steps of p <- alpha*u + (1-alpha)*P^T p starting from the
     uniform distribution u, where P is the row-stochastic out-transition
-    matrix and dangling nodes redistribute uniformly.
+    matrix and dangling nodes redistribute uniformly. alpha is a finite
+    number in [0, 1] and iters >= 0, else ValueError.
     """
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must be a finite number in [0, 1], got {alpha!r}")
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters!r}")
     if g.n == 0:
         raise ValueError("PPR requires at least one node")
     n = g.n

@@ -104,12 +104,6 @@ def read_only_operator(mat: sparse.csr_matrix) -> sparse.csr_matrix:
     return mat
 
 
-def _index_dtype(n: int, nnz: int) -> type:
-    """The index dtype scipy gives an n x n CSR matrix with nnz entries:
-    int32 while both n and nnz fit it, else int64."""
-    return np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
-
-
 def whole_graph(g: Graph) -> MultiRelGraph:
     """g unsplit: one relation that holds every arc (a base convolution)."""
     every_arc = _read_only(np.arange(g.num_edges))
@@ -138,12 +132,12 @@ def normalize(mrg: MultiRelGraph, mode: str) -> tuple[sparse.csr_matrix, ...]:
     With sym_gcn the three operators sum entrywise to the classic symmetric
     GCN operator of the unsplit graph; the split only reweights which
     transformation each message passes through. The mode's value of each
-    base arc is computed once, with a degree-0 node weighing 0. Each
-    relation's read-only receiver-row CSR operator is built straight from
-    its arcs in mrg.arcs_by_receiver: their values, their senders as column
-    indices and their receivers' counts as row pointers. Each mode is built
-    on its first request and the same operators are returned on every
-    later one.
+    base arc is computed once; sym_gcn weighs a sender of in-degree 0 as 0.
+    scipy builds each relation's read-only receiver-row CSR operator, and
+    picks its index dtype, from its arcs in mrg.arcs_by_receiver: their
+    values, and their senders and receivers' running count in int64. Each
+    mode is built on its first request and the same operators are returned
+    on every later one.
     """
     ops = mrg._operators.get(mode)
     if ops is None:
@@ -152,8 +146,8 @@ def normalize(mrg: MultiRelGraph, mode: str) -> tuple[sparse.csr_matrix, ...]:
         if mode == RAW:
             vals = b.w
         elif mode == ROW_MEAN:
-            deg = in_degrees(b).astype(np.float64)[b.dst]
-            vals = np.where(deg > 0, b.w / np.maximum(deg, 1.0), 0.0)
+            # Every arc's receiver has in-degree >= 1: the arc itself.
+            vals = b.w / in_degrees(b)[b.dst]
         elif mode == SYM_GCN:
             deg = in_degrees(b).astype(np.float64)
             inv_sqrt = np.where(deg > 0, 1.0 / np.sqrt(np.maximum(deg, 1.0)), 0.0)
@@ -162,12 +156,8 @@ def normalize(mrg: MultiRelGraph, mode: str) -> tuple[sparse.csr_matrix, ...]:
             raise ValueError(f"unknown normalization mode: {mode!r}")
         ops = []
         for arcs in mrg.arcs_by_receiver:
-            idx = _index_dtype(b.n, len(arcs))
-            indptr = np.zeros(b.n + 1, dtype=idx)
-            np.cumsum(np.bincount(b.dst[arcs], minlength=b.n), out=indptr[1:])
-            op = sparse.csr_matrix(
-                (vals[arcs], b.src[arcs].astype(idx), indptr), shape=(b.n, b.n)
-            )
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(b.dst[arcs], minlength=b.n))))
+            op = sparse.csr_matrix((vals[arcs], b.src[arcs], indptr), shape=(b.n, b.n))
             ops.append(read_only_operator(op))
         ops = mrg._operators[mode] = tuple(ops)
     return ops

@@ -50,6 +50,8 @@ class ModelConfig:
             raise ValueError(f"unknown jumping-knowledge mode: {self.jk!r}")
         if self.epochs < 0:
             raise ValueError("epochs must be non-negative")
+        if not 0.0 < self.lr < np.inf:
+            raise ValueError(f"lr must be a finite number > 0, got {self.lr!r}")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import pickle
+from decimal import Decimal
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -148,13 +150,48 @@ class TestGraphInvariants:
             ([True, 0], [1, 2], "src"),
             (np.array([0, 1]), np.array([True, False]), "dst"),
             ([0, np.float32(1.0)], [1, 2], "src"),
+            ([Fraction(3, 2), 0], [1, 2], "src"),
+            ([0, 1], [Decimal("1.5"), 2], "dst"),
+            (["2", 0], [1, 2], "src"),
+            ([0, 1], [b"2", 2], "dst"),
+            ([np.bool_(True), 0], [1, 2], "src"),
         ],
     )
     def test_rejects_non_integer_indices(self, src, dst, name):
-        # A cast would truncate 0.9 to 0, wrap NaN to -2**63 and read a
-        # bool as 0 or 1.
+        # A cast would truncate 0.9 or Fraction(3, 2) to 0 or 1, wrap NaN to
+        # -2**63, read a bool as 0 or 1 and parse "2" as node 2.
         with pytest.raises(GraphError, match=f"^{name} must hold integer indices, not "):
             Graph(n=3, src=src, dst=dst, w=[1.0, 1.0])
+
+    def test_accepts_python_and_numpy_integer_indices(self):
+        g = Graph(
+            n=3, src=[0, np.int8(1), np.uint64(2)], dst=[1, 2, 0], w=[1, np.float32(0.5), 2.0]
+        )
+        assert arcs(g) == [(0, 1, 1.0), (1, 2, 0.5), (2, 0, 2.0)]
+
+    @pytest.mark.parametrize(
+        "w, types",
+        [
+            ([1.0, None], "NoneType"),
+            (["2.5", 1.0], "str"),
+            ([True, 1.0], "bool"),
+            (np.array([True, False]), "bool"),
+            ([Decimal("1.5"), Fraction(1, 2)], "Decimal, Fraction"),
+        ],
+    )
+    def test_rejects_non_number_weights(self, w, types):
+        # A cast would read None as NaN, "2.5" as 2.5 and True as 1.0.
+        with pytest.raises(GraphError, match=f"^w must hold int or float weights, not {types}$"):
+            Graph(n=3, src=[0, 1], dst=[1, 2], w=w)
+        with pytest.raises(GraphError, match=f"^w must hold int or float weights, not {types}$"):
+            graph_from_pairs(3, [(0, 1, w[0]), (1, 2, w[1])])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_weights(self, bad):
+        for w in ([1.0, bad, 2.0], np.array([1.0, bad, 2.0])):
+            with pytest.raises(GraphError, match=r"^edge \(1, 2\) has non-finite weight") as info:
+                Graph(n=3, src=[0, 1, 2], dst=[1, 2, 0], w=w)
+            assert info.value.arc == 1
 
     @pytest.mark.parametrize(
         "n, arc_list, message",

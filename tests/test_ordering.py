@@ -1,5 +1,7 @@
 """Score orderings and the induced strict partial order."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -102,6 +104,28 @@ class TestOrderPpr:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             order_ppr(graph_from_pairs(0, []))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"alpha": math.nan}, r"alpha must be a finite number in \[0, 1\], got nan"),
+            ({"alpha": -0.1}, r"alpha must be a finite number in \[0, 1\], got -0.1"),
+            ({"alpha": 1.5}, r"alpha must be a finite number in \[0, 1\], got 1.5"),
+            ({"alpha": math.inf}, r"alpha must be a finite number in \[0, 1\], got inf"),
+            ({"iters": -3}, r"iters must be >= 0, got -3"),
+        ],
+        ids=["nan-alpha", "negative-alpha", "alpha-above-1", "infinite-alpha", "negative-iters"],
+    )
+    def test_rejects_what_the_cli_rejects(self, kwargs, message):
+        # NaN scores, or -3 steps run as none, before these checks.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            order_ppr(graph_from_pairs(2, [(0, 1)]), **kwargs)
+
+    def test_accepts_the_bounds(self):
+        g = graph_from_pairs(2, [(0, 1)])
+        assert order_ppr(g, alpha=1.0).scores == (0.5, 0.5)
+        assert order_ppr(g, iters=0).scores == (0.5, 0.5)
+        assert np.isfinite(order_ppr(g, alpha=0.0).as_array()).all()
 
     @pytest.mark.parametrize("seed", range(40))
     def test_bit_equal_to_add_at_oracle(self, seed):

@@ -334,6 +334,19 @@ class TestDirectBuild:
                     by_receiver[...] = 0
             assert mrg.arcs_by_receiver is mrg.arcs_by_receiver
 
+    @pytest.mark.parametrize(
+        "n, arc_list",
+        [(0, []), (1, []), (1, [(0, 0, 2.5)])],
+        ids=["no-node", "one-node", "one-self-loop"],
+    )
+    def test_tiny_graphs_equal_the_coo_oracle(self, n, arc_list):
+        # Each operator's row pointers are all 0, or 0 then 1.
+        g = graph_from_pairs(n, arc_list)
+        for mrg in (split_edges(g, scores_of([0] * n)), whole_graph(g)):
+            for mode in (RAW, ROW_MEAN, SYM_GCN):
+                for op, ref in zip(normalize(mrg, mode), coo_operators(mrg, mode), strict=True):
+                    assert_same_csr(op, ref)
+
     def test_relations_that_share_arcs(self):
         g = bidirected_triangle()
         every_arc = np.arange(g.num_edges)
@@ -354,7 +367,8 @@ class TestDirectBuild:
         ],
     )
     def test_index_dtype_boundary(self, n, nnz, want):
-        assert split._index_dtype(n, nnz) is want
+        # The rule by which scipy picks the index dtype of the operators
+        # normalize builds: int32 while both n and nnz fit it.
         assert sparse.get_index_dtype(maxval=max(n, nnz)) is want
 
 

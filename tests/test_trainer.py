@@ -1,5 +1,6 @@
 """Synthetic task generation, model forward/backward, and the training loop."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,12 @@ class TestConfigs:
     def test_rejects_zero_layers(self):
         with pytest.raises(ValueError):
             ModelConfig(layers=0)
+
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_lr_the_cli_rejects(self, lr):
+        # A negative lr would train by gradient ascent.
+        with pytest.raises(ValueError, match=f"^lr must be a finite number > 0, got {lr!r}$"):
+            ModelConfig(lr=lr)
 
     def test_task_range_validated(self):
         with pytest.raises(ValueError):
